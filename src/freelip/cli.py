@@ -34,7 +34,7 @@ from .gallery import GALLERY, experiment_to_json, gallery_experiments
 from .maps import PiecewiseLinearMap, map_from_json
 from .norms import free_norm, norm_flow, norm_result_to_json
 from .selftest import run_selftest
-from .spaces import AlphaSpace, DomainError, FiniteSpace, space_from_json
+from .spaces import DomainError, IntervalSpace, space_from_json
 from .vectors import coerce_point, vector_from_json
 
 OUTDIR_ENV = "FREELIP_OUTDIR"
@@ -99,19 +99,17 @@ def _load_params(path: str | None) -> ClassificationParams:
     unknown = set(obj) - allowed
     if unknown:
         raise InputError(f"{path}: unknown parameter(s) {sorted(unknown)}")
-    if "radii" in obj and obj["radii"] is not None:
-        obj["radii"] = tuple(obj["radii"])
-    return ClassificationParams(**obj)
-
-
-def _parse_point(space, text: str):
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"--point {text!r}: {exc.msg}") from exc
-    if isinstance(raw, list):
-        raw = tuple(raw)
-    return coerce_point(space, raw)
+        return ClassificationParams(**obj)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _parse_flag(flag: str, text: str, parse):
+    try:
+        return parse(text)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise InputError(f"{flag} {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ def _cmd_classify(args) -> int:
     outdir = _resolve_outdir(args.outdir)
     f = _load_map(args.map, args.space)
     params = _load_params(args.params)
-    x = _parse_point(f.space, args.point)
+    x = coerce_point(f.space, _parse_flag("--point", args.point, json.loads))
     report = classify_orbit(f, x, params, power=args.power)
     _write_json(outdir / "classify.json", classification_to_json(report))
     _write_profile_csv(outdir / "classify.csv", report.distances)
@@ -166,19 +164,20 @@ def _cmd_classify(args) -> int:
 def _cmd_rigidity(args) -> int:
     outdir = _resolve_outdir(args.outdir)
     f = _load_map(args.map, args.space)
-    times = tuple(int(t) for t in args.times.split(","))
+    times = _parse_flag("--times", args.times, lambda s: tuple(int(t) for t in s.split(",")))
     if args.sample is not None:
-        raw = json.loads(args.sample)
-        sample = [coerce_point(f.space, tuple(p) if isinstance(p, list) else p) for p in raw]
-    elif isinstance(f.space, FiniteSpace):
-        sample = list(f.space.points())
-    elif isinstance(f.space, AlphaSpace):
-        sample = list(range(f.space.prefix_length + 1))
+        raw = _parse_flag("--sample", args.sample, json.loads)
+        if not isinstance(raw, list):
+            raise InputError("--sample must be a JSON array of points")
+        sample = [coerce_point(f.space, p) for p in raw]
+    elif isinstance(f.space, IntervalSpace):
+        raise InputError("an interval space needs an explicit --sample of points")
     else:
-        raise InputError("this space needs an explicit --sample of points")
+        sample = f.space.points()
     tolerances = None
     if args.tolerances is not None:
-        tolerances = tuple(float(t) for t in args.tolerances.split(","))
+        tolerances = _parse_flag("--tolerances", args.tolerances,
+                                 lambda s: tuple(float(t) for t in s.split(",")))
     cert = rigidity_check(f, sample, times, args.bound, tolerances)
     _write_json(outdir / "rigidity.json", rigidity_to_json(cert))
     status = "pass" if cert.passed else f"fail ({cert.reason})"
@@ -200,10 +199,7 @@ def _cmd_interval_analyze(args) -> int:
 def _cmd_gallery(args) -> int:
     outdir = _resolve_outdir(args.outdir)
     names = None if args.name in (None, "all") else [args.name]
-    try:
-        results = gallery_experiments(fast=args.fast, names=names)
-    except DomainError as exc:
-        raise InputError(str(exc)) from exc
+    results = gallery_experiments(fast=args.fast, names=names)
     ok = True
     for key, report in results:
         _write_json(outdir / f"gallery-{key}.json", experiment_to_json(report))
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space")
     p.add_argument("--times", required=True, help="comma-separated iterate times")
     p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--sample", help="JSON array of points (default: every point, finite presentations)")
+    p.add_argument("--sample", help="JSON array of points (default: every point; required on an interval)")
     p.add_argument("--tolerances", help="comma-separated per-time return tolerances")
     add_outdir(p)
     p.set_defaults(fn=_cmd_rigidity)
@@ -298,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

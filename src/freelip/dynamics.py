@@ -26,6 +26,7 @@ DEFAULT_HORIZON = 10_000
 EPS_EXACT = 1e-9          # recurrence tolerance on exact presentations
 EPS_FLOAT_ORBIT = 1e-6    # looser tolerance for floating interval orbits
 LADDER_SIZE = 20
+PROFILE_TAIL = 32         # distances kept at the end of a classification report
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +50,8 @@ class ClassificationParams:
     tail_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise DomainError("horizon must be at least 1")
+        if not isinstance(self.horizon, int) or self.horizon < 1:
+            raise DomainError("horizon must be an integer of at least 1")
         if self.eps_recurrent is not None and not self.eps_recurrent > 0:
             raise DomainError("recurrence tolerance must be positive")
         if self.radii is not None:
@@ -58,8 +59,8 @@ class ClassificationParams:
             if not rr or any(r <= 0 for r in rr) or any(a >= b for a, b in zip(rr, rr[1:])):
                 raise DomainError("radii must be positive and strictly increasing")
             object.__setattr__(self, "radii", rr)
-        if self.ladder_size < 1:
-            raise DomainError("ladder_size must be at least 1")
+        if not isinstance(self.ladder_size, int) or self.ladder_size < 1:
+            raise DomainError("ladder_size must be an integer of at least 1")
         if not 0.0 < self.tail_fraction < 1.0:
             raise DomainError("tail_fraction must lie strictly between 0 and 1")
 
@@ -592,8 +593,8 @@ def _json_num(v):
     return float(v)
 
 
-def classification_to_json(report: ClassificationReport, profile_tail: int = 32) -> dict:
-    tail = list(report.distances[-profile_tail:])
+def classification_to_json(report: ClassificationReport) -> dict:
+    tail = list(report.distances[-PROFILE_TAIL:])
     return {
         "verdict": report.verdict,
         "point": point_to_json(report.point),
@@ -646,19 +647,3 @@ def interval_analysis_to_json(analysis: IntervalAnalysis) -> dict:
         "sides": [side_json(s) for s in analysis.sides],
     }
 
-
-def power_check_to_json(report: PowerCheckReport) -> dict:
-    return {
-        "power": report.power,
-        "agree": report.agree,
-        "entries": [
-            {
-                "point": point_to_json(e.point),
-                "verdict_base": e.verdict_base,
-                "verdict_power": e.verdict_power,
-                "escape_agree": e.escape_agree,
-            }
-            for e in report.entries
-        ],
-        "disagreements": [point_to_json(p) for p in report.disagreements],
-    }

@@ -296,12 +296,7 @@ def block_cycle_map(space: AlphaSpace, blocks: int) -> AlphaMap:
                     rule_json={"rule": "table", "table": list(table)})
 
 
-def block_cycle_experiment(
-    blocks: int = 10,
-    horizon: int = 1000,
-    lip_blocks: int = 21,
-    lip_max: int = 20,
-) -> ExperimentReport:
+def block_cycle_experiment(blocks: int = 10, horizon: int = 1000) -> ExperimentReport:
     """Every point is periodic with its block size as minimal period, the
     iterate Lipschitz constants double each step, and the truncated payload
     profile follows the per-block wrap-around closed form.
@@ -345,6 +340,7 @@ def block_cycle_experiment(
             parity_detail = f"block {n}: return after s_n = {ss[n]} steps is {returned}"
             break
 
+    lip_blocks, lip_max = 21, 20  # Lip(f^j) = 2^j is checked for j <= lip_max on its own space
     lip_space = block_cycle_space(lip_blocks)
     lip_map = block_cycle_map(lip_space, lip_blocks)
     lip_ok = True

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 BREAKPOINT_BUDGET = 100_000
+LIP_PAIR_BUDGET = 2_000_000       # lattice boxes with more pairs are sampled
+OPERATOR_PAIR_BUDGET = 50_000     # point sets with more pairs are sampled
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class FiniteMap:
     def __post_init__(self):
         if len(self.table) != self.space.size:
             raise DomainError("map table must cover every point of the space")
-        for i, j in enumerate(self.table):
+        for j in self.table:
             self.space.check_point(j)
         if self.table[self.space.basepoint] != self.space.basepoint:
             raise DomainError("map must fix the basepoint")
@@ -156,13 +158,9 @@ class PiecewiseLinearMap:
         for y in ys:
             if not (space.a <= y <= space.b):
                 raise DomainError(f"breakpoint value {y} leaves the interval")
-        if not math.isfinite(space.b) and self.right_slope < 0 and not math.isfinite(space.a):
-            pass
-        elif not math.isfinite(space.b) and self.right_slope < 0:
+        if math.isfinite(space.a) and not math.isfinite(space.b) and self.right_slope < 0:
             raise DomainError("right tail escapes the interval downward")
-        if not math.isfinite(space.a) and self.left_slope < 0 and not math.isfinite(space.b):
-            pass
-        elif not math.isfinite(space.a) and self.left_slope < 0:
+        if math.isfinite(space.b) and not math.isfinite(space.a) and self.left_slope < 0:
             raise DomainError("left tail escapes the interval upward")
         if self.eval(0.0) != 0.0:
             raise DomainError(f"map must fix the basepoint 0, got f(0) = {self.eval(0.0)!r}")
@@ -246,9 +244,6 @@ class LatticeMap:
         return self.space.check_point(q)
 
 
-LipMap = FiniteMap | AlphaMap | PiecewiseLinearMap | LatticeMap
-
-
 # ---------------------------------------------------------------------------
 # composition and iteration
 
@@ -261,12 +256,9 @@ def compose(f, g):
         return FiniteMap(f.space, tuple(f.table[j] for j in g.table))
     if isinstance(f, PiecewiseLinearMap) and isinstance(g, PiecewiseLinearMap):
         return _compose_pl(f, g)
-    if isinstance(f, AlphaMap) and isinstance(g, AlphaMap):
-        return AlphaMap(f.space, lambda n, f=f, g=g: f.rule(g.rule(n)),
-                        name=f"{f.name or 'f'}*{g.name or 'g'}")
-    if isinstance(f, LatticeMap) and isinstance(g, LatticeMap):
-        return LatticeMap(f.space, lambda p, f=f, g=g: f.rule(g.rule(p)),
-                          name=f"{f.name or 'f'}*{g.name or 'g'}")
+    if isinstance(f, (AlphaMap, LatticeMap)) and type(g) is type(f):
+        return type(f)(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)),
+                       name=f"{f.name or 'f'}*{g.name or 'g'}")
     raise DomainError("mixed map presentations cannot be composed")
 
 
@@ -314,12 +306,9 @@ def iterate_map(f, n: int, budget: int = BREAKPOINT_BUDGET):
     piecewise-linear presentations are flattened, rules stay lazy."""
     if n < 1:
         raise DomainError("iterate_map needs n >= 1")
-    if isinstance(f, AlphaMap):
-        return AlphaMap(f.space, lambda m, f=f, n=n: _iter_rule(f.rule, m, n),
-                        name=f"{f.name or 'f'}^{n}")
-    if isinstance(f, LatticeMap):
-        return LatticeMap(f.space, lambda p, f=f, n=n: _iter_rule(f.rule, p, n),
-                          name=f"{f.name or 'f'}^{n}")
+    if isinstance(f, (AlphaMap, LatticeMap)):
+        return type(f)(f.space, lambda x, f=f, n=n: _iter_rule(f.rule, x, n),
+                       name=f"{f.name or 'f'}^{n}")
     out = f
     for _ in range(n - 1):
         if isinstance(f, PiecewiseLinearMap):
@@ -359,23 +348,24 @@ def iterate_vector(f, mu: FreeVector, n: int) -> FreeVector:
 # Lipschitz constants
 
 
-def lip_constant(f, window: int | None = None, pair_budget: int = 2_000_000,
-                 rng: random.Random | None = None) -> LipEstimate:
+def lip_constant(f, window: int | None = None) -> LipEstimate:
     """Lipschitz constant with an attaining certificate.
 
     Exact for finite tables (all pairs), piecewise-linear maps (slopes) and
-    lattice boxes small enough to enumerate under ``pair_budget``.  For
-    sequence-space rules the supremum is taken over indices 1..window
+    lattice boxes small enough to enumerate under ``LIP_PAIR_BUDGET`` pairs.
+    For sequence-space rules the supremum is taken over indices 1..window
     (default: the whole materialized prefix) and reported as window-limited.
     """
-    if isinstance(f, FiniteMap):
+    if isinstance(f, FiniteMap) or (isinstance(f, LatticeMap) and f.space.size() ** 2 <= LIP_PAIR_BUDGET):
         sp = f.space
+        pts = list(sp.points())
+        images = [f.apply(p) for p in pts]
         best, wit = 0.0, None
-        for i in range(sp.size):
-            for j in range(i + 1, sp.size):
-                r = sp.distance(f.table[i], f.table[j]) / sp.distance(i, j)
+        for i, p in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                r = sp.distance(images[i], images[j]) / sp.distance(p, pts[j])
                 if r > best:
-                    best, wit = r, (i, j)
+                    best, wit = r, (p, pts[j])
         return LipEstimate(best, wit, exact=True)
 
     if isinstance(f, AlphaMap):
@@ -403,58 +393,42 @@ def lip_constant(f, window: int | None = None, pair_budget: int = 2_000_000,
 
     if isinstance(f, LatticeMap):
         sp = f.space
-        size = sp.size()
-        if size * size <= pair_budget:
-            pts = list(sp.points())
-            best, wit = 0.0, None
-            for i, p in enumerate(pts):
-                fp = f.apply(p)
-                for q in pts[i + 1:]:
-                    r = sp.distance(fp, f.apply(q)) / sp.distance(p, q)
-                    if r > best:
-                        best, wit = r, (p, q)
-            return LipEstimate(best, wit, exact=True)
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         pts = list(sp.points())
         best, wit = 0.0, None
-        for _ in range(pair_budget):
+        for _ in range(LIP_PAIR_BUDGET):
             p, q = rng.sample(pts, 2)
             r = sp.distance(f.apply(p), f.apply(q)) / sp.distance(p, q)
             if r > best:
                 best, wit = r, (p, q)
-        return LipEstimate(best, wit, exact=False, note=f"lower bound from {pair_budget} sampled pairs")
+        return LipEstimate(best, wit, exact=False, note=f"lower bound from {LIP_PAIR_BUDGET} sampled pairs")
 
     raise DomainError(f"not a recognized map presentation: {f!r}")
 
 
-def operator_norm_estimate(f, pair_budget: int = 50_000, points: Sequence | None = None,
-                           rng: random.Random | None = None) -> LipEstimate:
+def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
     """Norm of the linearized operator probed on normalized two-point vectors
     ``(delta(x) - delta(y)) / d(x, y)``, each pushed forward and measured with
     the transport solver.  Exact (equal to the Lipschitz constant) when every
-    pair of the chosen point set is enumerated; a lower bound otherwise.
+    pair of ``points`` (default: the whole non-interval space) is enumerated
+    under ``OPERATOR_PAIR_BUDGET``; a lower bound from sampled pairs otherwise.
     """
     from .norms import norm_flow
     from .vectors import make_free_vector
 
     space = f.space
     if points is None:
-        if isinstance(space, FiniteSpace):
-            points = list(space.points())
-        elif isinstance(space, AlphaSpace):
-            points = list(range(space.prefix_length + 1))
-        elif isinstance(space, LatticeBox):
-            points = list(space.points())
-        else:
+        if isinstance(space, IntervalSpace):
             raise DomainError("interval spaces need an explicit finite point sample")
+        points = space.points()
     pts = list(points)
     n = len(pts)
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    exhaustive = len(all_pairs) <= pair_budget
+    exhaustive = len(all_pairs) <= OPERATOR_PAIR_BUDGET
     if not exhaustive:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         all_pairs = [
-            tuple(sorted(rng.sample(range(n), 2))) for _ in range(pair_budget)
+            tuple(sorted(rng.sample(range(n), 2))) for _ in range(OPERATOR_PAIR_BUDGET)
         ]
 
     best, wit = 0.0, None
@@ -497,25 +471,28 @@ def map_from_json(obj: dict, space):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DomainError("map object must be a dict with a 'kind' field")
     kind = obj["kind"]
-    if kind == "finite-table":
-        if not isinstance(space, FiniteSpace):
-            raise DomainError("finite-table maps need a finite space")
-        return FiniteMap(space, tuple(int(i) for i in obj["table"]))
-    if kind == "piecewise-linear":
-        if not isinstance(space, IntervalSpace):
-            raise DomainError("piecewise-linear maps need an interval space")
-        bps = [(float(x), float(y)) for x, y in obj["breakpoints"]]
-        return PiecewiseLinearMap(space, bps,
-                                  left_slope=obj.get("left_slope"),
-                                  right_slope=obj.get("right_slope"))
-    if kind == "alpha-rule":
-        if not isinstance(space, AlphaSpace):
-            raise DomainError("alpha rules need a sequence space")
-        return _alpha_rule_from_json(obj, space)
-    if kind == "lattice-rule":
-        if not isinstance(space, LatticeBox):
-            raise DomainError("lattice rules need a lattice box")
-        return _lattice_rule_from_json(obj, space)
+    try:
+        if kind == "finite-table":
+            if not isinstance(space, FiniteSpace):
+                raise DomainError("finite-table maps need a finite space")
+            return FiniteMap(space, tuple(int(i) for i in obj["table"]))
+        if kind == "piecewise-linear":
+            if not isinstance(space, IntervalSpace):
+                raise DomainError("piecewise-linear maps need an interval space")
+            bps = [(float(x), float(y)) for x, y in obj["breakpoints"]]
+            return PiecewiseLinearMap(space, bps,
+                                      left_slope=obj.get("left_slope"),
+                                      right_slope=obj.get("right_slope"))
+        if kind == "alpha-rule":
+            if not isinstance(space, AlphaSpace):
+                raise DomainError("alpha rules need a sequence space")
+            return _alpha_rule_from_json(obj, space)
+        if kind == "lattice-rule":
+            if not isinstance(space, LatticeBox):
+                raise DomainError("lattice rules need a lattice box")
+            return _lattice_rule_from_json(obj, space)
+    except KeyError as exc:
+        raise DomainError(f"map object missing field {exc}") from exc
     raise DomainError(f"unknown map kind {kind!r}")
 
 

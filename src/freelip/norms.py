@@ -91,7 +91,7 @@ def witness_functional(result: NormResult) -> Functional:
 # solver
 
 
-def _solve_transport(b, C, tol, max_iter):
+def _solve_transport(b, C, tol):
     """Successive shortest paths with potentials on the complete graph.
 
     ``b`` holds signed masses (sum ~ 0) and ``C`` the symmetric cost matrix;
@@ -105,7 +105,7 @@ def _solve_transport(b, C, tol, max_iter):
     pi = [zero] * n
     flow: dict[tuple[int, int], object] = {}
     iters = 0
-    cap = max_iter if max_iter is not None else 100 + 20 * n * n
+    cap = 100 + 20 * n * n
 
     while True:
         sources = [i for i in range(n) if surplus[i] > tol]
@@ -213,7 +213,7 @@ def _solve_transport(b, C, tol, max_iter):
     return flow, pi, cost
 
 
-def norm_flow(mu: FreeVector, *, exact: bool = False, mass_tol: float = MASS_TOL, max_iter: int | None = None) -> NormResult:
+def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     """Free-space norm by balanced optimal transport, with certificates.
 
     With ``exact=True`` (supports up to 64 points) every mass and cost is run
@@ -241,9 +241,9 @@ def norm_flow(mu: FreeVector, *, exact: bool = False, mass_tol: float = MASS_TOL
         C = [[Fraction(c) for c in row] for row in cost]
         tol = Fraction(0)
     else:
-        b, C, tol = masses, cost, mass_tol
+        b, C, tol = masses, cost, MASS_TOL
 
-    flow, pi, total = _solve_transport(b, C, tol, max_iter)
+    flow, pi, total = _solve_transport(b, C, tol)
 
     witness = tuple((pts[i], float(pi[0] - pi[i])) for i in range(n))
     plan = tuple(
@@ -295,7 +295,7 @@ def _one_sided_line(terms) -> float:
     return total
 
 
-_BACKENDS = {"flow": None, "alpha": norm_alpha, "line": norm_line}
+_BACKENDS = {"flow": lambda mu: norm_flow(mu).value, "alpha": norm_alpha, "line": norm_line}
 
 
 def free_norm(mu: FreeVector, backend: str = "auto") -> float:
@@ -308,8 +308,6 @@ def free_norm(mu: FreeVector, backend: str = "auto") -> float:
             backend = "line"
         else:
             backend = "flow"
-    if backend == "flow":
-        return norm_flow(mu).value
     if backend not in _BACKENDS:
         raise DomainError(f"unknown norm backend {backend!r}")
     return _BACKENDS[backend](mu)

@@ -150,8 +150,8 @@ def _sweep_exact_mode(rng: random.Random, rounds: int) -> dict:
     return {"name": "exact-mode-agreement", "cases": cases, "failures": failures}
 
 
-def run_selftest(seed: int, outdir: Path, rounds: int = 20, fast_gallery: bool = True) -> bool:
-    """Run every sweep and the gallery; write reports; return overall success."""
+def run_selftest(seed: int, outdir: Path, rounds: int = 20) -> bool:
+    """Run every sweep and the fast gallery; write reports; return overall success."""
     rng = random.Random(seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -163,7 +163,7 @@ def run_selftest(seed: int, outdir: Path, rounds: int = 20, fast_gallery: bool =
         _sweep_operator_norm(rng, rounds),
         _sweep_exact_mode(rng, rounds),
     ]
-    gallery = gallery_experiments(fast=fast_gallery)
+    gallery = gallery_experiments(fast=True)
     for key, report in gallery:
         path = outdir / f"gallery-{key}.json"
         path.write_text(json.dumps(experiment_to_json(report), indent=2, sort_keys=True) + "\n")

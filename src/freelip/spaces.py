@@ -44,6 +44,8 @@ class PrefixExhausted(DomainError):
 # ---------------------------------------------------------------------------
 # metric validation
 
+TRIANGLE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MetricViolation:
@@ -61,12 +63,12 @@ class MetricCheck:
         return self.violations[0] if self.violations else None
 
 
-def validate_finite_metric(matrix: Sequence[Sequence[float]], tol: float = 1e-12) -> MetricCheck:
+def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> MetricCheck:
     """Check symmetry, zero diagonal, positivity and all triangle inequalities.
 
-    ``tol`` is an absolute slack applied to the triangle check only; pass 0.0
-    for matrices that are exact by construction.  Violations are reported with
-    the offending entries/triples rather than raising.
+    The triangle check allows an absolute slack of ``TRIANGLE_TOL``.
+    Violations are reported with the offending entries/triples rather than
+    raising.
     """
     bad: list[MetricViolation] = []
     d = np.asarray(matrix, dtype=float)
@@ -96,8 +98,8 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]], tol: float = 1e-12
         return MetricCheck(False, tuple(bad))
     for k in range(n):
         slack = d - (d[:, [k]] + d[[k], :])
-        if np.any(slack > tol):
-            i, j = map(int, np.argwhere(slack > tol)[0])
+        if np.any(slack > TRIANGLE_TOL):
+            i, j = map(int, np.argwhere(slack > TRIANGLE_TOL)[0])
             bad.append(
                 MetricViolation(
                     "triangle",
@@ -207,6 +209,10 @@ class AlphaSpace:
     def alpha_prefix(self) -> np.ndarray:
         return self._alpha
 
+    def points(self) -> range:
+        """The materialized points 0..N."""
+        return range(self._alpha.size + 1)
+
     def contains(self, p) -> bool:
         return (
             isinstance(p, (int, np.integer))
@@ -307,8 +313,6 @@ class LatticeBox:
         for ax, (lo, hi) in enumerate(self.bounds):
             if not (lo <= 0 <= hi):
                 raise DomainError(f"axis {ax} bounds [{lo}, {hi}] must contain 0")
-            if lo == hi == 0 and len(self.bounds) == 1:
-                pass  # the degenerate one-point box is still a pointed space
 
     @property
     def dim(self) -> int:
@@ -350,9 +354,6 @@ class LatticeBox:
         for lo, hi in self.bounds:
             n *= hi - lo + 1
         return n
-
-
-Space = FiniteSpace | AlphaSpace | IntervalSpace | LatticeBox
 
 
 def same_space(s, t) -> bool:

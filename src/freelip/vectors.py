@@ -10,6 +10,8 @@ return new vectors; nothing here mutates.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -56,11 +58,12 @@ class FreeVector:
         return len(self.terms)
 
 
-def make_free_vector(space, pairs: Iterable[tuple[object, float]], drop_tol: float = DROP_TOL) -> FreeVector:
+def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector:
     """Canonicalize ``pairs`` of (point, coefficient) into a FreeVector.
 
     Points are validated against the space and merged under exact coordinate
-    equality; the basepoint and any coefficient with |c| < drop_tol vanish.
+    equality; the basepoint and any coefficient with |c| < DROP_TOL vanish.
+    A merged coefficient that is NaN or infinite raises DomainError.
     """
     acc: dict = {}
     rep: dict = {}
@@ -68,11 +71,13 @@ def make_free_vector(space, pairs: Iterable[tuple[object, float]], drop_tol: flo
         q = space.check_point(p)
         k = space.point_key(q)
         acc[k] = acc.get(k, 0.0) + float(c)
+        if not math.isfinite(acc[k]):
+            raise DomainError(f"coefficient at point {q!r} is not finite: {acc[k]!r}")
         rep.setdefault(k, q)
     base_key = space.point_key(space.basepoint)
     acc.pop(base_key, None)
     terms = tuple(
-        (rep[k], acc[k]) for k in sorted(acc) if abs(acc[k]) >= drop_tol
+        (rep[k], acc[k]) for k in sorted(acc) if abs(acc[k]) >= DROP_TOL
     )
     return FreeVector(space=space, terms=terms)
 
@@ -82,7 +87,7 @@ def delta(space, p) -> FreeVector:
     return make_free_vector(space, [(p, 1.0)])
 
 
-def linear_combine(parts: Sequence[tuple[float, FreeVector]], drop_tol: float = DROP_TOL) -> FreeVector:
+def linear_combine(parts: Sequence[tuple[float, FreeVector]]) -> FreeVector:
     """``sum_j a_j * mu_j`` for vectors over one common space."""
     if not parts:
         raise DomainError("linear_combine needs at least one term")
@@ -92,16 +97,16 @@ def linear_combine(parts: Sequence[tuple[float, FreeVector]], drop_tol: float = 
         if not same_space(mu.space, space):
             raise DomainError("cannot combine vectors over different spaces")
         pairs.extend((p, a * c) for p, c in mu.terms)
-    return make_free_vector(space, pairs, drop_tol=drop_tol)
+    return make_free_vector(space, pairs)
 
 
-def push_forward(f, mu: FreeVector, drop_tol: float = DROP_TOL) -> FreeVector:
+def push_forward(f, mu: FreeVector) -> FreeVector:
     """Image of ``mu`` under the linearization of the map ``f``:
     ``sum c_i delta(f(x_i))``, recanonicalized (collisions merge, images at
     the basepoint vanish)."""
     if not same_space(f.space, mu.space):
         raise DomainError("map and vector live over different spaces")
-    return make_free_vector(mu.space, [(f.apply(p), c) for p, c in mu.terms], drop_tol=drop_tol)
+    return make_free_vector(mu.space, [(f.apply(p), c) for p, c in mu.terms])
 
 
 @dataclass(frozen=True)
@@ -148,12 +153,6 @@ def point_to_json(p):
     return p
 
 
-def point_from_json(v):
-    if isinstance(v, list):
-        return tuple(int(c) for c in v)
-    return v
-
-
 def vector_to_json(mu: FreeVector) -> dict:
     from .spaces import space_to_json
 
@@ -177,16 +176,29 @@ def vector_from_json(obj: dict, space=None) -> FreeVector:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DomainError(f"bad term {entry!r}: expected [point, coefficient]")
         p, c = entry
-        pairs.append((coerce_point(space, point_from_json(p)), float(c)))
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            raise DomainError(f"bad term {entry!r}: the coefficient must be a number")
+        pairs.append((coerce_point(space, p), float(c)))
     return make_free_vector(space, pairs)
 
 
 def coerce_point(space, p):
-    # JSON has no int/float distinction for whole numbers; lean on the space kind.
-    if space.kind in ("finite", "alpha"):
-        return int(p)
-    if space.kind == "interval":
-        return float(p)
-    if space.kind == "lattice" and isinstance(p, (list, tuple)):
-        return tuple(int(c) for c in p)
-    return p
+    """A point payload parsed from JSON, in the form ``space`` carries its
+    points: an int index (finite, alpha), a float (interval) or an int tuple
+    (lattice).  An integral float such as 2.0 is read as the index 2; bools,
+    non-integral or non-finite numbers and payloads of the wrong shape raise
+    DomainError.  Membership is left to ``space.check_point``."""
+    if space.kind != "lattice":
+        return _coerce_number(p, integral=space.kind != "interval")
+    if not isinstance(p, (list, tuple)):
+        raise DomainError(f"lattice point {p!r} must be an array of integers")
+    return tuple(_coerce_number(c, integral=True) for c in p)
+
+
+def _coerce_number(v, integral: bool):
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise DomainError(f"point {v!r} is not a number")
+    if not isinstance(v, numbers.Integral):
+        if not math.isfinite(v) or (integral and not float(v).is_integer()):
+            raise DomainError(f"point {v!r} is not a finite {'integer' if integral else 'number'}")
+    return int(v) if integral else float(v)

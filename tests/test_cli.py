@@ -15,7 +15,10 @@ import sys
 import pytest
 
 from freelip import (
+    FiniteMap,
+    FiniteSpace,
     IntervalSpace,
+    LatticeBox,
     doubling_map,
     make_free_vector,
     map_to_json,
@@ -201,6 +204,80 @@ def test_rigidity_pass_exits_zero(tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads((tmp_path / "rigidity.json").read_text())
     assert report["passed"] and report["return_errors"] == [0.0, 0.0]
+
+
+def test_rigidity_default_sample_is_the_whole_lattice_box(tmp_path, doubling_bundle):
+    box = LatticeBox(bounds=((-1, 1), (-1, 1)))
+    swap = {"kind": "lattice-rule", "rule": "matrix", "matrix": [[0, 1], [1, 0]]}
+    bundle = tmp_path / "swap.json"
+    bundle.write_text(json.dumps({"space": space_to_json(box), "map": swap}))
+    out = tmp_path / "out"
+    res = run_cli("rigidity", "--map", str(bundle), "--times", "1,2", "--bound", "1.0",
+                  "--outdir", str(out))
+    assert res.returncode == 1, res.stderr
+    report = json.loads((out / "rigidity.json").read_text())
+    # only the corners (1, -1) and (-1, 1) move by 4 under the swap
+    assert report["return_errors"] == [4.0, 0.0]
+    assert report["reason"].startswith("return-error")
+    res = run_cli("rigidity", "--map", str(doubling_bundle), "--times", "1", "--bound", "2.0",
+                  "--outdir", str(out))
+    assert res.returncode == 2
+    assert "--sample" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit code 2 and one error line, never a traceback
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _finite_map_file(d):
+    f = FiniteMap(FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))), (0, 2, 1))
+    return _write(d / "finite-map.json", {"space": space_to_json(f.space), "map": map_to_json(f)})
+
+
+def _finite_vector_file(d, coefficient):
+    space = space_to_json(FiniteSpace(((0.0, 1.0), (1.0, 0.0))))
+    return _write(d / "vector.json", {"space": space, "terms": [[1, coefficient]]})
+
+
+def _params_file(d, params):
+    return _write(d / "params.json", params)
+
+
+MALFORMED = {
+    "times-not-integers": lambda d: ["rigidity", "--map", _finite_map_file(d), "--times", "4,x", "--bound", "1"],
+    "tolerances-not-numbers": lambda d: ["rigidity", "--map", _finite_map_file(d), "--times", "2", "--bound", "1",
+                                         "--tolerances", "a"],
+    "sample-not-json": lambda d: ["rigidity", "--map", _finite_map_file(d), "--times", "2", "--bound", "1",
+                                  "--sample", "[1,"],
+    "term-coefficient-not-a-number": lambda d: ["norm", "--vector", _finite_vector_file(d, "abc")],
+    "nan-coefficient": lambda d: ["norm", "--vector", _finite_vector_file(d, math.nan)],
+    "inf-coefficient": lambda d: ["norm", "--vector", _finite_vector_file(d, math.inf)],
+    "finite-table-without-table": lambda d: [
+        "classify", "--point", "1", "--map",
+        _write(d / "map.json", {"space": space_to_json(FiniteSpace(((0.0,),))), "map": {"kind": "finite-table"}}),
+    ],
+    "params-horizon-not-a-number": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                              "--params", _params_file(d, {"horizon": "ten"})],
+    "params-radii-not-numbers": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                           "--params", _params_file(d, {"radii": ["a"]})],
+    "point-not-integral": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1.7"],
+    "point-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "true"],
+    "point-nan": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "NaN"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
+    res = run_cli(*MALFORMED[case](tmp_path), "--outdir", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 # ---------------------------------------------------------------------------

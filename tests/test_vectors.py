@@ -17,7 +17,6 @@ from freelip import (
     linear_combine,
     make_free_vector,
     pair,
-    point_from_json,
     point_to_json,
     push_forward,
     vector_from_json,
@@ -151,13 +150,13 @@ def test_functional_lip_bound_recorded():
 )
 def test_point_json_round_trip(space, pt):
     wire = point_to_json(pt)
-    assert point_from_json(wire) == pt
+    assert coerce_point(space, wire) == pt
 
 
 def test_lattice_point_json_uses_arrays():
     wire = point_to_json((1, -2))
     assert wire == [1, -2]
-    assert point_from_json(wire) == (1, -2)
+    assert coerce_point(LatticeBoxFixture(), wire) == (1, -2)
 
 
 def test_vector_json_round_trip(rng):
@@ -182,6 +181,20 @@ def test_coerce_point_each_space_kind():
     assert coerce_point(LINE, 0.25) == 0.25
     assert coerce_point(AlphaSpace([1.0]), 1) == 1
     assert coerce_point(LatticeBoxFixture(), [1, 0]) == (1, 0)
+    # JSON has no int/float distinction: an integral float is an index
+    two = coerce_point(AlphaSpace([1.0, 1.0]), 2.0)
+    assert two == 2 and type(two) is int
+    assert coerce_point(LatticeBoxFixture(), [1.0, -2]) == (1, -2)
+    finite = FiniteSpace(matrix=((0.0, 1.0), (1.0, 0.0)))
+    rejected = [
+        (finite, 1.7), (finite, True), (finite, math.nan), (finite, math.inf), (finite, "1"), (finite, [1]),
+        (LINE, False), (LINE, math.nan), (LINE, -math.inf), (LINE, "0.5"), (LINE, [0.5]), (LINE, None),
+        (LatticeBoxFixture(), 1), (LatticeBoxFixture(), [1, 0.5]), (LatticeBoxFixture(), [True, 0]),
+        (LatticeBoxFixture(), [1, math.nan]),
+    ]
+    for space, payload in rejected:
+        with pytest.raises(DomainError):
+            coerce_point(space, payload)
 
 
 class LatticeBoxFixture:
