@@ -295,6 +295,8 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
         tols = tuple(float(t) for t in tolerances)
         if len(tols) != len(times):
             raise DomainError("need one tolerance per time")
+    if not all(math.isfinite(t) and t >= 0 for t in tols):
+        raise DomainError(f"return tolerances must be finite and nonnegative, got {tols}")
 
     space = f.space
     lips: list[float] = []

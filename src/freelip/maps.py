@@ -491,8 +491,12 @@ def map_from_json(obj: dict, space):
             if not isinstance(space, LatticeBox):
                 raise DomainError("lattice rules need a lattice box")
             return _lattice_rule_from_json(obj, space)
+    except DomainError:
+        raise
     except KeyError as exc:
         raise DomainError(f"map object missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"map object has a malformed field: {exc}") from exc
     raise DomainError(f"unknown map kind {kind!r}")
 
 

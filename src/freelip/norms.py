@@ -2,17 +2,19 @@
 
 ``norm_flow`` computes the norm of a finitely supported vector as a balanced
 minimum-cost transport between its positive and negative parts, the basepoint
-absorbing any imbalance.  The solver is successive shortest augmenting paths
-with node potentials on the complete graph over support + basepoint; because
-the costs form a metric no negative reduced-cost cycle can arise, and the
-final potentials read off a 1-Lipschitz dual witness vanishing at the
-basepoint.  ``norm_alpha`` and ``norm_line`` are independent closed forms for
+absorbing any imbalance.  The costs form a metric, so some optimal plan ships
+mass straight from supplies to demands: the solver is successive shortest
+paths with node potentials on that bipartite graph, and the inf-convolution
+of its potentials is a 1-Lipschitz dual witness.  Float mode ignores charges
+within MASS_TOL times the largest |charge|, the same rule at every scale.
+``norm_alpha`` and ``norm_line`` are independent closed forms for
 the two structured presentations; they deliberately share no code with the
 flow route so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,125 +94,90 @@ def witness_functional(result: NormResult) -> Functional:
 
 
 def _solve_transport(b, C, tol):
-    """Successive shortest paths with potentials on the complete graph.
+    """Successive shortest paths with potentials on the bipartite graph from
+    supplies (charge > tol) to demands (charge < -tol).
 
     ``b`` holds signed masses (sum ~ 0) and ``C`` the symmetric cost matrix;
-    both may be floats or Fractions (with ``tol`` 0 in the exact case).
-    Returns (flow dict (i, j) -> mass, potentials, total cost).
+    both may be floats or Fractions (with ``tol`` 0 in the exact case).  A
+    supply s reaches every demand t at cost C[s][t]; a demand t reaches back
+    a supply s at cost -C[s][t] while flow(s, t) > tol.
+    Returns (flow dict (s, t) -> mass, witness potentials, total cost).
     """
     n = len(b)
-    zero = b[0] * 0
-    inf = sum(sum(row, zero) for row in C) + max((x if x >= zero else -x) for x in b) + 1
+    zero = b[0] - b[0]  # +0.0 in float mode, so an empty plan costs +0.0
+    side = [1 if x > tol else -1 if x < -tol else 0 for x in b]
+    nodes = [v for v in range(n) if side[v]]
     surplus = list(b)
     pi = [zero] * n
     flow: dict[tuple[int, int], object] = {}
     iters = 0
     cap = 100 + 20 * n * n
 
-    while True:
-        sources = [i for i in range(n) if surplus[i] > tol]
-        if not sources:
-            break
+    while sources := [v for v in nodes if surplus[v] > tol]:
+        residual = float(sum(surplus[v] for v in sources))
         iters += 1
         if iters > cap:
-            raise FlowConvergenceError(
-                f"no convergence after {cap} augmentations",
-                float(sum(s for s in surplus if s > tol)),
-            )
+            raise FlowConvergenceError(f"no convergence after {cap} augmentations", residual)
 
-        # Dijkstra over reduced costs, multi-source from all remaining supplies.
-        dist = [inf] * n
-        parent: list[tuple[int, str] | None] = [None] * n
-        done = [False] * n
+        # Dijkstra over reduced costs, multi-source from all remaining
+        # supplies, until it settles a demand that still lacks mass.
+        dist = [math.inf] * n
+        parent = [-1] * n
         for s in sources:
             dist[s] = zero
-        for _ in range(n):
-            u = -1
-            best = inf
-            for v in range(n):
-                if not done[v] and dist[v] < best:
-                    best = dist[v]
-                    u = v
-            if u < 0:
+        todo = list(nodes)
+        t = -1
+        while todo:
+            u = min(todo, key=dist.__getitem__)
+            if side[u] < 0 and surplus[u] < -tol:
+                t = u
                 break
-            done[u] = True
-            du = dist[u]
-            piu = pi[u]
-            row = C[u]
-            for v in range(n):
-                if done[v] or v == u:
-                    continue
-                rc = row[v] + piu - pi[v]
-                kind = "f"
-                fvu = flow.get((v, u))
-                if fvu is not None and fvu > tol:
-                    rc_cancel = -C[v][u] + piu - pi[v]
-                    if rc_cancel < rc:
-                        rc = rc_cancel
-                        kind = "r"
+            todo.remove(u)
+            du, piu = dist[u], pi[u]
+            if side[u] > 0:
+                row = C[u]
+                arcs = [(v, row[v] + piu - pi[v]) for v in todo if side[v] < 0]
+            else:
+                arcs = [(v, piu - pi[v] - C[v][u]) for v in todo if (v, u) in flow]
+            for v, rc in arcs:
                 if rc < zero:
                     rc = zero  # clamp 1-ulp dips so the label-setting stays valid
                 nd = du + rc
                 if nd < dist[v]:
                     dist[v] = nd
-                    parent[v] = (u, kind)
+                    parent[v] = u
+        if t < 0 or dist[t] == math.inf:
+            raise FlowConvergenceError("supplies remain but no reachable demand", residual)
 
-        t = -1
-        best = inf
-        for v in range(n):
-            if surplus[v] < -tol and dist[v] < best:
-                best = dist[v]
-                t = v
-        if t < 0:
-            raise FlowConvergenceError(
-                "supplies remain but no reachable demand",
-                float(sum(s for s in surplus if s > tol)),
-            )
-
-        for v in range(n):
-            pi[v] = pi[v] + dist[v]
+        # nodes left unsettled move by dist[t], which keeps every reduced cost
+        # nonnegative, also at exhausted supplies that nothing reaches
+        for v in nodes:
+            pi[v] += min(dist[v], dist[t])
 
         # walk back to the tree root and find the bottleneck
         path = []
         v = t
-        while parent[v] is not None:
-            u, kind = parent[v]
-            path.append((u, v, kind))
-            v = u
-        s = v
-        amt = surplus[s]
-        if -surplus[t] < amt:
-            amt = -surplus[t]
-        for u, v, kind in path:
-            if kind == "r" and flow[(v, u)] < amt:
-                amt = flow[(v, u)]
-
-        for u, v, kind in path:
-            if kind == "r":
-                left = flow[(v, u)] - amt
-                if left > tol:
-                    flow[(v, u)] = left
-                else:
-                    del flow[(v, u)]
+        while parent[v] >= 0:
+            path.append((parent[v], v))
+            v = parent[v]
+        amt = min([surplus[v], -surplus[t]] + [flow[(w, u)] for u, w in path if side[u] < 0])
+        for u, w in path:
+            if side[u] > 0:
+                flow[(u, w)] = flow.get((u, w), zero) + amt
+            elif flow[(w, u)] - amt > tol:
+                flow[(w, u)] -= amt
             else:
-                opp = flow.get((v, u))
-                if opp is not None:
-                    r = opp if opp < amt else amt
-                    left = opp - r
-                    if left > tol:
-                        flow[(v, u)] = left
-                    else:
-                        del flow[(v, u)]
-                    rest = amt - r
-                else:
-                    rest = amt
-                if rest > tol:
-                    flow[(u, v)] = flow.get((u, v), zero) + rest
-        surplus[s] = surplus[s] - amt
-        surplus[t] = surplus[t] + amt
+                del flow[(w, u)]
+        surplus[v] -= amt
+        surplus[t] += amt
 
+    # The potentials are dual-feasible on supply-demand pairs only; their
+    # inf-convolution from the demands is 1-Lipschitz on every pair and keeps
+    # the pairing, since it matches -pi on every supply that ships.
+    demands = [v for v in nodes if side[v] < 0]
+    psi = [min(C[x][j] - pi[j] for j in demands) for x in range(n)]
     cost = sum((f * C[i][j] for (i, j), f in flow.items()), zero)
-    return flow, pi, cost
+    return flow, psi, cost
 
 
 def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
@@ -241,11 +208,12 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
         C = [[Fraction(c) for c in row] for row in cost]
         tol = Fraction(0)
     else:
-        b, C, tol = masses, cost, MASS_TOL
+        b, C = masses, cost
+        tol = MASS_TOL * max(abs(c) for c in masses)
 
-    flow, pi, total = _solve_transport(b, C, tol)
+    flow, psi, total = _solve_transport(b, C, tol)
 
-    witness = tuple((pts[i], float(pi[0] - pi[i])) for i in range(n))
+    witness = tuple((pts[i], float(psi[i] - psi[0])) for i in range(n))
     plan = tuple(
         (pts[i], pts[j], float(flow[(i, j)]), float(cost[i][j]))
         for (i, j) in sorted(flow)

@@ -445,6 +445,10 @@ def space_from_json(obj: dict):
             return IntervalSpace(_endpoint_from_json(obj.get("a", 0.0)), _endpoint_from_json(obj.get("b", "inf")))
         if kind == "lattice":
             return LatticeBox(tuple((int(lo), int(hi)) for lo, hi in obj["bounds"]))
+    except DomainError:
+        raise
     except KeyError as exc:
         raise DomainError(f"space object missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"space object has a malformed field: {exc}") from exc
     raise DomainError(f"unknown space kind {kind!r}")

@@ -4,7 +4,8 @@ pointed metric space, written as combinations of point evaluations
 
 Vectors are kept canonical: support sorted by the space's point key,
 duplicates merged, the basepoint (whose evaluation is the zero vector)
-removed, and coefficients below a drop tolerance discarded.  All operations
+removed, and coefficients below DROP_TOL times the largest |coefficient|
+discarded, so the drop rule is the same at every scale.  All operations
 return new vectors; nothing here mutates.
 """
 
@@ -62,8 +63,9 @@ def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector
     """Canonicalize ``pairs`` of (point, coefficient) into a FreeVector.
 
     Points are validated against the space and merged under exact coordinate
-    equality; the basepoint and any coefficient with |c| < DROP_TOL vanish.
-    A merged coefficient that is NaN or infinite raises DomainError.
+    equality.  The basepoint, exact zeros and any coefficient with
+    |c| < DROP_TOL * max |c| (over the merged, non-basepoint coefficients)
+    vanish.  A merged coefficient that is NaN or infinite raises DomainError.
     """
     acc: dict = {}
     rep: dict = {}
@@ -74,10 +76,10 @@ def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector
         if not math.isfinite(acc[k]):
             raise DomainError(f"coefficient at point {q!r} is not finite: {acc[k]!r}")
         rep.setdefault(k, q)
-    base_key = space.point_key(space.basepoint)
-    acc.pop(base_key, None)
+    acc.pop(space.point_key(space.basepoint), None)
+    floor = DROP_TOL * max(map(abs, acc.values()), default=0.0)
     terms = tuple(
-        (rep[k], acc[k]) for k in sorted(acc) if abs(acc[k]) >= DROP_TOL
+        (rep[k], acc[k]) for k in sorted(acc) if acc[k] != 0.0 and abs(acc[k]) >= floor
     )
     return FreeVector(space=space, terms=terms)
 
@@ -165,8 +167,8 @@ def vector_to_json(mu: FreeVector) -> dict:
 def vector_from_json(obj: dict, space=None) -> FreeVector:
     from .spaces import space_from_json
 
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise DomainError("vector object must be a dict with a 'terms' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
+        raise DomainError("vector object must be a dict with a 'terms' array")
     if space is None:
         if "space" not in obj:
             raise DomainError("vector object must embed its space")
@@ -176,9 +178,7 @@ def vector_from_json(obj: dict, space=None) -> FreeVector:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DomainError(f"bad term {entry!r}: expected [point, coefficient]")
         p, c = entry
-        if isinstance(c, bool) or not isinstance(c, numbers.Real):
-            raise DomainError(f"bad term {entry!r}: the coefficient must be a number")
-        pairs.append((coerce_point(space, p), float(c)))
+        pairs.append((coerce_point(space, p), _coerce_number(c, integral=False, what="coefficient")))
     return make_free_vector(space, pairs)
 
 
@@ -195,10 +195,13 @@ def coerce_point(space, p):
     return tuple(_coerce_number(c, integral=True) for c in p)
 
 
-def _coerce_number(v, integral: bool):
+def _coerce_number(v, integral: bool, what: str = "point"):
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise DomainError(f"point {v!r} is not a number")
+        raise DomainError(f"{what} {v!r} is not a number")
     if not isinstance(v, numbers.Integral):
         if not math.isfinite(v) or (integral and not float(v).is_integer()):
-            raise DomainError(f"point {v!r} is not a finite {'integer' if integral else 'number'}")
-    return int(v) if integral else float(v)
+            raise DomainError(f"{what} {v!r} is not a finite {'integer' if integral else 'number'}")
+    try:
+        return int(v) if integral else float(v)
+    except OverflowError as exc:
+        raise DomainError(f"{what} {v} is too large for a float") from exc

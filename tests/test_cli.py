@@ -234,9 +234,13 @@ def _write(path, obj):
     return str(path)
 
 
+def _bundle(f):
+    return {"space": space_to_json(f.space), "map": map_to_json(f)}
+
+
 def _finite_map_file(d):
     f = FiniteMap(FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))), (0, 2, 1))
-    return _write(d / "finite-map.json", {"space": space_to_json(f.space), "map": map_to_json(f)})
+    return _write(d / "finite-map.json", _bundle(f))
 
 
 def _finite_vector_file(d, coefficient):
@@ -268,6 +272,35 @@ MALFORMED = {
     "point-not-integral": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1.7"],
     "point-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "true"],
     "point-nan": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "NaN"],
+    "point-too-large": lambda d: ["classify", "--map", _write(d / "doubling.json", _bundle(doubling_map())),
+                                  "--point", "1" + "0" * 400],
+    "term-coefficient-too-large": lambda d: ["norm", "--vector", _finite_vector_file(d, 10**400)],
+    "terms-not-a-list": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": space_to_json(FiniteSpace(((0.0, 1.0), (1.0, 0.0)))), "terms": 5})],
+    "finite-matrix-not-numbers": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "finite", "matrix": [[0, "a"], ["a", 0]]}, "terms": []})],
+    "alpha-not-numbers": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "alpha", "alpha": [1.0, "a"]}, "terms": []})],
+    "interval-endpoint-not-a-number": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "interval", "a": "zero"}, "terms": []})],
+    "lattice-bounds-not-integers": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "lattice", "bounds": [["a", 2]]}, "terms": []})],
+    "finite-table-not-integers": lambda d: [
+        "classify", "--point", "1", "--map",
+        _write(d / "map.json", {"space": space_to_json(FiniteSpace(((0.0, 1.0), (1.0, 0.0)))),
+                                "map": {"kind": "finite-table", "table": [0, "x"]}}),
+    ],
+    "breakpoints-not-numbers": lambda d: [
+        "classify", "--point", "0.5", "--map",
+        _write(d / "map.json", {"space": space_to_json(IntervalSpace(0.0, 1.0)),
+                                "map": {"kind": "piecewise-linear", "breakpoints": [[0, 0], [0.5, "y"], [1, 1]]}}),
+    ],
+    # an isometric swap fails its return check at tolerance 1e-9; NaN must not pass it
+    "tolerances-nan": lambda d: [
+        "rigidity", "--times", "1", "--bound", "1", "--tolerances", "nan", "--map",
+        _write(d / "swap.json", _bundle(FiniteMap(FiniteSpace(((0.0, 1.0, 1.0), (1.0, 0.0, 2.0), (1.0, 2.0, 0.0))),
+                                                  (0, 2, 1)))),
+    ],
 }
 
 

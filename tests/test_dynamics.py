@@ -267,6 +267,11 @@ def test_rigidity_validates_times_and_sample():
         rigidity_check(f, [], [1], bound=1.0)
     with pytest.raises(DomainError):
         rigidity_check(f, [0.5], [1, 2], bound=1.0, tolerances=[1e-9])
+    for bad in (math.nan, math.inf, -1e-9):
+        with pytest.raises(DomainError):
+            rigidity_check(f, [0.5], [1, 2], bound=1.0, tolerances=bad)
+        with pytest.raises(DomainError):
+            rigidity_check(f, [0.5], [1, 2], bound=1.0, tolerances=[1e-9, bad])
 
 
 def test_rigidity_bounds_pushforward_displacement(rng):

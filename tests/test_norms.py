@@ -22,6 +22,7 @@ from freelip import (
     AlphaSpace,
     DomainError,
     IntervalSpace,
+    LatticeBox,
     delta,
     dual_gap,
     free_norm,
@@ -128,11 +129,19 @@ def test_positive_combinations_ship_straight_to_base(rng):
 def test_norm_is_absolutely_homogeneous(rng):
     sp = random_finite_space(rng, 8)
     mu = random_vector(rng, sp, 4)
-    for a in (-2.5, 0.5, 3.0):
-        scaled = linear_combine([(a, mu)])
-        assert norm_flow(scaled).value == pytest.approx(
-            abs(a) * norm_flow(mu).value, rel=RELTOL
-        )
+    # one vector per space kind; the tolerances must follow the vector's scale
+    vectors = [
+        mu,
+        make_free_vector(IntervalSpace(-4.0, 4.0), [(rng.uniform(-4, 4), rng.uniform(-3, 3)) for _ in range(4)]),
+        random_vector(rng, AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(8)]), 4),
+        random_vector(rng, LatticeBox(((-3, 3), (-3, 3))), 4),
+    ]
+    for nu in vectors:
+        ref = norm_flow(nu).value
+        for a in (-2.5, 0.5, 3.0, 1e-300, 1e-13, 1e6, 1e300):
+            got = norm_flow(linear_combine([(a, nu)])).value
+            assert got == pytest.approx(abs(a) * ref, rel=RELTOL, abs=0)
+            assert math.copysign(1.0, got) == 1.0
 
 
 def test_triangle_inequality_for_norms(rng):
@@ -236,14 +245,17 @@ def test_alpha_backend_matches_flow(rng):
 
 
 def test_line_backend_matches_flow(rng):
+    # a tiny vector first: its value, 4.2e-14, lies below any absolute tolerance
+    vectors = [make_free_vector(IntervalSpace(0.0, 1.0), [(0.5, 1e-13), (0.25, -1e-13 / 3)])]
     for _ in range(12):
         sp = IntervalSpace(-4.0, 4.0)
         pts = {round(rng.uniform(-4, 4), 3) for _ in range(rng.randint(1, 8))}
         pts.discard(0.0)
-        mu = make_free_vector(sp, [(p, rng.uniform(-2, 2)) for p in pts])
+        vectors.append(make_free_vector(sp, [(p, rng.uniform(-2, 2)) for p in pts]))
+    for mu in vectors:
         if mu.is_zero():
             continue
-        assert norm_line(mu) == pytest.approx(norm_flow(mu).value, rel=RELTOL)
+        assert norm_line(mu) == pytest.approx(norm_flow(mu).value, rel=RELTOL, abs=0)
 
 
 def test_line_backend_hand_value():
@@ -357,3 +369,24 @@ def test_flow_value_never_beats_any_feasible_dual(seed):
     # any 1-Lipschitz functional gives a lower bound: try distance-to-base
     lower = abs(sum(c * sp.distance(p, 0) for p, c in mu.terms))
     assert value >= lower - 1e-9 * (1 + value)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_flow_matches_closed_forms_at_every_scale(scale, seed):
+    rng = random.Random(seed)
+    alpha = AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(8)])
+    line = IntervalSpace(-1.0, 1.0)
+    cases = [
+        (make_free_vector(alpha, [(p, scale * rng.uniform(-1, 1)) for p in rng.sample(range(1, 9), 4)]),
+         norm_alpha),
+        (make_free_vector(line, [(rng.uniform(-1, 1), scale * rng.uniform(-1, 1)) for _ in range(6)]),
+         norm_line),
+    ]
+    for mu, closed in cases:
+        got = norm_flow(mu).value
+        assert got == pytest.approx(closed(mu), rel=RELTOL, abs=0)
+        assert math.copysign(1.0, got) == 1.0

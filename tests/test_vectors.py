@@ -39,6 +39,9 @@ def test_make_free_vector_merges_and_drops():
     assert mu.coefficient(0.5) == 3.0
     assert mu.coefficient(0.25) == 0.0
     assert mu.coefficient(0.9) == 0.0
+    # the drop tolerance is relative to the largest coefficient
+    assert make_free_vector(LINE, [(1.0, 1e-16)]).terms == ((1.0, 1e-16),)
+    assert make_free_vector(LINE, [(0.5, 1.0), (1.0, 1e-16)]).support() == (0.5,)
 
 
 def test_make_free_vector_checks_membership():
