@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace
+from .spaces import DomainError, IntervalSpace, _coerce_number
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, vector_to_json
 
 BOUNDED = "Bounded"
@@ -50,16 +50,17 @@ class ClassificationParams:
     tail_fraction: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        if type(self.horizon) is not int or self.horizon < 1:  # bool is an int subclass
             raise DomainError("horizon must be an integer of at least 1")
-        if self.eps_recurrent is not None and not self.eps_recurrent > 0:
+        eps = self.eps_recurrent
+        if eps is not None and not _coerce_number(eps, integral=False, what="recurrence tolerance") > 0:
             raise DomainError("recurrence tolerance must be positive")
         if self.radii is not None:
-            rr = tuple(float(r) for r in self.radii)
+            rr = tuple(_coerce_number(r, integral=False, what="radius") for r in self.radii)
             if not rr or any(r <= 0 for r in rr) or any(a >= b for a, b in zip(rr, rr[1:])):
                 raise DomainError("radii must be positive and strictly increasing")
             object.__setattr__(self, "radii", rr)
-        if not isinstance(self.ladder_size, int) or self.ladder_size < 1:
+        if type(self.ladder_size) is not int or self.ladder_size < 1:
             raise DomainError("ladder_size must be an integer of at least 1")
         if not 0.0 < self.tail_fraction < 1.0:
             raise DomainError("tail_fraction must lie strictly between 0 and 1")

@@ -7,7 +7,8 @@ index rule on a sequence space, a continuous piecewise-linear function on an
 interval, a coordinate rule on a lattice box.  Lipschitz constants are exact
 wherever the presentation allows exhaustion (finite tables, piecewise-linear
 slopes, fully enumerated boxes) and explicitly window- or sample-limited
-otherwise.
+otherwise.  ``apply`` takes a checked point and checks only its image, where
+the presentation can leave the space.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .spaces import (
     IntervalSpace,
     LatticeBox,
     PrefixExhausted,
+    _coerce_number,
     same_space,
 )
 from .vectors import FreeVector, push_forward
@@ -78,7 +80,7 @@ class FiniteMap:
             raise DomainError("map must fix the basepoint")
 
     def apply(self, p) -> int:
-        return self.table[self.space.check_point(p)]
+        return self.table[p]
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class AlphaMap:
             raise DomainError("map must fix the basepoint 0")
 
     def apply(self, p) -> int:
-        q = int(self.rule(self.space.check_point(p)))
+        q = int(self.rule(p))
         if q < 0:
             raise DomainError(f"rule sent {p} to the negative index {q}")
         if q > self.space.prefix_length:
@@ -175,8 +177,8 @@ class PiecewiseLinearMap:
         return self.ys[i] + self._seg_slopes[i] * (x - xs[i])
 
     def apply(self, p) -> float:
-        y = self.eval(self.space.check_point(p))
-        return self.space.check_point(y)
+        # rounding can land 1 ulp outside, and an unbounded tail can reach +-inf
+        return self.space.check_point(self.eval(p))
 
     def slopes(self) -> tuple[float, ...]:
         out = list(self._seg_slopes)
@@ -240,8 +242,7 @@ class LatticeMap:
             raise DomainError("map must fix the origin")
 
     def apply(self, p):
-        q = tuple(int(c) for c in self.rule(self.space.check_point(p)))
-        return self.space.check_point(q)
+        return self.space.check_point(tuple(self.rule(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,8 @@ def _iter_rule(rule, x, n):
 
 
 def iterate_point(f, x, n: int):
-    """f^n(x) for n >= 0, validating every intermediate point."""
+    """f^n(x) for n >= 0.  ``x`` is checked once; a map checks its own image
+    only where the presentation can leave the space."""
     if n < 0:
         raise DomainError("cannot iterate a negative number of times")
     p = f.space.check_point(x)
@@ -421,7 +423,7 @@ def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
         if isinstance(space, IntervalSpace):
             raise DomainError("interval spaces need an explicit finite point sample")
         points = space.points()
-    pts = list(points)
+    pts = [space.check_point(p) for p in points]
     n = len(pts)
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     exhaustive = len(all_pairs) <= OPERATOR_PAIR_BUDGET
@@ -475,7 +477,7 @@ def map_from_json(obj: dict, space):
         if kind == "finite-table":
             if not isinstance(space, FiniteSpace):
                 raise DomainError("finite-table maps need a finite space")
-            return FiniteMap(space, tuple(int(i) for i in obj["table"]))
+            return FiniteMap(space, tuple(_coerce_number(i, integral=True, what="table entry") for i in obj["table"]))
         if kind == "piecewise-linear":
             if not isinstance(space, IntervalSpace):
                 raise DomainError("piecewise-linear maps need an interval space")
@@ -506,7 +508,7 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
         return AlphaMap(space, lambda n: 0 if n == 0 else n + 1,
                         name="forward-shift", rule_json={"rule": "forward-shift"})
     if rule == "table":
-        table = [int(v) for v in obj["table"]]
+        table = [_coerce_number(v, integral=True, what="table entry") for v in obj["table"]]
         if not table or table[0] != 0:
             raise DomainError("alpha table must start with 0 -> 0")
 
@@ -523,7 +525,7 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
 def _lattice_rule_from_json(obj: dict, space: LatticeBox) -> LatticeMap:
     if "matrix" not in obj:
         raise DomainError("lattice rules are given by an integer matrix")
-    mat = [[int(v) for v in row] for row in obj["matrix"]]
+    mat = [[_coerce_number(v, integral=True, what="matrix entry") for v in row] for row in obj["matrix"]]
     if len(mat) != space.dim or any(len(r) != space.dim for r in mat):
         raise DomainError("matrix shape must match the box dimension")
 

@@ -57,10 +57,8 @@ class NormResult:
     exact: bool = False
 
     def witness_value(self, p) -> float:
-        key = self.vector.space.point_key
-        k = key(p)
         for q, v in self.witness:
-            if key(q) == k:
+            if q == p:
                 return v
         raise DomainError(f"point {p!r} not covered by the witness")
 
@@ -73,7 +71,8 @@ def dual_gap(result: NormResult) -> float:
 
     Nonnegative up to roundoff for a feasible witness; ~0 at optimality.
     """
-    pairing = sum(c * result.witness_value(p) for p, c in result.vector.terms)
+    witness = dict(result.witness)
+    pairing = sum(c * witness[p] for p, c in result.vector.terms)
     return result.plan_cost() - float(pairing)
 
 

@@ -1,16 +1,20 @@
 """Pointed metric spaces in four concrete presentations.
 
 Every space designates a basepoint and exposes the same small interface:
-``contains``, ``check_point``, ``distance``, ``point_key`` (a sort key used
-for canonical ordering of supports) and ``kind``.  Points are carried as
-plain payloads -- an index for finite and sequence spaces, a float for
-intervals, an integer tuple for lattice boxes -- and are validated by the
-space that owns them.
+``contains``, ``check_point``, ``distance`` and ``kind``.  Points are carried
+as plain payloads -- an index for finite and sequence spaces, a float for
+intervals, an integer tuple for lattice boxes.
+
+A point is validated once, where it enters the system: ``check_point``
+returns it in canonical form (an int, a float or an int tuple), which is
+hashable, sortable and compares by value.  ``distance`` takes checked points
+and does not check them again; a bad index would wrap or fail obscurely.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -158,10 +162,7 @@ class FiniteSpace:
         return int(p)
 
     def distance(self, p, q) -> float:
-        return self.matrix[self.check_point(p)][self.check_point(q)]
-
-    def point_key(self, p):
-        return int(p)
+        return self.matrix[p][q]
 
 
 def _as_readonly_array(values: Iterable[float]) -> np.ndarray:
@@ -232,17 +233,13 @@ class AlphaSpace:
         return int(p)
 
     def distance(self, p, q) -> float:
-        i, j = self.check_point(p), self.check_point(q)
-        if i == j:
+        if p == q:
             return 0.0
-        if i == 0:
-            return self.alpha(j)
-        if j == 0:
-            return self.alpha(i)
-        return self.alpha(i) + self.alpha(j)
-
-    def point_key(self, p):
-        return int(p)
+        if p == 0:
+            return self.alpha(q)
+        if q == 0:
+            return self.alpha(p)
+        return self.alpha(p) + self.alpha(q)
 
     def __eq__(self, other):
         return isinstance(other, AlphaSpace) and (
@@ -293,10 +290,7 @@ class IntervalSpace:
         return float(p)
 
     def distance(self, p, q) -> float:
-        return abs(self.check_point(p) - self.check_point(q))
-
-    def point_key(self, p):
-        return float(p)
+        return abs(p - q)
 
 
 @dataclass(frozen=True)
@@ -336,11 +330,7 @@ class LatticeBox:
         return tuple(int(c) for c in p)
 
     def distance(self, p, q) -> float:
-        pp, qq = self.check_point(p), self.check_point(q)
-        return float(sum(abs(a - b) for a, b in zip(pp, qq)))
-
-    def point_key(self, p):
-        return tuple(int(c) for c in p)
+        return float(sum(abs(a - b) for a, b in zip(p, q)))
 
     def points(self):
         """Enumerate the whole box (row-major); intended for small boxes."""
@@ -368,18 +358,14 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
     """Finite restriction to the given points plus the basepoint.
 
     The basepoint is inserted (at index 0) whether or not it was listed.
-    Distances are copied bit-for-bit from the ambient space; the original
-    payloads are kept as labels.  Duplicate points collapse; an empty point
-    list is refused.
+    Distances are copied bit-for-bit from the ambient space; the checked
+    points, in sorted order after the basepoint, are kept as labels.
+    Duplicate points collapse; an empty point list is refused.
     """
     if len(points) == 0:
         raise DomainError("cannot restrict to an empty point list")
     base = space.basepoint
-    seen = {space.point_key(base): base}
-    for p in points:
-        seen.setdefault(space.point_key(space.check_point(p)), p)
-    keys = sorted(k for k in seen if k != space.point_key(base))
-    ordered = [base] + [seen[k] for k in keys]
+    ordered = [base] + sorted({space.check_point(p) for p in points} - {base})
     matrix = tuple(
         tuple(space.distance(p, q) for q in ordered) for p in ordered
     )
@@ -388,6 +374,19 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
 
 # ---------------------------------------------------------------------------
 # JSON wire format
+
+
+def _coerce_number(v, integral: bool, what: str = "point"):
+    """A JSON number as an int (``integral``: 2.0 reads as 2) or a finite float, else DomainError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise DomainError(f"{what} {v!r} is not a number")
+    if not isinstance(v, numbers.Integral):
+        if not math.isfinite(v) or (integral and not float(v).is_integer()):
+            raise DomainError(f"{what} {v!r} is not a finite {'integer' if integral else 'number'}")
+    try:
+        return int(v) if integral else float(v)
+    except OverflowError as exc:
+        raise DomainError(f"{what} {v} is too large for a float") from exc
 
 
 def _endpoint_to_json(x: float):
@@ -436,7 +435,7 @@ def space_from_json(obj: dict):
                 labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
             return FiniteSpace(
                 matrix=tuple(tuple(float(x) for x in row) for row in obj["matrix"]),
-                basepoint=int(obj.get("basepoint", 0)),
+                basepoint=_coerce_number(obj.get("basepoint", 0), integral=True, what="basepoint"),
                 labels=labels,
             )
         if kind == "alpha":
@@ -444,7 +443,8 @@ def space_from_json(obj: dict):
         if kind == "interval":
             return IntervalSpace(_endpoint_from_json(obj.get("a", 0.0)), _endpoint_from_json(obj.get("b", "inf")))
         if kind == "lattice":
-            return LatticeBox(tuple((int(lo), int(hi)) for lo, hi in obj["bounds"]))
+            bounds = [[_coerce_number(v, integral=True, what="bound") for v in b] for b in obj["bounds"]]
+            return LatticeBox(tuple(map(tuple, bounds)))
     except DomainError:
         raise
     except KeyError as exc:

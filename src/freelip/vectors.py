@@ -2,7 +2,7 @@
 pointed metric space, written as combinations of point evaluations
 ``sum_i c_i * delta(x_i)``.
 
-Vectors are kept canonical: support sorted by the space's point key,
+Vectors are kept canonical: support sorted by the checked points,
 duplicates merged, the basepoint (whose evaluation is the zero vector)
 removed, and coefficients below DROP_TOL times the largest |coefficient|
 discarded, so the drop rule is the same at every scale.  All operations
@@ -12,11 +12,10 @@ return new vectors; nothing here mutates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .spaces import DomainError, same_space
+from .spaces import DomainError, _coerce_number, same_space
 
 __all__ = [
     "FreeVector",
@@ -43,11 +42,7 @@ class FreeVector:
         return tuple(c for _, c in self.terms)
 
     def coefficient(self, p) -> float:
-        key = self.space.point_key(p)
-        for q, c in self.terms:
-            if self.space.point_key(q) == key:
-                return c
-        return 0.0
+        return dict(self.terms).get(p, 0.0)
 
     def total_mass(self) -> float:
         return sum(c for _, c in self.terms)
@@ -62,25 +57,20 @@ class FreeVector:
 def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector:
     """Canonicalize ``pairs`` of (point, coefficient) into a FreeVector.
 
-    Points are validated against the space and merged under exact coordinate
-    equality.  The basepoint, exact zeros and any coefficient with
+    Points are validated here, where they enter, and merged under exact
+    coordinate equality.  The basepoint, exact zeros and any coefficient with
     |c| < DROP_TOL * max |c| (over the merged, non-basepoint coefficients)
     vanish.  A merged coefficient that is NaN or infinite raises DomainError.
     """
     acc: dict = {}
-    rep: dict = {}
     for p, c in pairs:
         q = space.check_point(p)
-        k = space.point_key(q)
-        acc[k] = acc.get(k, 0.0) + float(c)
-        if not math.isfinite(acc[k]):
-            raise DomainError(f"coefficient at point {q!r} is not finite: {acc[k]!r}")
-        rep.setdefault(k, q)
-    acc.pop(space.point_key(space.basepoint), None)
+        acc[q] = acc.get(q, 0.0) + float(c)
+        if not math.isfinite(acc[q]):
+            raise DomainError(f"coefficient at point {q!r} is not finite: {acc[q]!r}")
+    acc.pop(space.basepoint, None)
     floor = DROP_TOL * max(map(abs, acc.values()), default=0.0)
-    terms = tuple(
-        (rep[k], acc[k]) for k in sorted(acc) if acc[k] != 0.0 and abs(acc[k]) >= floor
-    )
+    terms = tuple((q, c) for q, c in sorted(acc.items()) if c != 0.0 and abs(c) >= floor)
     return FreeVector(space=space, terms=terms)
 
 
@@ -187,21 +177,11 @@ def coerce_point(space, p):
     points: an int index (finite, alpha), a float (interval) or an int tuple
     (lattice).  An integral float such as 2.0 is read as the index 2; bools,
     non-integral or non-finite numbers and payloads of the wrong shape raise
-    DomainError.  Membership is left to ``space.check_point``."""
+    DomainError.  Membership is checked where the point is handed on
+    (``make_free_vector``, ``classify_orbit``, ``rigidity_check``)."""
     if space.kind != "lattice":
         return _coerce_number(p, integral=space.kind != "interval")
     if not isinstance(p, (list, tuple)):
         raise DomainError(f"lattice point {p!r} must be an array of integers")
     return tuple(_coerce_number(c, integral=True) for c in p)
 
-
-def _coerce_number(v, integral: bool, what: str = "point"):
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise DomainError(f"{what} {v!r} is not a number")
-    if not isinstance(v, numbers.Integral):
-        if not math.isfinite(v) or (integral and not float(v).is_integer()):
-            raise DomainError(f"{what} {v!r} is not a finite {'integer' if integral else 'number'}")
-    try:
-        return int(v) if integral else float(v)
-    except OverflowError as exc:
-        raise DomainError(f"{what} {v} is too large for a float") from exc

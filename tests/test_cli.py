@@ -295,6 +295,42 @@ MALFORMED = {
         _write(d / "map.json", {"space": space_to_json(IntervalSpace(0.0, 1.0)),
                                 "map": {"kind": "piecewise-linear", "breakpoints": [[0, 0], [0.5, "y"], [1, 1]]}}),
     ],
+    # integer fields are read strictly: no truncation, no bools
+    "lattice-bounds-not-integral": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "lattice", "bounds": [[-2.7, 3.9]]}, "terms": []})],
+    "finite-basepoint-bool": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "finite", "matrix": [[0, 1], [1, 0]], "basepoint": True}, "terms": []})],
+    "finite-basepoint-not-integral": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "finite", "matrix": [[0, 1], [1, 0]], "basepoint": 0.9}, "terms": []})],
+    "finite-table-not-integral": lambda d: [
+        "classify", "--point", "1", "--map",
+        _write(d / "map.json", {"space": space_to_json(FiniteSpace(((0.0, 1.0), (1.0, 0.0)))),
+                                "map": {"kind": "finite-table", "table": [0, 1.9]}}),
+    ],
+    "alpha-table-not-integral": lambda d: [
+        "classify", "--point", "1", "--map",
+        _write(d / "map.json", {"space": {"kind": "alpha", "alpha": [1.0, 2.0]},
+                                "map": {"kind": "alpha-rule", "rule": "table", "table": [0, 2.7, 1]}}),
+    ],
+    "alpha-table-bool": lambda d: [
+        "classify", "--point", "1", "--map",
+        _write(d / "map.json", {"space": {"kind": "alpha", "alpha": [1.0, 2.0]},
+                                "map": {"kind": "alpha-rule", "rule": "table", "table": [0, 2, True]}}),
+    ],
+    "lattice-matrix-not-integral": lambda d: [
+        "classify", "--point", "[1, 1]", "--map",
+        _write(d / "map.json", {"space": space_to_json(LatticeBox(((-2, 2), (-2, 2)))),
+                                "map": {"kind": "lattice-rule", "matrix": [[0.5, 0], [0, 1]]}}),
+    ],
+    # classification parameters: no NaN or infinity written into a report, no bool read as 1
+    "params-radii-nan": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                   "--params", _params_file(d, {"radii": [1.0, math.nan]})],
+    "params-eps-infinite": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                      "--params", _params_file(d, {"eps_recurrent": math.inf})],
+    "params-horizon-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                      "--params", _params_file(d, {"horizon": True})],
+    "params-ladder-size-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                          "--params", _params_file(d, {"ladder_size": True})],
     # an isometric swap fails its return check at tolerance 1e-9; NaN must not pass it
     "tolerances-nan": lambda d: [
         "rigidity", "--times", "1", "--bound", "1", "--tolerances", "nan", "--map",

@@ -12,11 +12,14 @@ from freelip import (
     AlphaSpace,
     DomainError,
     FiniteMap,
+    FiniteSpace,
+    Functional,
     IntervalSpace,
     LatticeBox,
     LatticeMap,
     PiecewiseLinearMap,
     PrefixExhausted,
+    classify_orbit,
     compose,
     delta,
     doubling_map,
@@ -30,6 +33,8 @@ from freelip import (
     norm_flow,
     operator_norm_estimate,
     push_forward,
+    recurrence_gap,
+    restrict_to_points,
     space_from_json,
 )
 from conftest import random_finite_space
@@ -117,9 +122,34 @@ def test_pl_eval_interpolates_exactly():
     assert f.apply(1.0) == 0.0
 
 
-def test_pl_apply_rejects_points_outside():
-    with pytest.raises(DomainError):
-        tent_map().apply(1.5)
+def _map_with_point_outside(kind):
+    """A map of each space kind and one payload of the right type outside its space."""
+    if kind == "finite":
+        return FiniteMap(FiniteSpace(((0.0, 1.0), (1.0, 0.0))), (0, 1)), -1
+    if kind == "alpha":
+        return AlphaMap(AlphaSpace([1.0, 2.0]), lambda n: 0 if n == 0 else 3 - n), 3
+    if kind == "interval":
+        return tent_map(), 1.5
+    return LatticeMap(LatticeBox(((-2, 2), (-2, 2))), lambda p: (-p[0], p[1])), (3, 0)
+
+
+@pytest.mark.parametrize("kind", ["finite", "alpha", "interval", "lattice"])
+def test_entry_points_reject_a_point_outside(kind):
+    # apply and distance take checked points and do not check them again, so
+    # a point outside the space must be refused where it enters
+    f, x = _map_with_point_outside(kind)
+    entries = [
+        lambda: iterate_point(f, x, 3),
+        lambda: classify_orbit(f, x),
+        lambda: recurrence_gap(f, x, 10),
+        lambda: make_free_vector(f.space, [(x, 1.0)]),
+        lambda: operator_norm_estimate(f, points=[x]),  # one point forms no pair to measure
+        lambda: restrict_to_points(f.space, [x]),
+        lambda: Functional(f.space, lambda p: 0.0, lip_bound=1.0)(x),
+    ]
+    for enter in entries:
+        with pytest.raises(DomainError):
+            enter()
 
 
 def test_pl_pieces_cover_domain_with_rays():

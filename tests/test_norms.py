@@ -144,9 +144,33 @@ def test_norm_is_absolutely_homogeneous(rng):
             assert math.copysign(1.0, got) == 1.0
 
 
-def test_triangle_inequality_for_norms(rng):
-    sp = random_finite_space(rng, 8)
-    mu, nu = random_vector(rng, sp, 3), random_vector(rng, sp, 3)
+KINDS = ("finite", "alpha", "interval", "lattice")
+
+
+def random_space(rng: random.Random, kind: str):
+    """A small space of the given kind; every kind but the interval is
+    enumerable, the lattice box as 25 points."""
+    if kind == "finite":
+        return random_finite_space(rng, 8)
+    if kind == "alpha":
+        return AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(8)])
+    if kind == "interval":
+        return IntervalSpace(-2.0, 2.0)
+    return LatticeBox(((-2, 2), (-2, 2)))
+
+
+def random_vector_on(rng: random.Random, space, k: int):
+    if isinstance(space, IntervalSpace):
+        return make_free_vector(space, [(rng.uniform(-2, 2), rng.uniform(-3, 3)) for _ in range(k)])
+    return random_vector(rng, space, k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_triangle_inequality_for_norms(kind, seed):
+    rng = random.Random(seed)
+    sp = random_space(rng, kind)
+    mu, nu = random_vector_on(rng, sp, 3), random_vector_on(rng, sp, 3)
     lhs = norm_flow(linear_combine([(1.0, mu), (1.0, nu)])).value
     assert lhs <= norm_flow(mu).value + norm_flow(nu).value + 1e-9
 
@@ -206,13 +230,18 @@ def test_certificates_are_feasible_and_tight(rng):
         assert abs(dual_gap(res)) <= 1e-9 * (1.0 + res.value)
 
 
-def test_witness_extends_one_lipschitz_everywhere(rng):
-    sp = random_finite_space(rng, 9)
-    mu = random_vector(rng, sp, 4)
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_witness_extends_one_lipschitz_everywhere(kind, seed):
+    rng = random.Random(seed)
+    sp = random_space(rng, kind)
+    mu = random_vector_on(rng, sp, 4)
     res = norm_flow(mu)
     phi = witness_functional(res)
-    for y in sp.points():
-        for z in sp.points():
+    # the whole space where it is enumerable; on the interval a grid and the support
+    pts = list(sp.points()) if kind != "interval" else [i / 8 for i in range(-16, 17)] + list(mu.support())
+    for y in pts:
+        for z in pts:
             assert abs(phi(y) - phi(z)) <= sp.distance(y, z) + 1e-9
     assert phi(sp.basepoint) == pytest.approx(0.0, abs=1e-12)
     # the extension agrees with the witness where both are defined
