@@ -310,12 +310,24 @@ def iterate_map(f, n: int, budget: int = BREAKPOINT_BUDGET):
     if isinstance(f, (AlphaMap, LatticeMap)):
         return type(f)(f.space, lambda x, f=f, n=n: _iter_rule(f.rule, x, n),
                        name=f"{f.name or 'f'}^{n}")
+    if isinstance(f, FiniteMap):
+        return FiniteMap(f.space, _table_power(f.table, n))
     out = f
     for _ in range(n - 1):
-        if isinstance(f, PiecewiseLinearMap):
-            out = _compose_pl(f, out, budget=budget)
-        else:
-            out = compose(f, out)
+        out = _compose_pl(f, out, budget=budget)
+    return out
+
+
+def _table_power(table, n):
+    # repeated squaring: log2(n) compositions of plain tuples, which the
+    # powers of one map share, and a single FiniteMap check at the end
+    out = tuple(range(len(table)))
+    while n:
+        if n & 1:
+            out = tuple(table[j] for j in out)
+        n >>= 1
+        if n:
+            table = tuple(table[j] for j in table)
     return out
 
 
@@ -481,10 +493,12 @@ def map_from_json(obj: dict, space):
         if kind == "piecewise-linear":
             if not isinstance(space, IntervalSpace):
                 raise DomainError("piecewise-linear maps need an interval space")
-            bps = [(float(x), float(y)) for x, y in obj["breakpoints"]]
-            return PiecewiseLinearMap(space, bps,
-                                      left_slope=obj.get("left_slope"),
-                                      right_slope=obj.get("right_slope"))
+            bps = [(_coerce_number(x, integral=False, what="breakpoint"),
+                    _coerce_number(y, integral=False, what="breakpoint"))
+                   for x, y in obj["breakpoints"]]
+            slopes = {k: _coerce_number(obj[k], integral=False, what=k)
+                      for k in ("left_slope", "right_slope") if obj.get(k) is not None}
+            return PiecewiseLinearMap(space, bps, **slopes)
         if kind == "alpha-rule":
             if not isinstance(space, AlphaSpace):
                 raise DomainError("alpha rules need a sequence space")

@@ -3,10 +3,13 @@
 ``norm_flow`` computes the norm of a finitely supported vector as a balanced
 minimum-cost transport between its positive and negative parts, the basepoint
 absorbing any imbalance.  The costs form a metric, so some optimal plan ships
-mass straight from supplies to demands: the solver is successive shortest
-paths with node potentials on that bipartite graph, and the inf-convolution
-of its potentials is a 1-Lipschitz dual witness.  Float mode ignores charges
-within MASS_TOL times the largest |charge|, the same rule at every scale.
+mass straight from supplies to demands: the solver runs the primal-dual phases
+of successive shortest paths (Ahuja, Magnanti and Orlin, *Network Flows*,
+1993, ch. 9) on that bipartite graph, one Dijkstra per pass and then at most
+one augmentation per demand it reached, and the inf-convolution of its
+potentials is a 1-Lipschitz dual witness.  Float mode ignores charges within
+MASS_TOL times the largest |charge|, the same rule at every scale.  Costs
+come from the space's ``cost_matrix``.
 ``norm_alpha`` and ``norm_line`` are independent closed forms for
 the two structured presentations; they deliberately share no code with the
 flow route so the two can cross-check each other.
@@ -37,7 +40,7 @@ EXACT_SUPPORT_LIMIT = 64
 
 
 class FlowConvergenceError(RuntimeError):
-    """The transport solver failed to drain all mass within its iteration cap."""
+    """The transport solver failed to drain all mass within its pass cap."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (unshipped mass residual {residual!r})")
@@ -93,87 +96,116 @@ def witness_functional(result: NormResult) -> Functional:
 
 
 def _solve_transport(b, C, tol):
-    """Successive shortest paths with potentials on the bipartite graph from
-    supplies (charge > tol) to demands (charge < -tol).
+    """Primal-dual phases of successive shortest paths on the bipartite graph
+    from supplies (charge > tol) to demands (charge < -tol); see Ahuja,
+    Magnanti and Orlin, *Network Flows* (1993), ch. 9.
 
     ``b`` holds signed masses (sum ~ 0) and ``C`` the symmetric cost matrix;
     both may be floats or Fractions (with ``tol`` 0 in the exact case).  A
     supply s reaches every demand t at cost C[s][t]; a demand t reaches back
     a supply s at cost -C[s][t] while flow(s, t) > tol.
+
+    Each pass runs Dijkstra over the reduced costs from every supply that
+    still has mass, moves every potential by min(dist, D), where D is the
+    distance of the farthest reached demand that still lacks mass, and then
+    augments along the shortest-path tree to each such demand, nearest first.
+    The move makes every tree arc up to D tight, so each of these paths is a
+    shortest path.  A path waits for the next pass when an earlier path of
+    the pass has drained its root supply or emptied one of its backward arcs;
+    a demand ends one path per pass, so it cannot fill before its turn.  At
+    most 100 + 20n² passes are run.
     Returns (flow dict (s, t) -> mass, witness potentials, total cost).
     """
     n = len(b)
     zero = b[0] - b[0]  # +0.0 in float mode, so an empty plan costs +0.0
     side = [1 if x > tol else -1 if x < -tol else 0 for x in b]
     nodes = [v for v in range(n) if side[v]]
+    demands = [v for v in nodes if side[v] < 0]
     surplus = list(b)
     pi = [zero] * n
-    flow: dict[tuple[int, int], object] = {}
-    iters = 0
+    into = [{} for _ in range(n)]  # into[t][s] = flow(s, t) > tol
+    passes = 0
     cap = 100 + 20 * n * n
 
     while sources := [v for v in nodes if surplus[v] > tol]:
         residual = float(sum(surplus[v] for v in sources))
-        iters += 1
-        if iters > cap:
-            raise FlowConvergenceError(f"no convergence after {cap} augmentations", residual)
+        passes += 1
+        if passes > cap:
+            raise FlowConvergenceError(f"no convergence after {cap} passes", residual)
 
         # Dijkstra over reduced costs, multi-source from all remaining
-        # supplies, until it settles a demand that still lacks mass.
+        # supplies.  It stops once every demand that lacks mass is settled:
+        # the nodes still open lie at D or beyond and would move by D anyway.
         dist = [math.inf] * n
         parent = [-1] * n
         for s in sources:
             dist[s] = zero
         todo = list(nodes)
-        t = -1
-        while todo:
+        open_demands = list(demands)
+        lacking = sum(1 for t in demands if surplus[t] < -tol)
+        reached = []
+        while len(reached) < lacking:
             u = min(todo, key=dist.__getitem__)
-            if side[u] < 0 and surplus[u] < -tol:
-                t = u
+            du = dist[u]
+            if du == math.inf:
                 break
             todo.remove(u)
-            du, piu = dist[u], pi[u]
+            piu = pi[u]
             if side[u] > 0:
                 row = C[u]
-                arcs = [(v, row[v] + piu - pi[v]) for v in todo if side[v] < 0]
+                for v in open_demands:
+                    rc = row[v] + piu - pi[v]
+                    # clamp 1-ulp dips below 0 so the label-setting stays valid
+                    nd = du + rc if rc > zero else du
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = u
             else:
-                arcs = [(v, piu - pi[v] - C[v][u]) for v in todo if (v, u) in flow]
-            for v, rc in arcs:
-                if rc < zero:
-                    rc = zero  # clamp 1-ulp dips so the label-setting stays valid
-                nd = du + rc
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-        if t < 0 or dist[t] == math.inf:
+                open_demands.remove(u)
+                if surplus[u] < -tol:
+                    reached.append(u)
+                # settled supplies need no skip: their label is at most du
+                # already, so it cannot drop
+                for v in into[u]:
+                    rc = piu - pi[v] - C[v][u]
+                    nd = du + rc if rc > zero else du
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = u
+        if not reached:
             raise FlowConvergenceError("supplies remain but no reachable demand", residual)
 
-        # nodes left unsettled move by dist[t], which keeps every reduced cost
-        # nonnegative, also at exhausted supplies that nothing reaches
+        # nodes beyond D, and those nothing reaches, move by D, which keeps
+        # every reduced cost nonnegative
+        far = dist[reached[-1]]
         for v in nodes:
-            pi[v] += min(dist[v], dist[t])
+            pi[v] += min(dist[v], far)
 
-        # walk back to the tree root and find the bottleneck
-        path = []
-        v = t
-        while parent[v] >= 0:
-            path.append((parent[v], v))
-            v = parent[v]
-        amt = min([surplus[v], -surplus[t]] + [flow[(w, u)] for u, w in path if side[u] < 0])
-        for u, w in path:
-            if side[u] > 0:
-                flow[(u, w)] = flow.get((u, w), zero) + amt
-            elif flow[(w, u)] - amt > tol:
-                flow[(w, u)] -= amt
-            else:
-                del flow[(w, u)]
-        surplus[v] -= amt
-        surplus[t] += amt
+        # walk each tree path back to its root supply
+        for t in reached:
+            path = []
+            v = t
+            while parent[v] >= 0:
+                path.append((parent[v], v))
+                v = parent[v]
+            backward = [(u, w) for u, w in path if side[u] < 0]
+            if surplus[v] <= tol or any(w not in into[u] for u, w in backward):
+                continue
+            amt = min([surplus[v], -surplus[t]] + [into[u][w] for u, w in backward])
+            for u, w in path:
+                if side[u] > 0:
+                    into[w][u] = into[w].get(u, zero) + amt
+                elif into[u][w] - amt > tol:
+                    into[u][w] -= amt
+                else:
+                    del into[u][w]
+            surplus[v] -= amt
+            surplus[t] += amt
 
     # The potentials are dual-feasible on supply-demand pairs only; their
     # inf-convolution from the demands is 1-Lipschitz on every pair and keeps
     # the pairing, since it matches -pi on every supply that ships.
-    demands = [v for v in nodes if side[v] < 0]
+    flow = {(s, t): m for t in demands for s, m in into[t].items()}
     psi = [min(C[x][j] - pi[j] for j in demands) for x in range(n)]
     cost = sum((f * C[i][j] for (i, j), f in flow.items()), zero)
     return flow, psi, cost
@@ -197,7 +229,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     if exact and n > EXACT_SUPPORT_LIMIT:
         raise DomainError(f"exact mode supports at most {EXACT_SUPPORT_LIMIT} points, got {n}")
 
-    cost = [[space.distance(p, q) for q in pts] for p in pts]
+    cost = space.cost_matrix(pts)
     if exact:
         # Re-derive the basepoint charge rationally: the float in masses[0]
         # is a rounded sum, and an unbalanced rational problem cannot ship

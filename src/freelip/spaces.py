@@ -9,6 +9,9 @@ A point is validated once, where it enters the system: ``check_point``
 returns it in canonical form (an int, a float or an int tuple), which is
 hashable, sortable and compares by value.  ``distance`` takes checked points
 and does not check them again; a bad index would wrap or fail obscurely.
+``cost_matrix(points)`` gives the distances among checked points as a list of
+rows, each entry bit-identical to ``distance``, built from arrays rather than
+one call per pair.
 """
 
 from __future__ import annotations
@@ -164,6 +167,10 @@ class FiniteSpace:
     def distance(self, p, q) -> float:
         return self.matrix[p][q]
 
+    def cost_matrix(self, points) -> list[list[float]]:
+        rows = [self.matrix[p] for p in points]
+        return [[row[q] for q in points] for row in rows]
+
 
 def _as_readonly_array(values: Iterable[float]) -> np.ndarray:
     arr = np.asarray(list(values), dtype=float)
@@ -241,6 +248,13 @@ class AlphaSpace:
             return self.alpha(p)
         return self.alpha(p) + self.alpha(q)
 
+    def cost_matrix(self, points) -> list[list[float]]:
+        idx = np.asarray(points, dtype=np.intp)
+        w = np.where(idx > 0, self._alpha[idx - 1], 0.0)
+        d = np.add.outer(w, w)
+        d[np.equal.outer(idx, idx)] = 0.0
+        return d.tolist()
+
     def __eq__(self, other):
         return isinstance(other, AlphaSpace) and (
             self._alpha is other._alpha or np.array_equal(self._alpha, other._alpha)
@@ -292,6 +306,10 @@ class IntervalSpace:
     def distance(self, p, q) -> float:
         return abs(p - q)
 
+    def cost_matrix(self, points) -> list[list[float]]:
+        x = np.asarray(points, dtype=float)
+        return np.abs(np.subtract.outer(x, x)).tolist()
+
 
 @dataclass(frozen=True)
 class LatticeBox:
@@ -332,6 +350,13 @@ class LatticeBox:
     def distance(self, p, q) -> float:
         return float(sum(abs(a - b) for a, b in zip(p, q)))
 
+    def cost_matrix(self, points) -> list[list[float]]:
+        # exact integer sums, rounded to float once as in ``distance``; Python
+        # ints where an int64 difference could overflow
+        wide = max(hi - lo for lo, hi in self.bounds) * self.dim >= 2**62
+        x = np.array(points, dtype=object if wide else np.int64)
+        return np.abs(x[:, None] - x).sum(axis=2).astype(float).tolist()
+
     def points(self):
         """Enumerate the whole box (row-major); intended for small boxes."""
         import itertools
@@ -366,9 +391,7 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
         raise DomainError("cannot restrict to an empty point list")
     base = space.basepoint
     ordered = [base] + sorted({space.check_point(p) for p in points} - {base})
-    matrix = tuple(
-        tuple(space.distance(p, q) for q in ordered) for p in ordered
-    )
+    matrix = tuple(map(tuple, space.cost_matrix(ordered)))
     return FiniteSpace(matrix=matrix, basepoint=0, labels=tuple(ordered))
 
 
@@ -402,7 +425,7 @@ def _endpoint_from_json(v) -> float:
         return math.inf
     if v == "-inf":
         return -math.inf
-    return float(v)
+    return _coerce_number(v, integral=False, what="interval endpoint")
 
 
 def space_to_json(space) -> dict:
@@ -434,12 +457,13 @@ def space_from_json(obj: dict):
             if labels is not None:
                 labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
             return FiniteSpace(
-                matrix=tuple(tuple(float(x) for x in row) for row in obj["matrix"]),
+                matrix=tuple(tuple(_coerce_number(x, integral=False, what="matrix entry") for x in row)
+                             for row in obj["matrix"]),
                 basepoint=_coerce_number(obj.get("basepoint", 0), integral=True, what="basepoint"),
                 labels=labels,
             )
         if kind == "alpha":
-            return AlphaSpace(obj["alpha"])
+            return AlphaSpace([_coerce_number(a, integral=False, what="alpha weight") for a in obj["alpha"]])
         if kind == "interval":
             return IntervalSpace(_endpoint_from_json(obj.get("a", 0.0)), _endpoint_from_json(obj.get("b", "inf")))
         if kind == "lattice":

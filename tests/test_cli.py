@@ -7,6 +7,7 @@ promise that fixed inputs produce byte-identical reports.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -322,6 +323,32 @@ MALFORMED = {
         _write(d / "map.json", {"space": space_to_json(LatticeBox(((-2, 2), (-2, 2)))),
                                 "map": {"kind": "lattice-rule", "matrix": [[0.5, 0], [0, 1]]}}),
     ],
+    # real-valued fields are read strictly too: no bools, no numeric strings
+    "interval-endpoint-bool": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "interval", "b": True}, "terms": []})],
+    "interval-endpoint-numeric-string": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "interval", "a": "-1.5"}, "terms": []})],
+    "alpha-weight-bool": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "alpha", "alpha": [True, 2.5]}, "terms": []})],
+    "finite-matrix-bool": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "finite", "matrix": [[0, True], [True, 0]]}, "terms": []})],
+    "breakpoints-numeric-string": lambda d: [
+        "classify", "--point", "0.5", "--map",
+        _write(d / "map.json", {"space": space_to_json(IntervalSpace(0.0, 1.0)),
+                                "map": {"kind": "piecewise-linear", "breakpoints": [[0, 0], [1, "0.5"]]}}),
+    ],
+    "left-slope-bool": lambda d: [
+        "classify", "--point", "-0.5", "--map",
+        _write(d / "map.json", {"space": space_to_json(IntervalSpace(-math.inf, 0.0)),
+                                "map": {"kind": "piecewise-linear", "breakpoints": [[-1, -0.5], [0, 0]],
+                                        "left_slope": True}}),
+    ],
+    "right-slope-numeric-string": lambda d: [
+        "classify", "--point", "0.5", "--map",
+        _write(d / "map.json", {"space": space_to_json(IntervalSpace(0.0, math.inf)),
+                                "map": {"kind": "piecewise-linear", "breakpoints": [[0, 0], [1, 0.5]],
+                                        "right_slope": "0.5"}}),
+    ],
     # classification parameters: no NaN or infinity written into a report, no bool read as 1
     "params-radii-nan": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
                                    "--params", _params_file(d, {"radii": [1.0, math.nan]})],
@@ -377,6 +404,29 @@ def test_selftest_reports_are_byte_identical(tmp_path):
     assert "selftest.json" in names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# SHA-256 of every file ``selftest --seed 7`` writes, recorded with the
+# one-augmentation-per-pass transport solver; a solver or cost-table change
+# must leave every report byte unchanged.
+SELFTEST_SEED_7_SHA256 = {
+    "gallery-backward-shift.json": "1f5bc31ed3ffb399c7a5ad81090a1c8cfb8c402edbc9541add3847a0f84155c4",
+    "gallery-block-cycle.json": "d36db61bc87792498a998ea4abe08f332a200482d3398f2fc9e9ec6afa83e5f0",
+    "gallery-doubling.json": "f3fa5fdd04bd4f078e0fc67c87f6be42bbc3b402bf0070e8f843237c966528c9",
+    "gallery-rotation-4.json": "b717828c11a43d059f1d3eb8482aa0b2ae46ec4009b8def3b6ff6706f4b7b9eb",
+    "gallery-rotation-7.json": "31302eba59261d05f87eec5fdbafcf05241dda23618dba0487b7a57eafbac48b",
+    "gallery-shift-linear.json": "b6163d85a976b39032792f0a54fc503015d0ea8f56666f37f91b794e61593a17",
+    "gallery-shift-tempered.json": "1ac4187309e00c6e4f0e9b607ddb031525817782c38e99b6a72253a864a80c26",
+    "gallery-tempered-alpha.json": "faad75330cd4214c3bc90315a4469d815afc096cc4f3acbebb1d145a658992ba",
+    "selftest.json": "b654699ffdee0d8002cfde95c85efd71ab46f80b460a12d2ae0d1d1d02404259",
+}
+
+
+def test_selftest_seed_7_reports_match_recorded_digests(tmp_path):
+    res = run_cli("selftest", "--seed", "7", "--outdir", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == SELFTEST_SEED_7_SHA256
 
 
 def test_selftest_summary_shape(tmp_path):

@@ -19,6 +19,9 @@ from freelip import (
     LatticeMap,
     PiecewiseLinearMap,
     PrefixExhausted,
+    backward_shift_map,
+    backward_shift_space,
+    circle_rotation_space,
     classify_orbit,
     compose,
     delta,
@@ -213,6 +216,13 @@ def test_iterate_map_matches_pointwise():
         for _ in range(3):
             manual = f.eval(manual)
         assert g.eval(x) == pytest.approx(manual, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["rotation-7", "backward-shift"])
+def test_iterate_map_table_matches_iterate_point(family):
+    f = circle_rotation_space(7)[1] if family == "rotation-7" else backward_shift_map(backward_shift_space())
+    for n in [*range(1, 14), 27720]:
+        assert iterate_map(f, n).table == tuple(iterate_point(f, x, n) for x in f.space.points())
 
 
 def test_iterate_map_needs_positive_power():

@@ -91,9 +91,16 @@ def test_two_point_example_costs_three():
 
 
 def test_lp_oracle_agrees_on_random_spaces(rng):
+    vectors = []
     for _ in range(25):
         sp = random_finite_space(rng, rng.randint(3, 10))
-        mu = random_vector(rng, sp, rng.randint(1, sp.size - 1))
+        vectors.append(random_vector(rng, sp, rng.randint(1, sp.size - 1)))
+    # integer lattice costs tie many shortest paths, so one pass of the solver
+    # augments along several tree paths that share arcs
+    box = LatticeBox(((-3, 3), (-3, 3)))
+    vectors += [random_vector(rng, box, rng.randint(8, 24)) for _ in range(10)]
+    vectors += [random_vector(rng, random_finite_space(rng, 25), 24) for _ in range(5)]
+    for mu in vectors:
         if mu.is_zero():
             continue
         mine = norm_flow(mu).value
@@ -198,9 +205,16 @@ def test_superset_of_points_does_not_change_the_norm(rng):
 
 
 def test_certificates_are_feasible_and_tight(rng):
+    vectors = []
     for _ in range(15):
         sp = random_finite_space(rng, 8)
-        mu = random_vector(rng, sp, rng.randint(1, 5))
+        vectors.append(random_vector(rng, sp, rng.randint(1, 5)))
+    # wide supports on tied integer costs: paths of one pass drain shared
+    # supplies and backward arcs, and none of that may leave a zero-mass edge
+    box = LatticeBox(((-3, 3), (-3, 3)))
+    vectors += [random_vector(rng, box, rng.randint(8, 24)) for _ in range(10)]
+    for mu in vectors:
+        sp = mu.space
         if mu.is_zero():
             continue
         res = norm_flow(mu)
@@ -326,6 +340,26 @@ def test_exact_mode_matches_float_mode(rng):
     assert exact.exact
     assert exact.value == pytest.approx(plain.value, rel=1e-12)
     assert dual_gap(exact) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4)),
+            st.integers(min_value=-64, max_value=64).map(lambda k: k / 16),
+        ),
+        min_size=1,
+        max_size=24,
+    )
+)
+def test_exact_and_float_modes_agree_on_dyadic_lattice_vectors(terms):
+    # dyadic masses on integer costs: every flow, potential and cost of the
+    # exact optimum is a float, so its certificates pair to a gap of exactly 0
+    mu = make_free_vector(LatticeBox(((-4, 4), (-4, 4))), terms)
+    exact = norm_flow(mu, exact=True)
+    assert norm_flow(mu).value == pytest.approx(exact.value, rel=1e-12, abs=0)
+    assert dual_gap(exact) == 0.0
 
 
 def test_exact_mode_is_exact_on_rational_data():

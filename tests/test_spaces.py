@@ -179,6 +179,25 @@ def test_restrict_inserts_basepoint_first(rng):
             assert sub.matrix[i][j] == sp.distance(p, q)
 
 
+@pytest.mark.parametrize("kind", ["finite", "alpha", "interval", "lattice", "wide-lattice"])
+def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
+    # the per-pair ``distance`` loop is the reference; entries must be equal
+    # floats, also where an int64 lattice difference would overflow
+    spaces = {
+        "finite": (random_finite_space(rng, 12), list(range(12))),
+        "alpha": (AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(12)]), [0, *rng.sample(range(1, 13), 9), 3]),
+        "interval": (IntervalSpace(-2.0, 2.0), [0.0, *(rng.uniform(-2, 2) for _ in range(9)), 1e-300]),
+        "lattice": (LatticeBox(((-5, 5), (-5, 5), (0, 3))),
+                    [(0, 0, 0), *((rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(0, 3)) for _ in range(9))]),
+        "wide-lattice": (LatticeBox(((-(2**63), 2**63), (-3, 3))),
+                         [(0, 0), (2**63, 3), (-(2**63), -3), (2**53 + 1, 0), (-1, 2)]),
+    }
+    space, pts = spaces[kind]
+    got = space.cost_matrix([space.check_point(p) for p in pts])
+    want = [[space.distance(p, q) for q in pts] for p in pts]
+    assert [[(type(x), x.hex()) for x in row] for row in got] == [[(type(x), x.hex()) for x in row] for row in want]
+
+
 def test_restrict_interval_points():
     sp = IntervalSpace(0.0, 2.0)
     sub = restrict_to_points(sp, [1.5, 0.5])
