@@ -128,7 +128,8 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
 
     1. recurrence signal: best gap d(x, f^n(x)) <= eps_recurrent;
     2. escape signal: d(0, f^n(x)) reaches every ladder radius and never
-       drops below the first radius after the last crossing;
+       drops below the first radius after the last crossing; the crossing
+       time of a radius r_j is the first n with d(0, f^n(x)) >= r_j;
     3. both signals -> Undecided (conflict is reported, not resolved);
     4. exactly one signal -> that verdict;
     5. neither: Bounded when the full horizon was computed and the distance
@@ -148,34 +149,42 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     radii = params.resolve_radii(space, x)
     steps_wanted = max(1, params.horizon // power)
 
-    dists = [space.distance(base, x)]
-    gap = math.inf
-    gap_time = 0
+    # d(x, y) == 0 exactly when y == x, for a metric on canonical points, so
+    # the loop only follows the orbit and the distances are read off after it
+    apply, reps = f.apply, range(power)
+    orbit = [x]
     note = ""
     truncated = False
     y = x
     for n in range(1, steps_wanted + 1):
         try:
-            for _ in range(power):
-                y = f.apply(y)
+            for _ in reps:
+                y = apply(y)
         except DomainError as exc:
             note = f"orbit left the computable presentation at step {n}: {exc}"
             truncated = True
             break
-        dists.append(space.distance(base, y))
-        g = space.distance(x, y)
-        if g < gap:
-            gap, gap_time = g, n
-        if g == 0.0:
+        orbit.append(y)
+        if y == x:
             if n < steps_wanted:
                 note = f"exact return at step {n}; the orbit is periodic, iteration stopped early"
             break
+    distance = space.distance
+    dists = [distance(base, y) for y in orbit]
+    gaps = [distance(x, y) for y in orbit[1:]]
+    gap = min(gaps, default=math.inf)
+    gap_time = gaps.index(gap) + 1 if gaps else 0
 
+    # radii increase strictly, so the crossing times do not decrease: one
+    # pass with a pointer to the next radius to cross finds them all
     crossing: list[int | None] = [None] * len(radii)
+    j, k = 0, len(radii)
     for n, dv in enumerate(dists):
-        for j, r in enumerate(radii):
-            if crossing[j] is None and dv >= r:
-                crossing[j] = n
+        while j < k and dv >= radii[j]:
+            crossing[j] = n
+            j += 1
+        if j == k:
+            break
     max_distance = max(dists)
     max_time = dists.index(max_distance)
 

@@ -8,7 +8,8 @@ interval, a coordinate rule on a lattice box.  Lipschitz constants are exact
 wherever the presentation allows exhaustion (finite tables, piecewise-linear
 slopes, fully enumerated boxes) and explicitly window- or sample-limited
 otherwise.  ``apply`` takes a checked point and checks only its image, where
-the presentation can leave the space.
+the presentation can leave the space: an interval image, a float that
+``eval`` has just computed, is checked by its bounds and its finiteness.
 """
 
 from __future__ import annotations
@@ -177,8 +178,14 @@ class PiecewiseLinearMap:
         return self.ys[i] + self._seg_slopes[i] * (x - xs[i])
 
     def apply(self, p) -> float:
-        # rounding can land 1 ulp outside, and an unbounded tail can reach +-inf
-        return self.space.check_point(self.eval(p))
+        # rounding can land 1 ulp outside, and an unbounded tail can reach
+        # +-inf (where inf <= inf holds), so the image is checked by its
+        # bounds and its finiteness; check_point only words the error
+        y = self.eval(p)
+        sp = self.space
+        if sp.a <= y <= sp.b and math.isfinite(y):
+            return y
+        return sp.check_point(y)  # raises, naming the point and the interval
 
     def slopes(self) -> tuple[float, ...]:
         out = list(self._seg_slopes)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -26,8 +27,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "PrefixExhausted",
-    "MetricViolation",
-    "MetricCheck",
     "validate_finite_metric",
     "FiniteSpace",
     "AlphaSpace",
@@ -54,69 +53,44 @@ class PrefixExhausted(DomainError):
 TRIANGLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MetricViolation:
-    kind: str  # "shape" | "symmetry" | "diagonal" | "negative" | "zero-off-diagonal" | "triangle"
-    where: tuple
-    detail: str
-
-
-@dataclass(frozen=True)
-class MetricCheck:
-    ok: bool
-    violations: tuple[MetricViolation, ...] = ()
-
-    def first(self) -> MetricViolation | None:
-        return self.violations[0] if self.violations else None
-
-
-def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> MetricCheck:
+def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
     """Check symmetry, zero diagonal, positivity and all triangle inequalities.
 
-    The triangle check allows an absolute slack of ``TRIANGLE_TOL``.
-    Violations are reported with the offending entries/triples rather than
-    raising.
+    The triangle check allows an absolute slack of ``TRIANGLE_TOL``.  Raises
+    ``DomainError`` on the first violation, naming its kind and the offending
+    entries, in the order shape, non-finite, diagonal, symmetry, negative,
+    zero-off-diagonal, triangle.
     """
-    bad: list[MetricViolation] = []
     d = np.asarray(matrix, dtype=float)
+
+    def first(mask):
+        at = np.argwhere(mask)
+        return tuple(int(v) for v in at[0]) if len(at) else None
+
+    def fail(kind, detail):
+        raise DomainError(f"not a metric ({kind}): {detail}")
+
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        return MetricCheck(False, (MetricViolation("shape", d.shape, "matrix must be square"),))
+        fail("shape", "matrix must be square")
     n = d.shape[0]
-    if not np.all(np.isfinite(d)):
-        i, j = map(int, np.argwhere(~np.isfinite(d))[0])
-        bad.append(MetricViolation("non-finite", (i, j), f"non-finite entry d[{i}][{j}]"))
-        return MetricCheck(False, tuple(bad))
-    for i in range(n):
-        if d[i, i] != 0.0:
-            bad.append(MetricViolation("diagonal", (i,), f"d[{i}][{i}] = {d[i, i]!r} != 0"))
-    for i, j in np.argwhere(d != d.T):
-        if i < j:
-            bad.append(MetricViolation("symmetry", (int(i), int(j)), f"d[{i}][{j}] != d[{j}][{i}]"))
-        if len(bad) >= 4:
-            break
-    neg = np.argwhere(d < 0)
-    for i, j in neg[: 4]:
-        bad.append(MetricViolation("negative", (int(i), int(j)), f"d[{i}][{j}] = {d[i, j]!r} < 0"))
-    off = d + np.eye(n)  # lift the diagonal so only off-diagonal zeros remain
-    zz = np.argwhere(off == 0.0)
-    for i, j in zz[: 4]:
-        bad.append(MetricViolation("zero-off-diagonal", (int(i), int(j)), f"d[{i}][{j}] = 0 with {i} != {j}"))
-    if bad:
-        return MetricCheck(False, tuple(bad))
+    if at := first(~np.isfinite(d)):
+        fail("non-finite", f"non-finite entry d[{at[0]}][{at[1]}]")
+    if at := first(np.diagonal(d) != 0.0):
+        i = at[0]
+        fail("diagonal", f"d[{i}][{i}] = {d[i, i]!r} != 0")
+    if at := first(np.triu(d != d.T, 1)):
+        fail("symmetry", f"d[{at[0]}][{at[1]}] != d[{at[1]}][{at[0]}]")
+    if at := first(d < 0):
+        i, j = at
+        fail("negative", f"d[{i}][{j}] = {d[i, j]!r} < 0")
+    if at := first(d + np.eye(n) == 0.0):  # the lifted diagonal leaves off-diagonal zeros
+        i, j = at
+        fail("zero-off-diagonal", f"d[{i}][{j}] = 0 with {i} != {j}")
     for k in range(n):
-        slack = d - (d[:, [k]] + d[[k], :])
-        if np.any(slack > TRIANGLE_TOL):
-            i, j = map(int, np.argwhere(slack > TRIANGLE_TOL)[0])
-            bad.append(
-                MetricViolation(
-                    "triangle",
-                    (i, j, k),
-                    f"d[{i}][{j}] = {d[i, j]!r} > d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}",
-                )
-            )
-            if len(bad) >= 4:
-                break
-    return MetricCheck(not bad, tuple(bad))
+        if at := first(d - (d[:, [k]] + d[[k], :]) > TRIANGLE_TOL):
+            i, j = at
+            fail("triangle",
+                 f"d[{i}][{j}] = {d[i, j]!r} > d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +119,7 @@ class FiniteSpace:
             raise DomainError(f"basepoint {self.basepoint} outside 0..{n-1}")
         if self.labels is not None and len(self.labels) != n:
             raise DomainError("labels must align with the matrix")
-        check = validate_finite_metric(self.matrix)
-        if not check.ok:
-            raise DomainError(f"not a metric: {check.first().detail}")
+        validate_finite_metric(self.matrix)
 
     @property
     def size(self) -> int:
@@ -172,12 +144,6 @@ class FiniteSpace:
         return [[row[q] for q in points] for row in rows]
 
 
-def _as_readonly_array(values: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(list(values), dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 class AlphaSpace:
     """The natural numbers with the two-ray metric driven by a positive weight
     sequence: d(n, 0) = alpha_n and d(i, j) = alpha_i + alpha_j for distinct
@@ -192,13 +158,20 @@ class AlphaSpace:
     basepoint = 0
 
     def __init__(self, alpha: Iterable[float]):
-        arr = _as_readonly_array(alpha)
+        arr = np.asarray(list(alpha), dtype=float)
         if arr.size == 0:
             raise DomainError("alpha prefix must be nonempty")
         if not np.all(arr > 0) or not np.all(np.isfinite(arr)):
             bad = int(np.argwhere(~((arr > 0) & np.isfinite(arr)))[0, 0])
             raise DomainError(f"alpha_{bad + 1} = {arr[bad]!r} is not a positive real")
-        self._alpha = arr
+        # one buffer of doubles indexed by point, with 0.0 at the basepoint:
+        # distance reads plain floats from it without a check (0.0 + alpha_n
+        # is alpha_n bit for bit), and the prefix array is a view of it, so a
+        # prefix of a million weights is not held twice
+        self._weights = array("d", [0.0])
+        self._weights.frombytes(arr.tobytes())
+        self._alpha = np.frombuffer(self._weights, dtype=float, offset=self._weights.itemsize)
+        self._alpha.setflags(write=False)
 
     @property
     def prefix_length(self) -> int:
@@ -212,7 +185,7 @@ class AlphaSpace:
             raise PrefixExhausted(
                 f"alpha_{n} requested but only {self._alpha.size} terms are materialized"
             )
-        return float(self._alpha[n - 1])
+        return self._weights[n]
 
     def alpha_prefix(self) -> np.ndarray:
         return self._alpha
@@ -242,11 +215,12 @@ class AlphaSpace:
     def distance(self, p, q) -> float:
         if p == q:
             return 0.0
-        if p == 0:
-            return self.alpha(q)
-        if q == 0:
-            return self.alpha(p)
-        return self.alpha(p) + self.alpha(q)
+        try:
+            return self._weights[p] + self._weights[q]
+        except IndexError:
+            raise PrefixExhausted(
+                f"point {max(p, q)} lies past the materialized prefix of length {self._alpha.size}"
+            ) from None
 
     def cost_matrix(self, points) -> list[list[float]]:
         idx = np.asarray(points, dtype=np.intp)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,18 +23,28 @@ from freelip import (
     DomainError,
     FiniteMap,
     IntervalSpace,
+    LatticeBox,
     PiecewiseLinearMap,
+    backward_shift_map,
+    backward_shift_space,
+    block_cycle_map,
+    block_cycle_space,
+    circle_rotation_space,
     classification_to_json,
     classify_orbit,
     delta,
     doubling_map,
     escape_test_functional,
     fill_map,
+    forward_shift_map,
     identity_map,
     interval_analyze,
+    interval_map_suite,
+    iterate_point,
     iterate_vector,
     lip_constant,
     make_free_vector,
+    map_from_json,
     norm_flow,
     orbit_norm_profile,
     pair,
@@ -180,6 +191,112 @@ def test_power_budget_shrinks_steps():
     rep = classify_orbit(doubling_map(), 0.3, ClassificationParams(horizon=100), power=3)
     assert rep.power == 3
     assert rep.steps <= 33
+
+
+def reference_classification(f, x, params, power):
+    """The rule documented in classify_orbit, written plainly: the orbit of
+    f^power up to an exact return or an image outside the presentation, a
+    nested scan for each radius's first crossing, the first maximum and the
+    first best recurrence gap."""
+    space = f.space
+    steps_wanted = max(1, params.horizon // power)
+    orbit, truncated = [x], False
+    while len(orbit) <= steps_wanted:
+        try:
+            orbit.append(iterate_point(f, orbit[-1], power))
+        except DomainError:
+            truncated = True
+            break
+        if space.distance(x, orbit[-1]) == 0.0:
+            break
+    dists = [space.distance(space.basepoint, y) for y in orbit]
+    gaps = [space.distance(x, y) for y in orbit[1:]]
+    gap = min(gaps, default=math.inf)
+    radii = params.resolve_radii(space, x)
+    crossing = [None] * len(radii)
+    for n, dv in enumerate(dists):
+        for j, r in enumerate(radii):
+            if crossing[j] is None and dv >= r:
+                crossing[j] = n
+    max_distance = max(dists)
+    max_time = dists.index(max_distance)
+
+    recurrent = gap <= params.resolve_eps(space)
+    escaping = None not in crossing and min(dists[max(crossing):]) >= radii[0]
+    cut = max(1, int(len(dists) * (1.0 - params.tail_fraction)))
+    bounded = not truncated and len(dists) == steps_wanted + 1 and max_time < cut
+    if recurrent and escaping:
+        verdict = UNDECIDED
+    elif recurrent:
+        verdict = RECURRENT
+    elif escaping:
+        verdict = ESCAPING
+    else:
+        verdict = BOUNDED if bounded else UNDECIDED
+    return dict(verdict=verdict, steps=len(dists) - 1, gap=gap,
+                gap_time=gaps.index(gap) + 1 if gaps else 0, radii=radii,
+                crossing_times=tuple(crossing), max_distance=max_distance,
+                max_distance_time=max_time, distances=tuple(dists))
+
+
+def oracle_orbits():
+    """(label, map, points): a few pool points of each suite map, the
+    non-interval orbits of the benchmark, and f(x) = 2x from a dyadic start,
+    where d(0, f^n x) lands exactly on the default ladder's radii."""
+    cases = []
+    for name, f in interval_map_suite().items():
+        hi = f.space.b if math.isfinite(f.space.b) else 10.0
+        pool = [f.space.a + (hi - f.space.a) * (i + 1) / 1001 for i in (0, 123, 500, 877, 999)]
+        cases.append((name, f, pool))
+    box = LatticeBox(((-6, 6), (-6, 6)))
+    _, rotation = circle_rotation_space(7)
+    cases += [
+        ("alpha-shift", forward_shift_map(AlphaSpace(np.arange(1.0, 401.0))), (1, 50, 200)),
+        ("alpha-block-cycle", block_cycle_map(block_cycle_space(10), 10), (1, 7, 30)),
+        ("finite-rotation-7", rotation, (1, 3)),
+        ("finite-backward-shift", backward_shift_map(backward_shift_space(12)), (1, 5, 12)),
+    ]
+    for label, mat in (("rotation", [[0, -1], [1, 0]]), ("shear", [[1, 1], [0, 1]]),
+                       ("projection", [[1, 0], [0, 0]])):
+        f = map_from_json({"kind": "lattice-rule", "matrix": mat}, box)
+        cases.append((f"lattice-{label}", f, ((1, 0), (1, 1), (3, 2), (-4, 5))))
+    twice = PiecewiseLinearMap(IntervalSpace(0.0, math.inf), [(0.0, 0.0)], right_slope=2.0)
+    cases.append(("twice", twice, (0.75, 1.0)))
+    return cases
+
+
+@pytest.mark.parametrize("case", oracle_orbits(), ids=lambda case: case[0])
+def test_classify_orbit_matches_the_documented_rule(case):
+    label, f, points = case
+    for params in (ClassificationParams(horizon=1000, radii=SMALL_LADDER),
+                   ClassificationParams(horizon=1000)):
+        for x in points:
+            for power in range(1, 6):
+                rep = classify_orbit(f, x, params, power=power)
+                want = reference_classification(f, f.space.check_point(x), params, power)
+                got = {k: getattr(rep, k) for k in want}
+                assert got == want, (label, x, params.radii, power)
+
+
+def test_crossing_counts_a_distance_equal_to_the_radius():
+    # d(0, f^n x) = 0.75 * 2^n is exactly the n-th default radius
+    f = PiecewiseLinearMap(IntervalSpace(0.0, math.inf), [(0.0, 0.0)], right_slope=2.0)
+    rep = classify_orbit(f, 0.75, ClassificationParams(horizon=100))
+    assert rep.radii[3] == rep.distances[4] == 12.0
+    assert rep.crossing_times == tuple(range(1, 21))
+
+
+def test_unbounded_tail_overflow_leaves_the_presentation():
+    f = PiecewiseLinearMap(IntervalSpace(0.0, math.inf), [(0.0, 0.0)], right_slope=2.0)
+    rep = classify_orbit(f, 1.0, ClassificationParams(horizon=2000))
+    assert rep.steps == 1023
+    assert rep.verdict == ESCAPING
+    assert rep.note == (
+        "orbit left the computable presentation at step 1024: point inf not in interval [0.0, inf]"
+    )
+    assert iterate_point(f, 1.0, 1023) == 2.0**1023
+    with pytest.raises(DomainError):
+        iterate_point(f, 1.0, 1024)
 
 
 def test_classification_json_is_faithful():

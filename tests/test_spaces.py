@@ -29,9 +29,7 @@ from conftest import random_finite_space
 
 def test_validate_accepts_euclidean_matrix(rng):
     sp = random_finite_space(rng, 12)
-    check = validate_finite_metric(sp.matrix)
-    assert check.ok
-    assert check.first() is None
+    assert validate_finite_metric(sp.matrix) is None
 
 
 @pytest.mark.parametrize(
@@ -41,12 +39,15 @@ def test_validate_accepts_euclidean_matrix(rng):
         ([[0.0, 1.0], [2.0, 0.0]], "symmetry"),
         ([[0.0, -1.0], [-1.0, 0.0]], "negative"),
         ([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]], "triangle"),
+        ([[0.0, 1.0]], "shape"),
+        ([[0.0, math.nan], [math.nan, 0.0]], "non-finite"),
+        ([[0.0, 0.0], [0.0, 0.0]], "zero-off-diagonal"),
+        ([[0.0, -1.0], [2.0, 0.5]], "diagonal"),  # the first of three violations
     ],
 )
 def test_validate_flags_each_axiom(matrix, kind):
-    check = validate_finite_metric(matrix)
-    assert not check.ok
-    assert any(v.kind == kind for v in check.violations)
+    with pytest.raises(DomainError, match=rf"^not a metric \({kind}\): "):
+        validate_finite_metric(matrix)
 
 
 def test_finite_space_rejects_bad_matrix():
