@@ -9,12 +9,12 @@ signals fall back to "Undecided" instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
 from .spaces import DomainError, IntervalSpace, _coerce_number
-from .vectors import FreeVector, Functional, make_free_vector, point_to_json, vector_to_json
+from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
 RECURRENT = "RecurrentEvidence"
@@ -231,8 +231,6 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
 
 def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -> list[float]:
     """Norms of the pushed-forward vector at steps 0..horizon."""
-    from .vectors import push_forward
-
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     values = [free_norm(mu, backend=backend)]
@@ -628,15 +626,7 @@ def classification_to_json(report: ClassificationReport) -> dict:
 
 
 def rigidity_to_json(cert: RigidityCertificate) -> dict:
-    return {
-        "times": list(cert.times),
-        "bound": cert.bound,
-        "lip_values": list(cert.lip_values),
-        "return_errors": list(cert.return_errors),
-        "tolerances": list(cert.tolerances),
-        "passed": cert.passed,
-        "reason": cert.reason,
-    }
+    return asdict(cert)
 
 
 def interval_analysis_to_json(analysis: IntervalAnalysis) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,13 +57,7 @@ def _check(name: str, ok: bool, detail: str = "") -> ExperimentCheck:
 
 
 def experiment_to_json(report: ExperimentReport) -> dict:
-    return {
-        "name": report.name,
-        "ok": report.ok,
-        "params": report.params,
-        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks],
-        "data": report.data,
-    }
+    return {**asdict(report), "ok": report.ok}
 
 
 # ---------------------------------------------------------------------------

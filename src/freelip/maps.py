@@ -5,17 +5,19 @@ vectors and whole maps.
 A map presentation matches its space: an index table on a finite space, an
 index rule on a sequence space, a continuous piecewise-linear function on an
 interval, a coordinate rule on a lattice box.  Lipschitz constants are exact
-wherever the presentation allows exhaustion (finite tables, piecewise-linear
-slopes, fully enumerated boxes) and explicitly window- or sample-limited
-otherwise.  ``apply`` takes a checked point and checks only its image, where
-the presentation can leave the space: an interval image, a float that
-``eval`` has just computed, is checked by its bounds and its finiteness.
+for finite tables, piecewise-linear slopes and lattice boxes; only sequence
+rules are window-limited, and nothing is sampled.  On a finite space, a
+lattice box or a sequence space, the Lipschitz constant and the norm of the
+linearized operator are both attained on an edge of the space (``_edges``).
+``apply`` takes a checked point and checks only its image, where the
+presentation can leave the space: an interval image, a float that ``eval``
+has just computed, is checked by its bounds and its finiteness.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,7 +32,8 @@ from .spaces import (
     _coerce_number,
     same_space,
 )
-from .vectors import FreeVector, push_forward
+from .norms import norm_flow
+from .vectors import FreeVector, make_free_vector, push_forward
 
 __all__ = [
     "LipEstimate",
@@ -49,8 +52,6 @@ __all__ = [
 ]
 
 BREAKPOINT_BUDGET = 100_000
-LIP_PAIR_BUDGET = 2_000_000       # lattice boxes with more pairs are sampled
-OPERATOR_PAIR_BUDGET = 50_000     # point sets with more pairs are sampled
 
 
 @dataclass(frozen=True)
@@ -369,24 +370,54 @@ def iterate_vector(f, mu: FreeVector, n: int) -> FreeVector:
 # Lipschitz constants
 
 
+def _edges(space):
+    """The point pairs (x, y) whose molecules (delta(x) - delta(y)) / d(x, y)
+    carry every molecule of ``space`` as a convex combination, in order:
+
+    - every pair i < j of a finite space;
+    - the unit steps p -> p + e_i inside a lattice box, whose l1 metric is
+      the path metric of its grid (p runs row-major, then i);
+    - the star edges (0, n) of a sequence space, whose two-ray metric is the
+      path metric of a star around 0.
+
+    A molecule splits along a shortest path into edge molecules, so both a
+    Lipschitz constant and the norm of a linearized operator are attained on
+    an edge (Weaver, *Lipschitz Algebras*, 2nd ed., 2018).
+    """
+    if isinstance(space, FiniteSpace):
+        yield from itertools.combinations(space.points(), 2)
+    elif isinstance(space, LatticeBox):
+        tops = [hi for _, hi in space.bounds]
+        for p in space.points():
+            for i, hi in enumerate(tops):
+                if p[i] < hi:
+                    yield p, p[:i] + (p[i] + 1,) + p[i + 1:]
+    elif isinstance(space, AlphaSpace):
+        for n in range(1, space.prefix_length + 1):
+            yield 0, n
+    else:
+        raise DomainError("interval spaces need an explicit finite point sample")
+
+
 def lip_constant(f, window: int | None = None) -> LipEstimate:
     """Lipschitz constant with an attaining certificate.
 
-    Exact for finite tables (all pairs), piecewise-linear maps (slopes) and
-    lattice boxes small enough to enumerate under ``LIP_PAIR_BUDGET`` pairs.
-    For sequence-space rules the supremum is taken over indices 1..window
-    (default: the whole materialized prefix) and reported as window-limited.
+    Exact for finite tables and lattice rules, as the largest ratio
+    d(f(x), f(y)) / d(x, y) over the edges of the space: the witness is the
+    first maximal pair i < j of a finite space, and the first maximal unit
+    step of a lattice box.  Exact for piecewise-linear maps, from their
+    slopes.  For sequence-space rules the supremum is taken over indices
+    1..window (default: the whole materialized prefix) and reported as
+    window-limited.
     """
-    if isinstance(f, FiniteMap) or (isinstance(f, LatticeMap) and f.space.size() ** 2 <= LIP_PAIR_BUDGET):
+    if isinstance(f, (FiniteMap, LatticeMap)):
         sp = f.space
-        pts = list(sp.points())
-        images = [f.apply(p) for p in pts]
+        image = {p: f.apply(p) for p in sp.points()}
         best, wit = 0.0, None
-        for i, p in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                r = sp.distance(images[i], images[j]) / sp.distance(p, pts[j])
-                if r > best:
-                    best, wit = r, (p, pts[j])
+        for p, q in _edges(sp):
+            r = sp.distance(image[p], image[q]) / sp.distance(p, q)
+            if r > best:
+                best, wit = r, (p, q)
         return LipEstimate(best, wit, exact=True)
 
     if isinstance(f, AlphaMap):
@@ -412,56 +443,30 @@ def lip_constant(f, window: int | None = None) -> LipEstimate:
         best = max(vals)
         return LipEstimate(best, vals.index(best), exact=True)
 
-    if isinstance(f, LatticeMap):
-        sp = f.space
-        rng = random.Random(0)
-        pts = list(sp.points())
-        best, wit = 0.0, None
-        for _ in range(LIP_PAIR_BUDGET):
-            p, q = rng.sample(pts, 2)
-            r = sp.distance(f.apply(p), f.apply(q)) / sp.distance(p, q)
-            if r > best:
-                best, wit = r, (p, q)
-        return LipEstimate(best, wit, exact=False, note=f"lower bound from {LIP_PAIR_BUDGET} sampled pairs")
-
     raise DomainError(f"not a recognized map presentation: {f!r}")
 
 
 def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
     """Norm of the linearized operator probed on normalized two-point vectors
     ``(delta(x) - delta(y)) / d(x, y)``, each pushed forward and measured with
-    the transport solver.  Exact (equal to the Lipschitz constant) when every
-    pair of ``points`` (default: the whole non-interval space) is enumerated
-    under ``OPERATOR_PAIR_BUDGET``; a lower bound from sampled pairs otherwise.
-    """
-    from .norms import norm_flow
-    from .vectors import make_free_vector
+    the transport solver; the witness is the first maximal pair.
 
+    With ``points``, every pair x, y of them (in the given order) is probed.
+    Without, the edges of the space are (an interval needs ``points``), so
+    the value is the norm of the operator and equals the Lipschitz constant.
+    """
     space = f.space
     if points is None:
-        if isinstance(space, IntervalSpace):
-            raise DomainError("interval spaces need an explicit finite point sample")
-        points = space.points()
-    pts = [space.check_point(p) for p in points]
-    n = len(pts)
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    exhaustive = len(all_pairs) <= OPERATOR_PAIR_BUDGET
-    if not exhaustive:
-        rng = random.Random(0)
-        all_pairs = [
-            tuple(sorted(rng.sample(range(n), 2))) for _ in range(OPERATOR_PAIR_BUDGET)
-        ]
-
+        pairs = _edges(space)
+    else:
+        pairs = itertools.combinations([space.check_point(p) for p in points], 2)
     best, wit = 0.0, None
-    for i, j in all_pairs:
-        x, y = pts[i], pts[j]
-        dxy = space.distance(x, y)
+    for x, y in pairs:
         mol = make_free_vector(space, [(x, 1.0), (y, -1.0)])
-        val = norm_flow(push_forward(f, mol)).value / dxy
+        val = norm_flow(push_forward(f, mol)).value / space.distance(x, y)
         if val > best:
             best, wit = val, (x, y)
-    note = "" if exhaustive else f"lower bound from {len(all_pairs)} sampled pairs"
-    return LipEstimate(best, wit, exact=exhaustive, note=note)
+    return LipEstimate(best, wit, exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import AlphaSpace, DomainError, IntervalSpace
-from .vectors import FreeVector, Functional, make_free_vector
+from .vectors import FreeVector, Functional, make_free_vector, point_to_json
 
 __all__ = [
     "NormResult",
@@ -313,8 +313,6 @@ def free_norm(mu: FreeVector, backend: str = "auto") -> float:
 
 
 def norm_result_to_json(result: NormResult) -> dict:
-    from .vectors import point_to_json
-
     return {
         "value": result.value,
         "witness": [[point_to_json(p), v] for p, v in result.witness],

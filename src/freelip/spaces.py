@@ -16,8 +16,10 @@ one call per pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -158,7 +160,7 @@ class AlphaSpace:
     basepoint = 0
 
     def __init__(self, alpha: Iterable[float]):
-        arr = np.asarray(list(alpha), dtype=float)
+        arr = np.fromiter(alpha, dtype=float)
         if arr.size == 0:
             raise DomainError("alpha prefix must be nonempty")
         if not np.all(arr > 0) or not np.all(np.isfinite(arr)):
@@ -322,7 +324,7 @@ class LatticeBox:
         return tuple(int(c) for c in p)
 
     def distance(self, p, q) -> float:
-        return float(sum(abs(a - b) for a, b in zip(p, q)))
+        return float(sum(map(abs, map(operator.sub, p, q))))
 
     def cost_matrix(self, points) -> list[list[float]]:
         # exact integer sums, rounded to float once as in ``distance``; Python
@@ -333,8 +335,6 @@ class LatticeBox:
 
     def points(self):
         """Enumerate the whole box (row-major); intended for small boxes."""
-        import itertools
-
         ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
         return itertools.product(*ranges)
 

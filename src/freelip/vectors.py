@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .spaces import DomainError, _coerce_number, same_space
+from .spaces import DomainError, _coerce_number, same_space, space_from_json, space_to_json
 
 __all__ = [
     "FreeVector",
@@ -146,8 +146,6 @@ def point_to_json(p):
 
 
 def vector_to_json(mu: FreeVector) -> dict:
-    from .spaces import space_to_json
-
     return {
         "space": space_to_json(mu.space),
         "terms": [[point_to_json(p), c] for p, c in mu.terms],
@@ -155,8 +153,6 @@ def vector_to_json(mu: FreeVector) -> dict:
 
 
 def vector_from_json(obj: dict, space=None) -> FreeVector:
-    from .spaces import space_from_json
-
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise DomainError("vector object must be a dict with a 'terms' array")
     if space is None:

@@ -429,6 +429,25 @@ def test_selftest_seed_7_reports_match_recorded_digests(tmp_path):
     assert digests == SELFTEST_SEED_7_SHA256
 
 
+GALLERY_SHA256 = {
+    "gallery-backward-shift.json": "1f5bc31ed3ffb399c7a5ad81090a1c8cfb8c402edbc9541add3847a0f84155c4",
+    "gallery-block-cycle.json": "9d503403fc8cbfb85a98729b5349da5830a8427d5cf9411f8979e05f63880550",
+    "gallery-doubling.json": "f3fa5fdd04bd4f078e0fc67c87f6be42bbc3b402bf0070e8f843237c966528c9",
+    "gallery-rotation-4.json": "b717828c11a43d059f1d3eb8482aa0b2ae46ec4009b8def3b6ff6706f4b7b9eb",
+    "gallery-rotation-7.json": "31302eba59261d05f87eec5fdbafcf05241dda23618dba0487b7a57eafbac48b",
+    "gallery-shift-linear.json": "b6163d85a976b39032792f0a54fc503015d0ea8f56666f37f91b794e61593a17",
+    "gallery-shift-tempered.json": "49b782ff770aba17fb9770d46b5becc8a40946ac2b0bc1eef6b038b0189bdd17",
+    "gallery-tempered-alpha.json": "6949367fa7a5a541ab42e7fe91a9a95630ff5cd2e6408edc82d9ae6f9e13138a",
+}
+
+
+def test_gallery_reports_match_recorded_digests(tmp_path):
+    res = run_cli("gallery", "--outdir", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GALLERY_SHA256
+
+
 def test_selftest_summary_shape(tmp_path):
     res = run_cli("selftest", "--seed", "3", "--rounds", "2", "--outdir", str(tmp_path))
     assert res.returncode == 0

@@ -202,6 +202,21 @@ def test_compose_pl_flattens_exactly():
     assert max(abs(s) for s in h.slopes()) == 4.0
 
 
+@pytest.mark.parametrize("g_tails", [(-2.0, 0.0), (0.0, -0.5), (1.5, -3.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("f_tails", [(0.0, -0.5), (-2.0, 0.0), (3.0, 1.0)])
+def test_compose_pl_tails_on_the_whole_line(f_tails, g_tails):
+    # negative and zero tail slopes send a tail of g onto the opposite tail of
+    # f, or onto a constant; the composite must match f(g(x)) far out too
+    line = IntervalSpace(-math.inf, math.inf)
+    f = PiecewiseLinearMap(line, [(-2.0, 3.0), (0.0, 0.0), (2.0, -1.0)],
+                           left_slope=f_tails[0], right_slope=f_tails[1])
+    g = PiecewiseLinearMap(line, [(-1.0, 1.0), (0.0, 0.0), (1.0, 2.0)],
+                           left_slope=g_tails[0], right_slope=g_tails[1])
+    h = compose(f, g)
+    for x in [-1e3, -40.0, -7.5, -2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5, 9.0, 40.0, 1e3]:
+        assert h.eval(x) == pytest.approx(f.eval(g.eval(x)), rel=1e-12, abs=1e-12)
+
+
 def test_compose_rejects_foreign_spaces():
     with pytest.raises(DomainError):
         compose(tent_map(), PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0), (1.0, 1.0)], right_slope=1.0))
@@ -293,6 +308,40 @@ def test_lip_lattice_enumerates_small_boxes():
     assert est.exact and est.value == 1.0
 
 
+def _random_lattice_map(rng, dim):
+    box = LatticeBox(tuple((-rng.randrange(0, 3), rng.randrange(1, 3)) for _ in range(dim)))
+    pts = list(box.points())
+    table = {p: p if p == box.basepoint else rng.choice(pts) for p in pts}
+    return LatticeMap(box, lambda p, table=table: table[p])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lip_lattice_unit_steps_match_all_pairs(rng, dim):
+    # l1 on a box is the path metric of its grid, so the largest ratio over
+    # unit steps is the largest over all pairs
+    for _ in range(8):
+        f = _random_lattice_map(rng, dim)
+        sp = f.space
+        pts = list(sp.points())
+        brute = max(
+            sp.distance(f.apply(p), f.apply(q)) / sp.distance(p, q)
+            for i, p in enumerate(pts) for q in pts[i + 1:]
+        )
+        est = lip_constant(f)
+        assert est.exact and est.value == brute
+        if brute > 0.0:  # a map onto the origin has no witness
+            p, q = est.witness
+            assert sp.distance(p, q) == 1.0
+            assert sp.distance(f.apply(p), f.apply(q)) == est.value
+
+
+def test_lip_lattice_large_box_is_exact():
+    box = LatticeBox(((-20, 20), (-20, 20)))
+    swap = map_from_json({"kind": "lattice-rule", "matrix": [[0, 1], [1, 0]]}, box)
+    est = lip_constant(swap)
+    assert est.exact and est.value == 1.0 and est.note == ""
+
+
 # ---------------------------------------------------------------------------
 # operator norm via molecules
 
@@ -306,6 +355,24 @@ def test_operator_norm_equals_lip_on_finite_spaces(rng):
         lip = lip_constant(f)
         assert est.exact
         assert est.value == pytest.approx(lip.value, rel=1e-9, abs=1e-12)
+
+
+def test_operator_norm_equals_lip_on_lattice_boxes(rng):
+    for dim in (1, 2, 3):
+        for _ in range(3):
+            f = _random_lattice_map(rng, dim)
+            est = operator_norm_estimate(f)
+            assert est.exact and est.value == lip_constant(f).value
+
+
+def test_operator_norm_equals_lip_on_alpha_prefixes(rng):
+    for _ in range(6):
+        n = rng.randrange(1, 20)
+        sp = AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(n)])
+        table = [0] + [rng.randrange(n + 1) for _ in range(n)]
+        f = map_from_json({"kind": "alpha-rule", "rule": "table", "table": table}, sp)
+        est = operator_norm_estimate(f)
+        assert est.exact and est.value == lip_constant(f).value
 
 
 def test_operator_norm_witness_is_a_molecule(rng):
