@@ -507,7 +507,7 @@ def _reflect_pl(f: PiecewiseLinearMap) -> PiecewiseLinearMap:
 
 
 def _reflect_side(res: SideAnalysis, original_space) -> SideAnalysis:
-    flip = lambda iv: (-iv[1], -iv[0])
+    flip = lambda iv: (0.0 - iv[1], 0.0 - iv[0])  # -x would turn an end at 0 into -0.0
     vec = None
     if res.vector is not None:
         # reflection is an isometry fixing 0, so negating every support point

@@ -2,11 +2,15 @@
 
 Every experiment returns an :class:`ExperimentReport` whose checks encode the
 closed-form facts the construction is supposed to exhibit; a report with a
-failed check is a loud deviation, not a soft warning.
+failed check is a loud deviation, not a soft warning.  The checks walk orbits
+through the library's own ``recurrence_gap``, ``iterate_point`` and
+``push_forward``, and the maps are built on the JSON loader's rules, so the
+gallery holds no orbit loop or index rule of its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -24,10 +28,10 @@ from .dynamics import (
     rigidity_check,
     shift_profile_closed_form,
 )
-from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_vector, lip_constant
+from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
 from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace
-from .vectors import FreeVector, make_free_vector
+from .vectors import FreeVector, make_free_vector, push_forward
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,12 @@ def _check(name: str, ok: bool, detail: str = "") -> ExperimentCheck:
     return ExperimentCheck(name=name, ok=bool(ok), detail=detail)
 
 
+def _check_cases(name: str, failures) -> ExperimentCheck:
+    """Pass when ``failures`` yields no message; otherwise fail with the first."""
+    detail = next(iter(failures), None)
+    return ExperimentCheck(name=name, ok=detail is None, detail=detail or "")
+
+
 def experiment_to_json(report: ExperimentReport) -> dict:
     return {**asdict(report), "ok": report.ok}
 
@@ -81,10 +91,7 @@ class BlockScheme:
 
     @property
     def ss(self) -> tuple[int, ...]:
-        out = [0]
-        for k in self.ks[1:]:
-            out.append(out[-1] + k)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.ks))  # k_0 = 0, so s_0 = 0
 
     @property
     def blocks(self) -> int:
@@ -183,12 +190,7 @@ def tempered_alpha_space(blocks: int = 12, scheme: BlockScheme | None = None) ->
 
 def forward_shift_map(space: AlphaSpace) -> AlphaMap:
     """n -> n + 1 on the sequence space (0 stays put)."""
-    return AlphaMap(
-        space=space,
-        rule=lambda n: n + 1 if n >= 1 else 0,
-        name="forward-shift",
-        rule_json={"rule": "forward-shift"},
-    )
+    return map_from_json({"kind": "alpha-rule", "rule": "forward-shift"}, space)
 
 
 def shift_vector(space: AlphaSpace, lam) -> FreeVector:
@@ -264,29 +266,21 @@ def block_cycle_space(blocks: int) -> AlphaSpace:
     """Block n is [s_n, s_{n+1}) with s_n = n (n + 1) / 2: n + 1 indices whose
     weights 2^(m - s_n) rise from 2^0 to 2^n, cycled by ``block_cycle_map``
     with period n + 1."""
-    scheme = BlockScheme.triangular(blocks + 1)
-    ss = scheme.ss
-    top = ss[blocks + 1] - 1
-    alpha = np.empty(top, dtype=np.float64)
+    alpha = []
     for n in range(1, blocks + 1):
-        lo, hi = ss[n], ss[n + 1]
-        alpha[lo - 1 : hi - 1] = np.power(2.0, np.arange(0, hi - lo, dtype=np.float64))
+        alpha.extend(2.0 ** j for j in range(n + 1))
     return AlphaSpace(alpha)
 
 
 def block_cycle_map(space: AlphaSpace, blocks: int) -> AlphaMap:
     """Step forward within each block, wrapping the last index to the start."""
-    scheme = BlockScheme.triangular(blocks + 1)
-    ss = scheme.ss
-
-    def rule(m: int) -> int:
-        if m == 0:
-            return 0
-        n = bisect_right(ss, m) - 1
-        return ss[n] if m == ss[n + 1] - 1 else m + 1
-
-    table = tuple(rule(m) for m in range(space.prefix_length + 1))
-    return AlphaMap(space=space, rule=rule, name="block-cycle",
+    ss = BlockScheme.triangular(blocks + 1).ss
+    table = [0]
+    for n in range(1, blocks + 1):
+        table.extend(range(ss[n] + 1, ss[n + 1]))
+        table.append(ss[n])
+    table = tuple(table)
+    return AlphaMap(space=space, rule=table.__getitem__, name="block-cycle",
                     rule_json={"rule": "table", "table": list(table)})
 
 
@@ -299,52 +293,33 @@ def block_cycle_experiment(blocks: int = 10, horizon: int = 1000) -> ExperimentR
     divides s_n = n (n + 1) / 2, i.e. iff n is even; the experiment records
     that parity fact rather than asserting a uniform s_n-return.
     """
-    scheme = BlockScheme.triangular(blocks + 1)
-    ss = scheme.ss
+    ss = BlockScheme.triangular(blocks + 1).ss
     space = block_cycle_space(blocks)
     f = block_cycle_map(space, blocks)
 
-    periodic_ok = True
-    period_detail = ""
-    for m in range(1, ss[blocks + 1]):
-        n = bisect_right(ss, m) - 1
-        want = n + 1
-        y = m
-        period = None
-        for j in range(1, want + 1):
-            y = f.apply(y)
-            if y == m:
-                period = j
-                break
-        if period != want:
-            periodic_ok = False
-            period_detail = f"index {m} in block {n}: period {period}, expected {want}"
-            break
+    def period_failures():
+        # a first exact return at step n + 1 is a minimal period of n + 1
+        for n in range(1, blocks + 1):
+            for m in range(ss[n], ss[n + 1]):
+                gap = recurrence_gap(f, m, n + 1)
+                if gap != (0.0, n + 1):
+                    yield (f"index {m} in block {n}: recurrence gap {gap}, "
+                           f"expected an exact return at step {n + 1}")
 
-    parity_ok = True
-    parity_detail = ""
-    for n in range(1, blocks + 1):
-        m = ss[n]
-        y = m
-        for _ in range(ss[n]):
-            y = f.apply(y)
-        returned = y == m
-        if returned != (n % 2 == 0):
-            parity_ok = False
-            parity_detail = f"block {n}: return after s_n = {ss[n]} steps is {returned}"
-            break
+    def parity_failures():
+        for n in range(1, blocks + 1):
+            returned = iterate_point(f, ss[n], ss[n]) == ss[n]
+            if returned != (n % 2 == 0):
+                yield f"block {n}: return after s_n = {ss[n]} steps is {returned}"
 
     lip_blocks, lip_max = 21, 20  # Lip(f^j) = 2^j is checked for j <= lip_max on its own space
-    lip_space = block_cycle_space(lip_blocks)
-    lip_map = block_cycle_map(lip_space, lip_blocks)
-    lip_ok = True
-    lip_detail = ""
-    for j in range(1, lip_max + 1):
-        got = lip_constant(iterate_map(lip_map, j)).value
-        if got != 2.0 ** j:
-            lip_ok = False
-            lip_detail = f"Lip of iterate {j} is {got!r}, expected {2.0 ** j!r}"
-            break
+    lip_map = block_cycle_map(block_cycle_space(lip_blocks), lip_blocks)
+
+    def lip_failures():
+        for j in range(1, lip_max + 1):
+            got = lip_constant(iterate_map(lip_map, j)).value
+            if got != 2.0 ** j:
+                yield f"Lip of iterate {j} is {got!r}, expected {2.0 ** j!r}"
 
     coef = {n: 1.0 / n ** 2 for n in range(1, blocks + 1)}
     mu = make_free_vector(space, [(ss[n], coef[n]) for n in range(1, blocks + 1)])
@@ -361,9 +336,9 @@ def block_cycle_experiment(blocks: int = 10, horizon: int = 1000) -> ExperimentR
         name="block-cycle",
         params={"blocks": blocks, "horizon": horizon, "lip_blocks": lip_blocks, "lip_max": lip_max},
         checks=(
-            _check("minimal-period-equals-block-size", periodic_ok, period_detail),
-            _check("block-start-return-iff-even-block", parity_ok, parity_detail),
-            _check("iterate-lipschitz-doubles", lip_ok, lip_detail),
+            _check_cases("minimal-period-equals-block-size", period_failures()),
+            _check_cases("block-start-return-iff-even-block", parity_failures()),
+            _check_cases("iterate-lipschitz-doubles", lip_failures()),
             _check("profile-matches-wraparound-closed-form", profile_ok,
                    f"horizon {horizon}, peak {peak!r}"),
         ),
@@ -402,32 +377,31 @@ def doubling_experiment(n_terms: int = 40, horizon: int = 30) -> ExperimentRepor
     space = f.space
     mu = dyadic_tail_vector(space, n_terms)
 
-    structural_ok = True
-    structural_detail = ""
-    norm_ok = True
-    norm_detail = ""
-    flow_ok = True
-    flow_detail = ""
-    for k in range(horizon + 1):
-        got = iterate_vector(f, mu, k)
-        want = make_free_vector(
-            space, [(1.0, float(k))] + [(2.0 ** -n, 1.0) for n in range(1, n_terms - k + 1)]
-        )
-        if got.terms != want.terms:
-            structural_ok = False
-            structural_detail = f"step {k}: terms diverge from k*delta(1) + shifted tail"
-            break
-        value = k + 1.0 - 2.0 ** (k - n_terms)
-        if abs(norm_line(got) - value) > 1e-12 * (1.0 + value):
-            norm_ok = False
-            norm_detail = f"step {k}: norm {norm_line(got)!r} vs closed form {value!r}"
-            break
-        if k in (0, horizon // 2, horizon):
-            fv = norm_flow(got).value
-            if abs(fv - value) > 1e-9 * (1.0 + value):
-                flow_ok = False
-                flow_detail = f"step {k}: transport route {fv!r} vs {value!r}"
-                break
+    steps = [mu]  # steps[k] is the k-th image of mu, one push per step
+    for _ in range(horizon):
+        steps.append(push_forward(f, steps[-1]))
+
+    def structural_failures():
+        for k, got in enumerate(steps):
+            want = make_free_vector(
+                space, [(1.0, float(k))] + [(2.0 ** -n, 1.0) for n in range(1, n_terms - k + 1)]
+            )
+            if got.terms != want.terms:
+                yield f"step {k}: terms diverge from k*delta(1) + shifted tail"
+
+    closed = [k + 1.0 - 2.0 ** (k - n_terms) for k in range(horizon + 1)]
+
+    def norm_failures():
+        for k, got in enumerate(steps):
+            value = norm_line(got)
+            if abs(value - closed[k]) > 1e-12 * (1.0 + closed[k]):
+                yield f"step {k}: norm {value!r} vs closed form {closed[k]!r}"
+
+    def flow_failures():
+        for k in (0, horizon // 2, horizon):
+            value = norm_flow(steps[k]).value
+            if abs(value - closed[k]) > 1e-9 * (1.0 + closed[k]):
+                yield f"step {k}: transport route {value!r} vs {closed[k]!r}"
 
     params = ClassificationParams(horizon=200)
     verdicts = {x: classify_orbit(f, x, params).verdict for x in (0.25, 0.5, 1.0)}
@@ -438,13 +412,13 @@ def doubling_experiment(n_terms: int = 40, horizon: int = 30) -> ExperimentRepor
         name="doubling",
         params={"n_terms": n_terms, "horizon": horizon},
         checks=(
-            _check("pushforward-parks-mass-at-one", structural_ok, structural_detail),
-            _check("norm-profile-closed-form", norm_ok, norm_detail),
-            _check("transport-route-agrees", flow_ok, flow_detail),
+            _check_cases("pushforward-parks-mass-at-one", structural_failures()),
+            _check_cases("norm-profile-closed-form", norm_failures()),
+            _check_cases("transport-route-agrees", flow_failures()),
             _check("no-escape-on-bounded-interval", no_escape, f"verdicts {verdicts}"),
             _check("interior-orbit-bounded", bounded_sample, f"x = 0.25 -> {verdicts[0.25]}"),
         ),
-        data={"final_norm": horizon + 1.0 - 2.0 ** (horizon - n_terms)},
+        data={"final_norm": closed[horizon]},
     )
 
 
@@ -478,28 +452,19 @@ def backward_shift_experiment(n_points: int = 12, horizon: int = 64) -> Experime
     lip = lip_constant(f)
     lip_ok = lip.value == 2.0
 
-    reach_ok = True
-    reach_detail = ""
-    for i in range(1, space.size):
-        y = i
-        steps = 0
-        while y != 0 and steps <= space.size:
-            y = f.apply(y)
-            steps += 1
-        if y != 0 or steps != i:
-            reach_ok = False
-            reach_detail = f"point index {i} reached 0 in {steps} steps, expected {i}"
-            break
+    def reach_failures():
+        # 0 is fixed, so a nonzero (i-1)-th image and a zero i-th image mean
+        # the orbit of index i first reaches 0 at step i
+        for i in range(1, space.size):
+            if iterate_point(f, i, i - 1) == 0 or iterate_point(f, i, i) != 0:
+                yield f"point index {i} does not first reach 0 at step {i}"
 
-    gap_ok = True
-    gap_detail = ""
-    for i in range(1, space.size):
-        value = space.labels[i]
-        gap, _ = recurrence_gap(f, i, horizon)
-        if gap != value:
-            gap_ok = False
-            gap_detail = f"gap at {value!r} is {gap!r}"
-            break
+    def gap_failures():
+        for i in range(1, space.size):
+            value = space.labels[i]
+            gap, _ = recurrence_gap(f, i, horizon)
+            if gap != value:
+                yield f"gap at {value!r} is {gap!r}"
 
     params = ClassificationParams(horizon=horizon)
     sample = {i: classify_orbit(f, i, params).verdict for i in (0, 1, space.size - 1)}
@@ -512,8 +477,8 @@ def backward_shift_experiment(n_points: int = 12, horizon: int = 64) -> Experime
         params={"n_points": n_points, "horizon": horizon},
         checks=(
             _check("lipschitz-constant-is-two", lip_ok, f"got {lip.value!r} at pair {lip.witness}"),
-            _check("every-orbit-reaches-basepoint", reach_ok, reach_detail),
-            _check("gap-equals-own-distance", gap_ok, gap_detail),
+            _check_cases("every-orbit-reaches-basepoint", reach_failures()),
+            _check_cases("gap-equals-own-distance", gap_failures()),
             _check("only-basepoint-recurrent", verdict_ok, f"verdicts {sample}"),
         ),
         data={"lip_witness": list(lip.witness) if lip.witness else None},
@@ -581,8 +546,7 @@ def circle_rotation_experiment(q: int = 7, times: tuple[int, ...] | None = None)
 
     lip_ok = all(lip_constant(iterate_map(f, j)).value == 1.0 for j in range(1, q + 1))
 
-    idq = iterate_map(f, q)
-    identity_ok = all(idq.apply(i) == i for i in range(space.size))
+    identity_ok = iterate_map(f, q).table == tuple(space.points())
 
     cert = rigidity_check(f, list(range(space.size)), times, bound=1.0)
     rigid_ok = cert.passed and all(e == 0.0 for e in cert.return_errors)

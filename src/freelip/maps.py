@@ -87,8 +87,9 @@ class FiniteMap:
 
 @dataclass(frozen=True)
 class AlphaMap:
-    """Index rule on a sequence space.  The rule must fix 0; applications
-    whose image escapes the materialized prefix fail loudly."""
+    """Index rule on a sequence space.  The rule must fix 0; an image is
+    checked as a point, so one past the materialized prefix raises
+    ``PrefixExhausted`` and any other non-point ``DomainError``."""
 
     space: AlphaSpace
     rule: Callable[[int], int]
@@ -102,15 +103,7 @@ class AlphaMap:
             raise DomainError("map must fix the basepoint 0")
 
     def apply(self, p) -> int:
-        q = int(self.rule(p))
-        if q < 0:
-            raise DomainError(f"rule sent {p} to the negative index {q}")
-        if q > self.space.prefix_length:
-            raise PrefixExhausted(
-                f"rule sent {p} to {q}, beyond the materialized prefix "
-                f"of length {self.space.prefix_length}"
-            )
-        return q
+        return self.space.check_point(self.rule(p))
 
 
 class PiecewiseLinearMap:
@@ -451,15 +444,16 @@ def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
     ``(delta(x) - delta(y)) / d(x, y)``, each pushed forward and measured with
     the transport solver; the witness is the first maximal pair.
 
-    With ``points``, every pair x, y of them (in the given order) is probed.
-    Without, the edges of the space are (an interval needs ``points``), so
-    the value is the norm of the operator and equals the Lipschitz constant.
+    With ``points``, every pair x, y of them is probed, in the given order
+    and with a repeated point counted once.  Without, the edges of the space
+    are (an interval needs ``points``), so the value is the norm of the
+    operator and equals the Lipschitz constant.
     """
     space = f.space
     if points is None:
         pairs = _edges(space)
     else:
-        pairs = itertools.combinations([space.check_point(p) for p in points], 2)
+        pairs = itertools.combinations(dict.fromkeys(space.check_point(p) for p in points), 2)
     best, wit = 0.0, None
     for x, y in pairs:
         mol = make_free_vector(space, [(x, 1.0), (y, -1.0)])

@@ -448,6 +448,20 @@ def test_gallery_reports_match_recorded_digests(tmp_path):
     assert digests == GALLERY_SHA256
 
 
+def test_selftest_runs_on_numpy_alone(tmp_path):
+    # scipy and networkx are test oracles, hypothesis and pytest test tools;
+    # the library itself must run without importing any of them
+    code = (
+        "import sys\n"
+        "from freelip.cli import main\n"
+        f"status = main(['selftest', '--seed', '7', '--outdir', {str(tmp_path)!r}])\n"
+        "print(status, sorted(m for m in ('scipy', 'networkx', 'hypothesis', 'pytest') if m in sys.modules))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[-2] == "0 []"
+
+
 def test_selftest_summary_shape(tmp_path):
     res = run_cli("selftest", "--seed", "3", "--rounds", "2", "--outdir", str(tmp_path))
     assert res.returncode == 0

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from freelip import (
     fill_map,
     forward_shift_map,
     identity_map,
+    interval_analysis_to_json,
     interval_analyze,
     interval_map_suite,
     iterate_point,
@@ -485,6 +488,36 @@ def test_negative_side_analyzed_through_reflection():
     assert pos.case == CASE_NO_DRIFT
     # the reflected backward orbit mirrors the one-sided doubling analysis
     assert neg.sequence == tuple(-(2.0**-n) for n in range(1, 9))
+
+
+def test_reflected_report_writes_no_negative_zero():
+    # the negative side's drift component ends at 0, which its mirror image
+    # must not turn into -0.0 in the written report
+    sp = IntervalSpace(-1.0, 1.0)
+    f = PiecewiseLinearMap(
+        sp, [(-1.0, -1.0), (-0.5, -1.0), (0.0, 0.0), (1.0, 0.5)]
+    )
+    res = interval_analyze(f, depth=8)
+    (lo, hi), = res.side("negative").components
+    assert (lo, math.copysign(1.0, hi)) == (-1.0, 1.0)
+    text = json.dumps(interval_analysis_to_json(res))
+    assert re.search(r"-0\.0(?!\d)", text) is None, text
+
+
+def test_whole_line_reflects_both_tails():
+    # on (-inf, inf) the mirror y -> -f(-y) needs both end slopes; its right
+    # tail is f's left tail, on which the negative side escapes
+    line = IntervalSpace(-math.inf, math.inf)
+    f = PiecewiseLinearMap(
+        line, [(-1.0, -0.5), (0.0, 0.0), (1.0, 0.5)], left_slope=2.0, right_slope=0.5
+    )
+    res = interval_analyze(f)
+    assert res.case == CASE_UNBOUNDED_DRIFT
+    assert res.side("positive").case == CASE_NO_DRIFT
+    neg = res.side("negative")
+    assert neg.case == CASE_UNBOUNDED_DRIFT
+    assert neg.component == (-math.inf, -1.5)
+    assert neg.certificate == -2.5
 
 
 def test_severity_takes_the_worse_side():

@@ -13,11 +13,16 @@ import math
 
 import pytest
 
+import freelip.gallery as gallery
 from freelip import (
     GALLERY,
+    AlphaMap,
     AlphaSpace,
     BlockScheme,
     DomainError,
+    FiniteMap,
+    IntervalSpace,
+    PiecewiseLinearMap,
     backward_shift_experiment,
     backward_shift_map,
     backward_shift_space,
@@ -347,3 +352,84 @@ def test_gallery_select_by_name():
     assert [k for k, _ in results] == ["doubling", "rotation-4"]
     with pytest.raises(DomainError):
         gallery_experiments(names=["borel"])
+
+
+# ---------------------------------------------------------------------------
+# a broken map fails the checks, and each failure names its case
+
+
+def _block_cycle_wrapping_to(offset):
+    """Like ``block_cycle_map``, but block n wraps to s_n + offset."""
+
+    def build(space, blocks):
+        ss = BlockScheme.triangular(blocks + 1).ss
+        table = [0]
+        for n in range(1, blocks + 1):
+            table.extend(range(ss[n] + 1, ss[n + 1]))
+            table.append(ss[n] + offset)
+        return AlphaMap(space=space, rule=tuple(table).__getitem__, name="broken")
+
+    return build
+
+
+def _failed_details(report):
+    return {c.name: c.detail for c in report.failures()}
+
+
+def test_block_cycle_checks_fail_on_a_wrong_wrap(monkeypatch):
+    monkeypatch.setattr(gallery, "block_cycle_map", _block_cycle_wrapping_to(1))
+    failed = _failed_details(block_cycle_experiment(blocks=6, horizon=60))
+    assert set(failed) == {
+        "minimal-period-equals-block-size",
+        "block-start-return-iff-even-block",
+        "profile-matches-wraparound-closed-form",
+    }
+    # 1 -> 2 -> 2 never returns; block 2 wraps 3 -> 4 -> 5 -> 4
+    assert failed["minimal-period-equals-block-size"].startswith("index 1 in block 1:")
+    assert failed["block-start-return-iff-even-block"] == "block 2: return after s_n = 3 steps is False"
+
+
+def test_block_cycle_checks_fail_on_the_identity(monkeypatch):
+    monkeypatch.setattr(gallery, "block_cycle_map",
+                        lambda space, blocks: AlphaMap(space=space, rule=lambda m: m))
+    failed = _failed_details(block_cycle_experiment(blocks=6, horizon=60))
+    assert failed["minimal-period-equals-block-size"] == (
+        "index 1 in block 1: recurrence gap (0.0, 1), expected an exact return at step 2"
+    )
+    assert failed["block-start-return-iff-even-block"] == "block 1: return after s_n = 1 steps is True"
+    assert failed["iterate-lipschitz-doubles"] == "Lip of iterate 1 is 1.0, expected 2.0"
+    assert "profile-matches-wraparound-closed-form" in failed
+
+
+@pytest.mark.parametrize(
+    "table_head, failed",
+    [
+        # index 2 is sent straight to 0, one step early
+        ((0, 0, 0), {"every-orbit-reaches-basepoint": "point index 2 does not first reach 0 at step 2"}),
+        # index 1 is fixed: it never reaches 0 and comes back at once
+        ((0, 1, 1), {"every-orbit-reaches-basepoint": "point index 1 does not first reach 0 at step 1",
+                     "gap-equals-own-distance": "gap at 1.0 is 0.0",
+                     "only-basepoint-recurrent": None}),
+    ],
+)
+def test_backward_shift_checks_fail_on_a_broken_table(monkeypatch, table_head, failed):
+    def build(space):
+        tail = tuple(range(len(table_head) - 1, space.size - 1))
+        return FiniteMap(space=space, table=table_head + tail)
+
+    monkeypatch.setattr(gallery, "backward_shift_map", build)
+    got = _failed_details(backward_shift_experiment())
+    assert set(got) == set(failed)
+    for name, detail in failed.items():
+        if detail is not None:
+            assert got[name] == detail
+
+
+def test_doubling_checks_fail_on_the_identity(monkeypatch):
+    unit = IntervalSpace(0.0, 1.0)
+    monkeypatch.setattr(gallery, "doubling_map",
+                        lambda: PiecewiseLinearMap(unit, ((0.0, 0.0), (1.0, 1.0))))
+    failed = _failed_details(doubling_experiment())
+    assert failed["pushforward-parks-mass-at-one"] == "step 1: terms diverge from k*delta(1) + shifted tail"
+    assert failed["norm-profile-closed-form"].startswith("step 1: norm ")
+    assert failed["transport-route-agrees"].startswith("step 15: transport route ")

@@ -76,6 +76,15 @@ def test_alpha_map_prefix_escape_is_loud():
         f.apply(2)
 
 
+@pytest.mark.parametrize("image", [1.7, True, "1", -1])
+def test_alpha_map_image_must_be_a_point(image):
+    # the image is checked as a point of the space: 1.7 does not land on 1
+    sp = AlphaSpace([1.0, 2.0])
+    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else image)
+    with pytest.raises(DomainError):
+        f.apply(1)
+
+
 def test_pl_map_breakpoints_must_anchor_endpoints():
     with pytest.raises(DomainError):
         PiecewiseLinearMap(UNIT, [(0.1, 0.0), (1.0, 1.0)])
@@ -217,6 +226,21 @@ def test_compose_pl_tails_on_the_whole_line(f_tails, g_tails):
         assert h.eval(x) == pytest.approx(f.eval(g.eval(x)), rel=1e-12, abs=1e-12)
 
 
+def test_compose_alpha_rules_and_lattice_rules():
+    sp = AlphaSpace([1.0, 2.0, 3.0, 4.0])
+    f = map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, 2, 3, 4, 4]}, sp)
+    g = map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, 4, 1, 0, 2]}, sp)
+    box = LatticeBox(((-2, 2), (-2, 2)))
+    swap = map_from_json({"kind": "lattice-rule", "matrix": [[0, 1], [1, 0]]}, box)
+    flip = map_from_json({"kind": "lattice-rule", "matrix": [[-1, 0], [0, 1]]}, box)
+    for outer, inner in ((f, g), (g, f), (swap, flip), (flip, swap)):
+        h = compose(outer, inner)
+        assert type(h) is type(outer)
+        for p in outer.space.points():
+            assert h.apply(p) == outer.apply(inner.apply(p))
+    assert compose(swap, flip).apply((1, 2)) == (2, -1)
+
+
 def test_compose_rejects_foreign_spaces():
     with pytest.raises(DomainError):
         compose(tent_map(), PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0), (1.0, 1.0)], right_slope=1.0))
@@ -288,6 +312,11 @@ def test_lip_pl_is_max_slope():
     assert est.exact and est.value == 2.0
     f = PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0), (1.0, 0.5)], right_slope=3.0)
     assert lip_constant(f).value == 3.0
+    # an unbounded left tail counts too, as the first slope
+    f = PiecewiseLinearMap(IntervalSpace(-math.inf, 1.0), [(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)],
+                           left_slope=3.0)
+    assert f.slopes() == (3.0, 2.0, 0.5)
+    assert (lip_constant(f).value, lip_constant(f).witness) == (3.0, 0)
 
 
 def test_lip_alpha_is_window_limited():
@@ -390,6 +419,19 @@ def test_operator_norm_interval_needs_sample():
         operator_norm_estimate(tent_map())
     est = operator_norm_estimate(tent_map(), points=[0.0, 0.25, 0.5, 0.75, 1.0])
     assert est.value == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "points, value, witness",
+    [
+        ([0.5, 0.5], 0.0, None),
+        ([0.5, 0.25, 0.5], 2.0, (0.5, 0.25)),
+        ([0.25, 0.0, 0.25, -0.0], 2.0, (0.25, 0.0)),
+    ],
+)
+def test_operator_norm_counts_a_repeated_point_once(points, value, witness):
+    est = operator_norm_estimate(doubling_map(), points=points)
+    assert (est.value, est.witness) == (value, witness)
 
 
 # ---------------------------------------------------------------------------
