@@ -279,9 +279,10 @@ def block_cycle_map(space: AlphaSpace, blocks: int) -> AlphaMap:
     for n in range(1, blocks + 1):
         table.extend(range(ss[n] + 1, ss[n + 1]))
         table.append(ss[n])
-    table = tuple(table)
-    return AlphaMap(space=space, rule=table.__getitem__, name="block-cycle",
-                    rule_json={"rule": "table", "table": list(table)})
+    if len(table) != space.prefix_length + 1:
+        raise DomainError(f"{blocks} blocks need {len(table) - 1} weights, the space has {space.prefix_length}")
+    return AlphaMap(space=space, rule=tuple(table).__getitem__, name="block-cycle",
+                    rule_json={"rule": "table", "table": table})
 
 
 def block_cycle_experiment(blocks: int = 10, horizon: int = 1000) -> ExperimentReport:

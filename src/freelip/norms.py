@@ -8,8 +8,9 @@ of successive shortest paths (Ahuja, Magnanti and Orlin, *Network Flows*,
 1993, ch. 9) on that bipartite graph, one Dijkstra per pass and then at most
 one augmentation per demand it reached, and the inf-convolution of its
 potentials is a 1-Lipschitz dual witness.  Float mode ignores charges within
-MASS_TOL times the largest |charge|, the same rule at every scale.  Costs
-come from the space's ``cost_matrix``.
+MASS_TOL times the largest |charge|, the same rule at every scale.  Exact mode
+scales masses and costs by powers of two to exact ints, which give the same
+results as rationals.  Costs come from the space's ``cost_matrix``.
 ``norm_alpha`` and ``norm_line`` are independent closed forms for
 the two structured presentations; they deliberately share no code with the
 flow route so the two can cross-check each other.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .spaces import AlphaSpace, DomainError, IntervalSpace
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json
@@ -95,13 +95,13 @@ def witness_functional(result: NormResult) -> Functional:
 # solver
 
 
-def _solve_transport(b, C, tol):
+def _solve_transport(b, C, tol, unit=1):
     """Primal-dual phases of successive shortest paths on the bipartite graph
     from supplies (charge > tol) to demands (charge < -tol); see Ahuja,
     Magnanti and Orlin, *Network Flows* (1993), ch. 9.
 
-    ``b`` holds signed masses (sum ~ 0) and ``C`` the symmetric cost matrix;
-    both may be floats or Fractions (with ``tol`` 0 in the exact case).  A
+    ``b`` holds ``unit`` times the signed masses (sum ~ 0) and ``C`` the
+    symmetric cost matrix; both may be floats or ints (``tol`` 0 if exact).  A
     supply s reaches every demand t at cost C[s][t]; a demand t reaches back
     a supply s at cost -C[s][t] while flow(s, t) > tol.
 
@@ -127,11 +127,12 @@ def _solve_transport(b, C, tol):
     passes = 0
     cap = 100 + 20 * n * n
 
+    def residual():  # unshipped mass in the vector's units
+        return float(sum(surplus[v] for v in sources) / unit)
     while sources := [v for v in nodes if surplus[v] > tol]:
-        residual = float(sum(surplus[v] for v in sources))
         passes += 1
         if passes > cap:
-            raise FlowConvergenceError(f"no convergence after {cap} passes", residual)
+            raise FlowConvergenceError(f"no convergence after {cap} passes", residual())
 
         # Dijkstra over reduced costs, multi-source from all remaining
         # supplies.  It stops once every demand that lacks mass is settled:
@@ -173,7 +174,7 @@ def _solve_transport(b, C, tol):
                         dist[v] = nd
                         parent[v] = u
         if not reached:
-            raise FlowConvergenceError("supplies remain but no reachable demand", residual)
+            raise FlowConvergenceError("supplies remain but no reachable demand", residual())
 
         # nodes beyond D, and those nothing reaches, move by D, which keeps
         # every reduced cost nonnegative
@@ -211,12 +212,20 @@ def _solve_transport(b, C, tol):
     return flow, psi, cost
 
 
+def _scaled_ints(rows):
+    """Rows of exact ints k*x, for the least power of two k that clears every float x."""
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
+    k = max(d for row in ratios for _, d in row)
+    return [[p * (k // d) for p, d in row] for row in ratios], k
+
+
 def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     """Free-space norm by balanced optimal transport, with certificates.
 
-    With ``exact=True`` (supports up to 64 points) every mass and cost is run
-    through rational arithmetic, which makes repeated runs byte-stable; the
-    reported floats are exact conversions of the rational optimum.
+    With ``exact=True`` (supports up to 64 points) the solver runs on exact
+    ints, the masses and the costs each scaled by a power of two.  It compares
+    only values of one scale, so it branches as rationals would, and int true
+    division rounds each reported float from the rational optimum.
     """
     space = mu.space
     base = space.basepoint
@@ -231,25 +240,25 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
 
     cost = space.cost_matrix(pts)
     if exact:
-        # Re-derive the basepoint charge rationally: the float in masses[0]
-        # is a rounded sum, and an unbalanced rational problem cannot ship
-        # its last ulp of supply anywhere.
-        b = [Fraction(c) for c in masses[1:]]
-        b.insert(0, -sum(b, Fraction(0)))
-        C = [[Fraction(c) for c in row] for row in cost]
-        tol = Fraction(0)
+        # Re-derive the basepoint charge exactly: masses[0] is a rounded sum,
+        # and an unbalanced exact problem cannot ship its last ulp anywhere.
+        (b,), mass_unit = _scaled_ints([masses[1:]])
+        b.insert(0, -sum(b))
+        C, cost_unit = _scaled_ints(cost)
+        tol = 0
     else:
         b, C = masses, cost
+        mass_unit = cost_unit = 1
         tol = MASS_TOL * max(abs(c) for c in masses)
 
-    flow, psi, total = _solve_transport(b, C, tol)
+    flow, psi, total = _solve_transport(b, C, tol, mass_unit)
 
-    witness = tuple((pts[i], float(psi[i] - psi[0])) for i in range(n))
+    witness = tuple((pts[i], float((psi[i] - psi[0]) / cost_unit)) for i in range(n))
     plan = tuple(
-        (pts[i], pts[j], float(flow[(i, j)]), float(cost[i][j]))
+        (pts[i], pts[j], float(flow[(i, j)] / mass_unit), float(cost[i][j]))
         for (i, j) in sorted(flow)
     )
-    return NormResult(float(total), witness, plan, mu, backend="flow", exact=exact)
+    return NormResult(float(total / (mass_unit * cost_unit)), witness, plan, mu, backend="flow", exact=exact)
 
 
 # ---------------------------------------------------------------------------

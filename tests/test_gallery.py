@@ -203,6 +203,12 @@ def test_block_cycle_map_wraps_inside_blocks():
     assert f.apply(9) == 6
 
 
+def test_block_cycle_map_refuses_a_block_count_unlike_the_space():
+    for space_blocks, blocks in ((5, 3), (3, 5)):
+        with pytest.raises(DomainError, match="blocks need"):
+            block_cycle_map(block_cycle_space(space_blocks), blocks)
+
+
 def test_block_cycle_experiment_pinned_numbers():
     rep = block_cycle_experiment(blocks=10, horizon=1000)
     assert rep.ok, rep.failures()

@@ -21,6 +21,7 @@ from scipy.optimize import linprog
 from freelip import (
     AlphaSpace,
     DomainError,
+    FiniteSpace,
     IntervalSpace,
     LatticeBox,
     delta,
@@ -36,6 +37,7 @@ from freelip import (
     restrict_to_points,
     witness_functional,
 )
+from freelip.norms import EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport
 from conftest import random_finite_space
 
 RELTOL = 1e-9
@@ -370,6 +372,71 @@ def test_exact_mode_is_exact_on_rational_data():
     res = norm_flow(mu, exact=True)
     assert res.value == 2.75
     assert lp_dual_norm(mu) == pytest.approx(2.75, rel=RELTOL)
+
+
+def fraction_norm(mu):
+    """Exact mode on Fraction masses and costs: the reference for its int route."""
+    pts = [mu.space.basepoint] + list(mu.support())
+    cost = mu.space.cost_matrix(pts)
+    b = [Fraction(c) for _, c in mu.terms]
+    b.insert(0, -sum(b, Fraction(0)))
+    flow, psi, total = _solve_transport(b, [[Fraction(c) for c in row] for row in cost], Fraction(0))
+    witness = [(p, float(psi[i] - psi[0])) for i, p in enumerate(pts)]
+    plan = [(pts[i], pts[j], float(flow[(i, j)]), float(cost[i][j])) for i, j in sorted(flow)]
+    return float(total), witness, plan
+
+
+def hexed(value, witness, plan):
+    return (value.hex(), [(p, v.hex()) for p, v in witness],
+            [(s, t, m.hex(), c.hex()) for s, t, m, c in plan])
+
+
+def assert_matches_fraction_route(mu):
+    res = norm_flow(mu, exact=True)
+    assert hexed(res.value, res.witness, res.plan) == hexed(*fraction_norm(mu))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-13, 1.0, 1e6, 1e300])
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_mode_matches_the_fraction_route_bit_for_bit(kind, scale):
+    rng = random.Random(f"{kind} {scale}")
+    sp = random_space(rng, kind)
+    for k in (1, 3, 6):
+        assert_matches_fraction_route(linear_combine([(scale, random_vector_on(rng, sp, k))]))
+
+
+def test_exact_mode_matches_the_fraction_route_on_wide_exponents():
+    # costs from 2^-500 to 1e150 and masses over 14 decades scale to ints of
+    # about a thousand bits
+    sp = IntervalSpace(-math.inf, math.inf)
+    points = [-1e150, -3.5, 1e-150, 2.0**-500, 7e100, 1e150]
+    masses = [1e3, -2.5e-11, 0.1, -7.0, 3.3e-5, -1e-9]
+    assert_matches_fraction_route(make_free_vector(sp, zip(points, masses)))
+
+
+def test_exact_mode_reads_numpy_integer_distances():
+    sp = FiniteSpace(tuple(map(tuple, np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))))
+    mu = make_free_vector(sp, [(1, 1.5), (2, -0.25)])
+    assert norm_flow(mu, exact=True).value == norm_flow(mu).value == 1.5
+
+
+def test_exact_mode_solves_the_widest_support_it_allows(rng):
+    sp = random_finite_space(rng, EXACT_SUPPORT_LIMIT + 1)
+    mu = random_vector(rng, sp, EXACT_SUPPORT_LIMIT - 1)  # with the basepoint, 64 points
+    exact = norm_flow(mu, exact=True)
+    assert len(exact.witness) == EXACT_SUPPORT_LIMIT
+    assert exact.value == pytest.approx(norm_flow(mu).value, rel=1e-12)
+    assert dual_gap(exact) == pytest.approx(0.0, abs=1e-9 * exact.value)
+    with pytest.raises(DomainError, match="at most 64 points, got 65"):
+        norm_flow(random_vector(rng, sp, EXACT_SUPPORT_LIMIT), exact=True)
+
+
+def test_convergence_residual_is_in_the_vectors_units():
+    # 4 units of supply against 2 of demand, on masses scaled by 4: once the
+    # demand is met, half a unit of the vector's mass has nowhere to go
+    with pytest.raises(FlowConvergenceError, match="no reachable demand") as err:
+        _solve_transport([4, -2], [[0, 1], [1, 0]], 0, 4)
+    assert err.value.residual == 0.5
 
 
 def test_exact_mode_refuses_wide_support():
