@@ -5,21 +5,22 @@ minimum-cost transport between its positive and negative parts, the basepoint
 absorbing any imbalance.  The costs form a metric, so some optimal plan ships
 mass straight from supplies to demands: the solver runs the primal-dual phases
 of successive shortest paths (Ahuja, Magnanti and Orlin, *Network Flows*,
-1993, ch. 9) on that bipartite graph, one Dijkstra per pass and then at most
-one augmentation per demand it reached, and the inf-convolution of its
-potentials is a 1-Lipschitz dual witness.  Float mode ignores charges within
-MASS_TOL times the largest |charge|, the same rule at every scale.  Exact mode
-scales masses and costs by powers of two to exact ints, which give the same
-results as rationals.  Costs come from the space's ``cost_matrix``.
-``norm_alpha`` and ``norm_line`` are independent closed forms for
-the two structured presentations; they deliberately share no code with the
-flow route so the two can cross-check each other.
+1993, ch. 9) on that bipartite graph, one Dijkstra per pass on a heap (lazy
+deletion, ties in node order) and at most one augmentation per demand it
+reached; the inf-convolution of its potentials is a 1-Lipschitz dual witness.
+Float mode ignores charges within MASS_TOL times the largest |charge|, the
+same rule at every scale.  Exact mode scales masses and costs by powers of two
+to exact ints, which give the same results as rationals.  Costs come from the
+space's ``cost_matrix``.  ``norm_alpha`` and ``norm_line`` are independent
+closed forms for the two structured presentations; they deliberately share no
+code with the flow route so the two can cross-check each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .spaces import AlphaSpace, DomainError, IntervalSpace
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json
@@ -106,14 +107,16 @@ def _solve_transport(b, C, tol, unit=1):
     a supply s at cost -C[s][t] while flow(s, t) > tol.
 
     Each pass runs Dijkstra over the reduced costs from every supply that
-    still has mass, moves every potential by min(dist, D), where D is the
-    distance of the farthest reached demand that still lacks mass, and then
-    augments along the shortest-path tree to each such demand, nearest first.
-    The move makes every tree arc up to D tight, so each of these paths is a
-    shortest path.  A path waits for the next pass when an earlier path of
-    the pass has drained its root supply or emptied one of its backward arcs;
-    a demand ends one path per pass, so it cannot fill before its turn.  At
-    most 100 + 20n² passes are run.
+    still has mass, on a binary heap of (label, node) pairs with lazy
+    deletion.  Ties pop in node-index order, as a scan of the sorted nodes
+    picks them, so the tree and every result are the scan's.  The pass moves
+    every potential by min(dist, D), D the distance of the farthest reached
+    demand still lacking mass, and augments along the shortest-path tree to
+    each such demand, nearest first.  The move makes every tree arc up to D
+    tight, so each of these paths is a shortest path.  A path waits for the
+    next pass when an earlier path of the pass has drained its root supply or
+    emptied one of its backward arcs; a demand ends one path per pass, so it
+    cannot fill before its turn.  At most 100 + 20n² passes are run.
     Returns (flow dict (s, t) -> mass, witness potentials, total cost).
     """
     n = len(b)
@@ -141,16 +144,14 @@ def _solve_transport(b, C, tol, unit=1):
         parent = [-1] * n
         for s in sources:
             dist[s] = zero
-        todo = list(nodes)
+        heap = [(zero, s) for s in sources]  # sorted, so already a heap
         open_demands = list(demands)
         lacking = sum(1 for t in demands if surplus[t] < -tol)
         reached = []
-        while len(reached) < lacking:
-            u = min(todo, key=dist.__getitem__)
-            du = dist[u]
-            if du == math.inf:
-                break
-            todo.remove(u)
+        while heap and len(reached) < lacking:
+            du, u = heappop(heap)
+            if du > dist[u]:  # stale: u was settled at its smaller label
+                continue
             piu = pi[u]
             if side[u] > 0:
                 row = C[u]
@@ -161,6 +162,7 @@ def _solve_transport(b, C, tol, unit=1):
                     if nd < dist[v]:
                         dist[v] = nd
                         parent[v] = u
+                        heappush(heap, (nd, v))
             else:
                 open_demands.remove(u)
                 if surplus[u] < -tol:
@@ -173,6 +175,7 @@ def _solve_transport(b, C, tol, unit=1):
                     if nd < dist[v]:
                         dist[v] = nd
                         parent[v] = u
+                        heappush(heap, (nd, v))
         if not reached:
             raise FlowConvergenceError("supplies remain but no reachable demand", residual())
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .gallery import experiment_to_json, gallery_experiments
 from .maps import FiniteMap, lip_constant, operator_norm_estimate
 from .norms import dual_gap, norm_alpha, norm_flow, norm_line, witness_functional
-from .spaces import AlphaSpace, FiniteSpace, IntervalSpace
+from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace
 from .vectors import make_free_vector, pair as pair_vector
 
 
@@ -152,6 +152,8 @@ def _sweep_exact_mode(rng: random.Random, rounds: int) -> dict:
 
 def run_selftest(seed: int, outdir: Path, rounds: int = 20) -> bool:
     """Run every sweep and the fast gallery; write reports; return overall success."""
+    if rounds < 1:
+        raise DomainError("rounds must be at least 1")
     rng = random.Random(seed)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -358,6 +358,9 @@ MALFORMED = {
                                       "--params", _params_file(d, {"horizon": True})],
     "params-ladder-size-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
                                           "--params", _params_file(d, {"ladder_size": True})],
+    # a selftest of no rounds would check nothing and still write "ok": true
+    "selftest-rounds-zero": lambda d: ["selftest", "--rounds", "0"],
+    "selftest-rounds-negative": lambda d: ["selftest", "--rounds", "-1"],
     # an isometric swap fails its return check at tolerance 1e-9; NaN must not pass it
     "tolerances-nan": lambda d: [
         "rigidity", "--times", "1", "--bound", "1", "--tolerances", "nan", "--map",
