@@ -8,7 +8,8 @@ fixed input always produces the same bytes.
 
 Exit codes: 0 success, 1 a check or certificate failed, 2 bad input.
 The output directory is the --outdir flag if given, else $FREELIP_OUTDIR,
-else the working directory.
+else the working directory; ``main`` resolves it once for the verb, and every
+report, the selftest's included, is written by ``_write_json``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .dynamics import (
@@ -59,23 +61,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_gallery(outdir: Path, results) -> None:
+    for key, report in results:
+        _write_json(outdir / f"gallery-{key}.json", experiment_to_json(report))
+
+
 def _write_profile_csv(path: Path, values) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "norm"])
         for k, v in enumerate(values):
             writer.writerow([k, repr(float(v))])
-
-
-def _resolve_outdir(flag_value: str | None) -> Path:
-    raw = flag_value or os.environ.get(OUTDIR_ENV) or "."
-    out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_vector(path: str):
-    return vector_from_json(_read_json(path))
 
 
 def _load_map(map_path: str, space_path: str | None):
@@ -95,7 +91,7 @@ def _load_params(path: str | None) -> ClassificationParams:
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: classification params must be a JSON object")
-    allowed = {"horizon", "eps_recurrent", "radii", "ladder_size", "tail_fraction"}
+    allowed = {field.name for field in fields(ClassificationParams)}
     unknown = set(obj) - allowed
     if unknown:
         raise InputError(f"{path}: unknown parameter(s) {sorted(unknown)}")
@@ -116,9 +112,8 @@ def _parse_flag(flag: str, text: str, parse):
 # verbs
 
 
-def _cmd_norm(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
-    mu = _load_vector(args.vector)
+def _cmd_norm(args, outdir: Path) -> int:
+    mu = vector_from_json(_read_json(args.vector))
     if args.backend == "flow":
         result = norm_flow(mu, exact=args.exact)
         report = norm_result_to_json(result)
@@ -133,10 +128,9 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _cmd_orbit(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+def _cmd_orbit(args, outdir: Path) -> int:
     f = _load_map(args.map, args.space)
-    mu = _load_vector(args.vector)
+    mu = vector_from_json(_read_json(args.vector))
     profile = orbit_norm_profile(f, mu, args.steps, backend=args.backend)
     report = {
         "steps": args.steps,
@@ -149,8 +143,7 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+def _cmd_classify(args, outdir: Path) -> int:
     f = _load_map(args.map, args.space)
     params = _load_params(args.params)
     x = coerce_point(f.space, _parse_flag("--point", args.point, json.loads))
@@ -161,8 +154,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_rigidity(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+def _cmd_rigidity(args, outdir: Path) -> int:
     f = _load_map(args.map, args.space)
     times = _parse_flag("--times", args.times, lambda s: tuple(int(t) for t in s.split(",")))
     if args.sample is not None:
@@ -185,8 +177,7 @@ def _cmd_rigidity(args) -> int:
     return 0 if cert.passed else 1
 
 
-def _cmd_interval_analyze(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+def _cmd_interval_analyze(args, outdir: Path) -> int:
     f = _load_map(args.map, args.space)
     if not isinstance(f, PiecewiseLinearMap):
         raise InputError("interval-analyze needs a piecewise-linear map")
@@ -196,26 +187,23 @@ def _cmd_interval_analyze(args) -> int:
     return 0
 
 
-def _cmd_gallery(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
+def _cmd_gallery(args, outdir: Path) -> int:
     names = None if args.name in (None, "all") else [args.name]
     results = gallery_experiments(fast=args.fast, names=names)
-    ok = True
+    _write_gallery(outdir, results)
     for key, report in results:
-        _write_json(outdir / f"gallery-{key}.json", experiment_to_json(report))
-        line = "PASS" if report.ok else "FAIL"
-        print(f"{line} {key}")
+        print(f"{'PASS' if report.ok else 'FAIL'} {key}")
         for c in report.failures():
             print(f"     failed check {c.name}: {c.detail}")
-        ok = ok and report.ok
-    return 0 if ok else 1
+    return 0 if all(report.ok for _, report in results) else 1
 
 
-def _cmd_selftest(args) -> int:
-    outdir = _resolve_outdir(args.outdir)
-    ok = run_selftest(args.seed, outdir, rounds=args.rounds)
-    print(f"selftest {'ok' if ok else 'FAILED'} (seed {args.seed}) -> {outdir / 'selftest.json'}")
-    return 0 if ok else 1
+def _cmd_selftest(args, outdir: Path) -> int:
+    summary, gallery = run_selftest(args.seed, rounds=args.rounds)
+    _write_gallery(outdir, gallery)
+    _write_json(outdir / "selftest.json", summary)
+    print(f"selftest {'ok' if summary['ok'] else 'FAILED'} (seed {args.seed}) -> {outdir / 'selftest.json'}")
+    return 0 if summary["ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return args.fn(args)
+        return args.fn(args, outdir)
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

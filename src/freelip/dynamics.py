@@ -137,17 +137,18 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
        Undecided.
 
     With ``power = k`` the orbit of ``f^k`` is followed for ``horizon // k``
-    steps, so the total application budget matches the ``power = 1`` run.
+    steps, so the total application budget matches the ``power = 1`` run;
+    a power above the horizon would get no step and is refused.
     """
     params = params or ClassificationParams()
-    if power < 1:
-        raise DomainError("power must be at least 1")
+    if not 1 <= power <= params.horizon:
+        raise DomainError(f"power {power} must lie between 1 and the horizon {params.horizon}")
     space = f.space
     x = space.check_point(x)
     base = space.basepoint
     eps = params.resolve_eps(space)
     radii = params.resolve_radii(space, x)
-    steps_wanted = max(1, params.horizon // power)
+    steps_wanted = params.horizon // power
 
     # d(x, y) == 0 exactly when y == x, for a metric on canonical points, so
     # the loop only follows the orbit and the distances are read off after it

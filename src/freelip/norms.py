@@ -11,9 +11,11 @@ reached; the inf-convolution of its potentials is a 1-Lipschitz dual witness.
 Float mode ignores charges within MASS_TOL times the largest |charge|, the
 same rule at every scale.  Exact mode scales masses and costs by powers of two
 to exact ints, which give the same results as rationals.  Costs come from the
-space's ``cost_matrix``.  ``norm_alpha`` and ``norm_line`` are independent
-closed forms for the two structured presentations; they deliberately share no
-code with the flow route so the two can cross-check each other.
+space's ``cost_matrix``.  ``norm_line`` and ``norm_alpha`` are one closed
+form, a tree sum over the path through 0 (an interval) or the star around 0
+(a sequence space); it deliberately shares no code with the flow route, so
+the two cross-check each other.  A total mass or norm that overflows a float
+raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
 
 from .spaces import AlphaSpace, DomainError, IntervalSpace
-from .vectors import FreeVector, Functional, make_free_vector, point_to_json
+from .vectors import FreeVector, Functional, point_to_json
 
 __all__ = [
     "NormResult",
@@ -90,6 +93,13 @@ def witness_functional(result: NormResult) -> Functional:
         return min(v + space.distance(z, y) for y, v in nodes)
 
     return Functional(space=space, fn=fn, lip_bound=1.0, name="transport-witness")
+
+
+def _finite(value, what="norm"):
+    """``value``, or a DomainError when a sum of finite terms overflowed."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} {value!r} is not a finite float")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +246,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
         return NormResult(0.0, ((base, 0.0),), (), mu, backend="flow", exact=exact)
 
     pts = [base] + list(mu.support())
-    masses = [-mu.total_mass()] + [c for _, c in mu.terms]
+    masses = [-_finite(mu.total_mass(), "total mass")] + [c for _, c in mu.terms]
     n = len(pts)
     if exact and n > EXACT_SUPPORT_LIMIT:
         raise DomainError(f"exact mode supports at most {EXACT_SUPPORT_LIMIT} points, got {n}")
@@ -261,67 +271,65 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
         (pts[i], pts[j], float(flow[(i, j)] / mass_unit), float(cost[i][j]))
         for (i, j) in sorted(flow)
     )
-    return NormResult(float(total / (mass_unit * cost_unit)), witness, plan, mu, backend="flow", exact=exact)
+    try:
+        value = float(total / (mass_unit * cost_unit))
+    except OverflowError:  # an int quotient past the float range
+        value = math.inf
+    return NormResult(_finite(value), witness, plan, mu, backend="flow", exact=exact)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
+def _tree_norm(branches) -> float:
+    """Norm on a tree rooted at the basepoint (Godard, Proc. AMS 138, 2010).
+
+    Each branch lists (distance from 0, coefficient) outward from 0.  Every
+    unit of mass beyond an edge must cross it, so the edge into a point adds
+    |mass at or beyond the point| times its step from the previous distance.
+    The branch totals are added in order.
+    """
+    total = 0.0
+    for branch in branches:
+        beyond = list(accumulate(c for _, c in reversed(branch)))  # outermost edge first
+        side = prev = 0.0
+        for (r, _), m in zip(branch, reversed(beyond)):
+            side += abs(m) * (r - prev)
+            prev = r
+        total += side
+    return _finite(total)
+
+
 def norm_alpha(mu: FreeVector) -> float:
-    """Sequence-space norm: sum |c_n| * alpha_n (the weighted-l1 identification)."""
+    """Sequence-space norm: sum |c_n| * alpha_n, the tree sum over the star of
+    edges (0, n) (the weighted-l1 identification)."""
     if not isinstance(mu.space, AlphaSpace):
         raise DomainError("norm_alpha needs a vector over a sequence space")
-    sp = mu.space
-    return float(sum(abs(c) * sp.alpha(n) for n, c in mu.terms))
+    d = mu.space.distance
+    return _tree_norm([(d(0, n), c)] for n, c in mu.terms)
 
 
 def norm_line(mu: FreeVector) -> float:
-    """Interval norm via cumulative masses over the gaps on each side of 0.
-
-    Over a gap (x_{j-1}, x_j) right of the basepoint every unit of mass
-    sitting at or beyond x_j must cross the whole gap, so the gap contributes
-    |sum of those coefficients| times its length; the left side mirrors.
-    """
+    """Interval norm: the tree sum over the path through 0, right ray first."""
     if not isinstance(mu.space, IntervalSpace):
         raise DomainError("norm_line needs a vector over an interval space")
     right = [(x, c) for x, c in mu.terms if x > 0.0]
     left = [(-x, c) for x, c in reversed(mu.terms) if x < 0.0]
-    return _one_sided_line(right) + _one_sided_line(left)
-
-
-def _one_sided_line(terms) -> float:
-    # terms: (distance from 0, coefficient), ascending, all distances > 0
-    total = 0.0
-    suffix = 0.0
-    partials = []
-    for _, c in reversed(terms):
-        suffix += c
-        partials.append(suffix)
-    partials.reverse()
-    prev = 0.0
-    for (x, _), s in zip(terms, partials):
-        total += abs(s) * (x - prev)
-        prev = x
-    return total
-
-
-_BACKENDS = {"flow": lambda mu: norm_flow(mu).value, "alpha": norm_alpha, "line": norm_line}
+    return _tree_norm((right, left))
 
 
 def free_norm(mu: FreeVector, backend: str = "auto") -> float:
     """Norm value through a chosen route: "flow", "alpha", "line", or "auto"
     (the closed form matching the space when one exists, flow otherwise)."""
-    if backend == "auto":
-        if isinstance(mu.space, AlphaSpace):
-            backend = "alpha"
-        elif isinstance(mu.space, IntervalSpace):
-            backend = "line"
-        else:
-            backend = "flow"
-    if backend not in _BACKENDS:
-        raise DomainError(f"unknown norm backend {backend!r}")
-    return _BACKENDS[backend](mu)
+    auto = backend == "auto"
+    if backend == "alpha" or auto and isinstance(mu.space, AlphaSpace):
+        return norm_alpha(mu)
+    if backend == "line" or auto and isinstance(mu.space, IntervalSpace):
+        return norm_line(mu)
+    if backend == "flow" or auto:
+        return norm_flow(mu).value
+    raise DomainError(f"unknown norm backend {backend!r}")
 
 
 def norm_result_to_json(result: NormResult) -> dict:

@@ -1,5 +1,5 @@
 """Deterministic self-check: seeded random sweeps over the core invariants
-plus a fast gallery pass, all written as reproducible report files.
+plus a fast gallery pass.  The sweeps return data; the CLI writes the reports.
 
 Everything here is driven by one ``random.Random(seed)`` instance and no
 report contains timestamps or absolute paths, so two runs with the same seed
@@ -9,13 +9,11 @@ the checks users are encouraged to run.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
-from .gallery import experiment_to_json, gallery_experiments
+from .gallery import gallery_experiments
 from .maps import FiniteMap, lip_constant, operator_norm_estimate
 from .norms import dual_gap, norm_alpha, norm_flow, norm_line, witness_functional
 from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace
@@ -43,25 +41,23 @@ def _random_finite_map(rng: random.Random, space: FiniteSpace) -> FiniteMap:
     return FiniteMap(space, tuple(table))
 
 
-def _sweep_isometry(rng: random.Random, rounds: int) -> dict:
-    failures = []
-    cases = 0
+def _close(got: float, want: float) -> bool:
+    """The sweeps' agreement check; a NaN on either side fails it."""
+    return abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def _sweep_isometry(rng: random.Random, rounds: int):
     for _ in range(rounds):
         space = _random_finite_space(rng)
         for x in space.points():
             for y in range(x + 1, space.size):
-                cases += 1
                 mol = make_free_vector(space, [(x, 1.0), (y, -1.0)])
                 got = norm_flow(mol).value
                 want = space.distance(x, y)
-                if abs(got - want) > 1e-9 * (1.0 + want):
-                    failures.append({"pair": [x, y], "got": got, "want": want})
-    return {"name": "delta-embedding-isometry", "cases": cases, "failures": failures}
+                yield None if _close(got, want) else {"pair": [x, y], "got": got, "want": want}
 
 
-def _sweep_certificates(rng: random.Random, rounds: int) -> dict:
-    failures = []
-    cases = 0
+def _sweep_certificates(rng: random.Random, rounds: int):
     for _ in range(rounds):
         space = _random_finite_space(rng)
         pts = [p for p in space.points() if p != space.basepoint]
@@ -69,7 +65,6 @@ def _sweep_certificates(rng: random.Random, rounds: int) -> dict:
         mu = make_free_vector(space, [(p, rng.uniform(-2.0, 2.0)) for p in support])
         if mu.is_zero():
             continue
-        cases += 1
         res = norm_flow(mu)
         gap = dual_gap(res)
         phi = witness_functional(res)
@@ -84,56 +79,39 @@ def _sweep_certificates(rng: random.Random, rounds: int) -> dict:
             entry["gap"] = gap
         if not lip_ok:
             entry["witness_not_lipschitz"] = True
-        if not abs(pairing - res.value) <= 1e-9 * (1.0 + res.value):
+        if not _close(pairing, res.value):
             entry["pairing"] = pairing
-        if entry:
-            entry["value"] = res.value
-            failures.append(entry)
-    return {"name": "transport-certificates", "cases": cases, "failures": failures}
+        yield {**entry, "value": res.value} if entry else None
 
 
-def _sweep_backends(rng: random.Random, rounds: int) -> dict:
-    failures = []
-    cases = 0
+def _sweep_backends(rng: random.Random, rounds: int):
     for _ in range(rounds):
         weights = [rng.uniform(0.1, 5.0) for _ in range(rng.randint(4, 24))]
         space = AlphaSpace(weights)
         support = rng.sample(range(1, space.prefix_length + 1), k=rng.randint(1, 4))
         mu = make_free_vector(space, [(n, rng.uniform(-2.0, 2.0)) for n in support])
-        cases += 1
         a, b = norm_flow(mu).value, norm_alpha(mu)
-        if abs(a - b) > 1e-9 * (1.0 + b):
-            failures.append({"kind": "alpha", "flow": a, "closed": b})
+        yield None if _close(a, b) else {"kind": "alpha", "flow": a, "closed": b}
 
         interval = IntervalSpace(0.0, 1.0)
         xs = sorted(rng.uniform(0.01, 1.0) for _ in range(rng.randint(2, 6)))
         nu = make_free_vector(interval, [(x, rng.uniform(-2.0, 2.0)) for x in xs])
         if nu.is_zero():
             continue
-        cases += 1
         a, b = norm_flow(nu).value, norm_line(nu)
-        if abs(a - b) > 1e-9 * (1.0 + b):
-            failures.append({"kind": "line", "flow": a, "closed": b})
-    return {"name": "backend-agreement", "cases": cases, "failures": failures}
+        yield None if _close(a, b) else {"kind": "line", "flow": a, "closed": b}
 
 
-def _sweep_operator_norm(rng: random.Random, rounds: int) -> dict:
-    failures = []
-    cases = 0
+def _sweep_operator_norm(rng: random.Random, rounds: int):
     for _ in range(rounds):
         space = _random_finite_space(rng, max_points=9)
         f = _random_finite_map(rng, space)
-        cases += 1
         lip = lip_constant(f).value
         op = operator_norm_estimate(f)
-        if abs(op.value - lip) > 1e-9 * (1.0 + lip):
-            failures.append({"operator": op.value, "lip": lip})
-    return {"name": "operator-norm-attains-lip", "cases": cases, "failures": failures}
+        yield None if _close(op.value, lip) else {"operator": op.value, "lip": lip}
 
 
-def _sweep_exact_mode(rng: random.Random, rounds: int) -> dict:
-    failures = []
-    cases = 0
+def _sweep_exact_mode(rng: random.Random, rounds: int):
     for _ in range(rounds):
         space = _random_finite_space(rng, max_points=7)
         pts = [p for p in space.points() if p != space.basepoint]
@@ -142,41 +120,41 @@ def _sweep_exact_mode(rng: random.Random, rounds: int) -> dict:
         mu = make_free_vector(space, list(zip(support, map(float, coeffs))))
         if mu.is_zero():
             continue
-        cases += 1
         plain = norm_flow(mu).value
         exact = norm_flow(mu, exact=True).value
-        if abs(plain - exact) > 1e-9 * (1.0 + abs(exact)):
-            failures.append({"plain": plain, "exact": exact})
-    return {"name": "exact-mode-agreement", "cases": cases, "failures": failures}
+        yield None if _close(plain, exact) else {"plain": plain, "exact": exact}
 
 
-def run_selftest(seed: int, outdir: Path, rounds: int = 20) -> bool:
-    """Run every sweep and the fast gallery; write reports; return overall success."""
+_SWEEPS = (
+    ("delta-embedding-isometry", _sweep_isometry),
+    ("transport-certificates", _sweep_certificates),
+    ("backend-agreement", _sweep_backends),
+    ("operator-norm-attains-lip", _sweep_operator_norm),
+    ("exact-mode-agreement", _sweep_exact_mode),
+)
+
+
+def run_selftest(seed: int, rounds: int = 20) -> tuple[dict, list]:
+    """Run every sweep, in order on one seeded stream, and the fast gallery.
+
+    A sweep yields one outcome per case: None when it passes, its failure
+    record when it fails.  Returns the summary and the gallery's (key,
+    report) pairs; writes nothing.
+    """
     if rounds < 1:
         raise DomainError("rounds must be at least 1")
     rng = random.Random(seed)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    sweeps = [
-        _sweep_isometry(rng, rounds),
-        _sweep_certificates(rng, rounds),
-        _sweep_backends(rng, rounds),
-        _sweep_operator_norm(rng, rounds),
-        _sweep_exact_mode(rng, rounds),
-    ]
+    sweeps = []
+    for name, sweep in _SWEEPS:
+        outcomes = list(sweep(rng, rounds))
+        failures = [f for f in outcomes if f is not None]
+        sweeps.append({"name": name, "cases": len(outcomes), "failures": failures})
     gallery = gallery_experiments(fast=True)
-    for key, report in gallery:
-        path = outdir / f"gallery-{key}.json"
-        path.write_text(json.dumps(experiment_to_json(report), indent=2, sort_keys=True) + "\n")
-
     ok = all(not s["failures"] for s in sweeps) and all(r.ok for _, r in gallery)
-    summary = {
+    return {
         "seed": seed,
         "rounds": rounds,
         "ok": ok,
         "sweeps": sweeps,
         "gallery": [{"name": key, "ok": report.ok} for key, report in gallery],
-    }
-    (outdir / "selftest.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ok
+    }, gallery

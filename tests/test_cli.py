@@ -21,12 +21,14 @@ from freelip import (
     IntervalSpace,
     LatticeBox,
     doubling_map,
+    experiment_to_json,
     make_free_vector,
     map_to_json,
     ramp_map,
     space_to_json,
     vector_to_json,
 )
+from freelip.selftest import run_selftest
 
 
 def run_cli(*argv, env=None, cwd=None):
@@ -253,6 +255,16 @@ def _params_file(d, params):
     return _write(d / "params.json", params)
 
 
+def _overflow_vector_file(d):
+    space = space_to_json(FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))))
+    return _write(d / "vector.json", {"space": space, "terms": [[1, 1e308], [2, 1e308]]})
+
+
+def _far_vector_file(d):
+    space = space_to_json(IntervalSpace(0.0, 1e300))
+    return _write(d / "vector.json", {"space": space, "terms": [[1e200, 1e200]]})
+
+
 MALFORMED = {
     "times-not-integers": lambda d: ["rigidity", "--map", _finite_map_file(d), "--times", "4,x", "--bound", "1"],
     "tolerances-not-numbers": lambda d: ["rigidity", "--map", _finite_map_file(d), "--times", "2", "--bound", "1",
@@ -358,6 +370,15 @@ MALFORMED = {
                                       "--params", _params_file(d, {"horizon": True})],
     "params-ladder-size-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
                                           "--params", _params_file(d, {"ladder_size": True})],
+    # every coefficient is finite, but the total mass or the norm overflows a float
+    "norm-total-mass-overflows": lambda d: ["norm", "--vector", _overflow_vector_file(d)],
+    "norm-total-mass-overflows-exact": lambda d: ["norm", "--exact", "--vector", _overflow_vector_file(d)],
+    "norm-value-overflows": lambda d: ["norm", "--vector", _far_vector_file(d)],
+    "norm-value-overflows-exact": lambda d: ["norm", "--exact", "--vector", _far_vector_file(d)],
+    "norm-value-overflows-line": lambda d: ["norm", "--backend", "line", "--vector", _far_vector_file(d)],
+    # f^k orbits get horizon // k steps, which is none when k exceeds the horizon
+    "power-above-horizon": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1", "--power", "11",
+                                      "--params", _params_file(d, {"horizon": 10})],
     # a selftest of no rounds would check nothing and still write "ok": true
     "selftest-rounds-zero": lambda d: ["selftest", "--rounds", "0"],
     "selftest-rounds-negative": lambda d: ["selftest", "--rounds", "-1"],
@@ -474,6 +495,29 @@ def test_selftest_summary_shape(tmp_path):
     names = {s["name"] for s in report["sweeps"]}
     assert {"delta-embedding-isometry", "transport-certificates"} <= names
     assert all(s["failures"] == [] for s in report["sweeps"])
+
+
+def test_run_selftest_returns_what_the_cli_writes(tmp_path, monkeypatch):
+    res = run_cli("selftest", "--seed", "7", "--rounds", "2", "--outdir", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    summary, gallery = run_selftest(7, rounds=2)
+    assert list(empty.iterdir()) == []
+    reports = {"selftest": summary} | {f"gallery-{key}": experiment_to_json(r) for key, r in gallery}
+    assert sorted(p.stem for p in (tmp_path / "out").iterdir()) == sorted(reports)
+    for stem, report in reports.items():
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "out" / f"{stem}.json").read_text() == text
+
+
+def test_selftest_counts_a_nan_as_a_failure(monkeypatch):
+    monkeypatch.setattr("freelip.selftest.norm_line", lambda mu: math.nan)
+    summary, _ = run_selftest(7, rounds=1)
+    sweep = next(s for s in summary["sweeps"] if s["name"] == "backend-agreement")
+    assert not summary["ok"]
+    assert sweep["failures"] and all(f["kind"] == "line" for f in sweep["failures"])
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,14 @@ def test_power_budget_shrinks_steps():
     assert rep.steps <= 33
 
 
+def test_power_above_the_horizon_is_a_domain_error():
+    # f^k gets horizon // k steps, so no k above the horizon keeps the budget
+    params = ClassificationParams(horizon=10)
+    assert classify_orbit(doubling_map(), 0.3, params, power=10).steps == 1
+    with pytest.raises(DomainError, match="power 11 must lie between 1 and the horizon 10"):
+        classify_orbit(doubling_map(), 0.3, params, power=11)
+
+
 def reference_classification(f, x, params, power):
     """The rule documented in classify_orbit, written plainly: the orbit of
     f^power up to an exact return or an image outside the presentation, a

@@ -456,6 +456,34 @@ def test_solver_certificates_are_pinned_bit_for_bit():
     assert digest.hexdigest() == PINNED_CERTIFICATES_SHA256
 
 
+def closed_form_vectors():
+    """2,000 seeded vectors of 1 to 40 terms, alternately over a sequence
+    space and an interval, with coefficients at scales 1e-300 to 1e300."""
+    rng = random.Random(20231119)
+    for i in range(2000):
+        k, scale = rng.randint(1, 40), 10.0 ** rng.randint(-300, 300)
+        if i % 2:
+            sp = AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(k + rng.randint(0, 8))])
+            pts = rng.sample(range(1, sp.prefix_length + 1), k)
+        else:
+            sp = IntervalSpace(-4.0, 4.0)
+            pts = [rng.uniform(-4.0, 4.0) for _ in range(k)]
+        yield make_free_vector(sp, [(p, rng.uniform(-4.0, 4.0) * scale) for p in pts])
+
+
+# SHA-256 over the float.hex of norm_alpha and norm_line on every closed-form
+# vector: a change to the tree sum must not move one bit of any value.
+PINNED_CLOSED_FORMS_SHA256 = "2136cd31aebbf13b5588293f8d2ac6e7b62d89c63ba8aef8e1f74546e16d70a4"
+
+
+def test_closed_form_values_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for mu in closed_form_vectors():
+        closed = norm_alpha if isinstance(mu.space, AlphaSpace) else norm_line
+        digest.update(closed(mu).hex().encode())
+    assert digest.hexdigest() == PINNED_CLOSED_FORMS_SHA256
+
+
 def test_exact_mode_reads_numpy_integer_distances():
     sp = FiniteSpace(tuple(map(tuple, np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))))
     mu = make_free_vector(sp, [(1, 1.5), (2, -0.25)])
@@ -486,6 +514,24 @@ def test_exact_mode_refuses_wide_support():
     mu = make_free_vector(sp, [(p, 1.0) for p in range(1, 70)])
     with pytest.raises(DomainError):
         norm_flow(mu, exact=True)
+
+
+def test_a_norm_that_overflows_a_float_is_a_domain_error():
+    # every coefficient is finite: two terms of 1e308 overflow the total mass,
+    # and one of 1e200 at distance 1e200 overflows the norm
+    line = IntervalSpace(-1e300, 1e300)
+    two = make_free_vector(line, [(1.0, 1e308), (2.0, 1e308)])
+    far = make_free_vector(line, [(1e200, 1e200)])
+    for mu in (two, far):
+        for exact in (False, True):
+            with pytest.raises(DomainError, match="not a finite float"):
+                norm_flow(mu, exact=exact)
+        with pytest.raises(DomainError, match="not a finite float"):
+            norm_line(mu)
+    with pytest.raises(DomainError, match="not a finite float"):
+        norm_alpha(make_free_vector(AlphaSpace([1e200, 1.0]), [(1, 1e200), (2, 1.0)]))
+    # the largest finite norm still comes back
+    assert norm_line(make_free_vector(line, [(1.0, 1.7e308)])) == 1.7e308
 
 
 # ---------------------------------------------------------------------------
