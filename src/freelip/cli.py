@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .gallery import GALLERY, experiment_to_json, gallery_experiments
 from .maps import PiecewiseLinearMap, map_from_json
-from .norms import free_norm, norm_flow, norm_result_to_json
+from .norms import norm_result, norm_result_to_json
 from .selftest import run_selftest
 from .spaces import DomainError, IntervalSpace, space_from_json
 from .vectors import coerce_point, vector_from_json
@@ -113,18 +113,9 @@ def _parse_flag(flag: str, text: str, parse):
 
 
 def _cmd_norm(args, outdir: Path) -> int:
-    mu = vector_from_json(_read_json(args.vector))
-    if args.backend == "flow":
-        result = norm_flow(mu, exact=args.exact)
-        report = norm_result_to_json(result)
-        value = result.value
-    else:
-        if args.exact:
-            raise InputError("--exact only applies to the flow backend")
-        value = free_norm(mu, backend=args.backend)
-        report = {"value": value, "backend": args.backend, "exact": False}
-    _write_json(outdir / "norm.json", report)
-    print(f"norm {value!r} (backend {args.backend}) -> {outdir / 'norm.json'}")
+    result = norm_result(vector_from_json(_read_json(args.vector)), args.backend, exact=args.exact)
+    _write_json(outdir / "norm.json", norm_result_to_json(result))
+    print(f"norm {result.value!r} (backend {result.backend}) -> {outdir / 'norm.json'}")
     return 0
 
 

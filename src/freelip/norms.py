@@ -11,11 +11,11 @@ reached; the inf-convolution of its potentials is a 1-Lipschitz dual witness.
 Float mode ignores charges within MASS_TOL times the largest |charge|, the
 same rule at every scale.  Exact mode scales masses and costs by powers of two
 to exact ints, which give the same results as rationals.  Costs come from the
-space's ``cost_matrix``.  ``norm_line`` and ``norm_alpha`` are one closed
-form, a tree sum over the path through 0 (an interval) or the star around 0
-(a sequence space); it deliberately shares no code with the flow route, so
-the two cross-check each other.  A total mass or norm that overflows a float
-raises ``DomainError``.
+space's ``cost_matrix``.  ``norm_tree`` sums over the path through 0 (an
+interval) or the star around 0 (a sequence space); its plan is the edge flow,
+through intermediate support points.  It shares no code with the flow route,
+so the two cross-check each other; ``norm_result`` dispatches to either.  A
+total mass, norm or distance that overflows a float raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = [
     "norm_flow",
     "norm_alpha",
     "norm_line",
+    "norm_tree",
+    "norm_result",
     "free_norm",
     "dual_gap",
     "witness_functional",
@@ -54,7 +56,9 @@ class FlowConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class NormResult:
     """Norm value plus the certificates that make it auditable: a transport
-    plan achieving the value and a dual witness attaining it."""
+    plan achieving the value, whose net outflow at each point is the point's
+    charge (a tree plan ships through intermediate support points), and a dual
+    witness attaining it."""
 
     value: float
     witness: tuple[tuple[object, float], ...]  # (point, functional value), basepoint included
@@ -279,57 +283,65 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# tree sum and dispatch
 
 
-def _tree_norm(branches) -> float:
-    """Norm on a tree rooted at the basepoint (Godard, Proc. AMS 138, 2010).
-
-    Each branch lists (distance from 0, coefficient) outward from 0.  Every
-    unit of mass beyond an edge must cross it, so the edge into a point adds
-    |mass at or beyond the point| times its step from the previous distance.
-    The branch totals are added in order.
-    """
-    total = 0.0
+def norm_tree(mu: FreeVector) -> NormResult:
+    """Norm with certificates over an interval (the path through 0, right ray
+    first) or a sequence space (the star of edges (0, n)); Godard, Proc. AMS
+    138 (2010).  Walked outward, the edge of weight w into p carries the mass m
+    at or beyond p: it adds |m|*w to its branch (branch totals add in order),
+    ships |m| inward if m > 0, else outward, and steps the witness by copysign(w, m)."""
+    space, base = mu.space, mu.space.basepoint
+    if isinstance(space, AlphaSpace):
+        branches, backend = [[(n, space.distance(0, n), c)] for n, c in mu.terms], "alpha"
+    elif isinstance(space, IntervalSpace):  # each ray as (x, |x|, mass at or beyond x), outermost first, then turned
+        rays, backend = ([t for t in reversed(mu.terms) if t[0] > 0.0], [t for t in mu.terms if t[0] < 0.0]), "line"
+        branches = [[(x, abs(x), m) for (x, _), m in zip(ray, accumulate(c for _, c in ray))][::-1] for ray in rays]
+    else:
+        raise DomainError("norm_tree needs a vector over an interval or a sequence space")
+    total, witness, plan = 0.0, [(base, 0.0)], []
     for branch in branches:
-        beyond = list(accumulate(c for _, c in reversed(branch)))  # outermost edge first
-        side = prev = 0.0
-        for (r, _), m in zip(branch, reversed(beyond)):
-            side += abs(m) * (r - prev)
-            prev = r
+        side, phi, inner, prev = 0.0, 0.0, base, 0.0
+        for p, r, m in branch:
+            side += abs(m) * (w := r - prev)
+            if m:
+                plan.append((p, inner, m, w) if m > 0 else (inner, p, -m, w))
+            phi += math.copysign(w, m)
+            witness.append((p, phi))
+            inner, prev = p, r
         total += side
-    return _finite(total)
+    return NormResult(_finite(total), tuple(witness), tuple(plan), mu, backend=backend)
+
+
+def norm_result(mu: FreeVector, backend: str = "auto", exact: bool = False) -> NormResult:
+    """The norm with certificates by "flow", "line" or "alpha" (the tree sums), or "auto",
+    a tree sum where one applies; the result names the route taken.  Exact mode is flow only."""
+    if backend == "flow" or backend == "auto" and not isinstance(mu.space, (AlphaSpace, IntervalSpace)):
+        return norm_flow(mu, exact=exact)
+    if backend not in ("auto", "alpha", "line"):
+        raise DomainError(f"unknown norm backend {backend!r}")
+    if exact:
+        raise DomainError("exact mode (--exact) runs on the flow backend only")
+    result = norm_tree(mu)
+    if backend not in ("auto", result.backend):
+        raise DomainError(f"the {backend} tree sum does not apply to a vector over the {mu.space.kind} space")
+    return result
 
 
 def norm_alpha(mu: FreeVector) -> float:
-    """Sequence-space norm: sum |c_n| * alpha_n, the tree sum over the star of
-    edges (0, n) (the weighted-l1 identification)."""
-    if not isinstance(mu.space, AlphaSpace):
-        raise DomainError("norm_alpha needs a vector over a sequence space")
-    d = mu.space.distance
-    return _tree_norm([(d(0, n), c)] for n, c in mu.terms)
+    """Sequence-space norm sum |c_n| * alpha_n, the tree sum over the star."""
+    return norm_result(mu, "alpha").value
 
 
 def norm_line(mu: FreeVector) -> float:
     """Interval norm: the tree sum over the path through 0, right ray first."""
-    if not isinstance(mu.space, IntervalSpace):
-        raise DomainError("norm_line needs a vector over an interval space")
-    right = [(x, c) for x, c in mu.terms if x > 0.0]
-    left = [(-x, c) for x, c in reversed(mu.terms) if x < 0.0]
-    return _tree_norm((right, left))
+    return norm_result(mu, "line").value
 
 
 def free_norm(mu: FreeVector, backend: str = "auto") -> float:
-    """Norm value through a chosen route: "flow", "alpha", "line", or "auto"
-    (the closed form matching the space when one exists, flow otherwise)."""
-    auto = backend == "auto"
-    if backend == "alpha" or auto and isinstance(mu.space, AlphaSpace):
-        return norm_alpha(mu)
-    if backend == "line" or auto and isinstance(mu.space, IntervalSpace):
-        return norm_line(mu)
-    if backend == "flow" or auto:
-        return norm_flow(mu).value
-    raise DomainError(f"unknown norm backend {backend!r}")
+    """The value of ``norm_result(mu, backend)``."""
+    return norm_result(mu, backend).value
 
 
 def norm_result_to_json(result: NormResult) -> dict:

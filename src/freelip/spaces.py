@@ -95,6 +95,14 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
                  f"d[{i}][{j}] = {d[i, j]!r} > d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
 
 
+def _finite_rows(d: np.ndarray, points) -> list[list[float]]:
+    """``d.tolist()``, or a DomainError naming a distance past the float range."""
+    if not np.isfinite(d).all():
+        i, j = np.argwhere(~np.isfinite(d))[0]
+        raise DomainError(f"distance between {points[i]!r} and {points[j]!r} overflows a float")
+    return d.tolist()
+
+
 # ---------------------------------------------------------------------------
 # the four presentations
 
@@ -224,12 +232,13 @@ class AlphaSpace:
                 f"point {max(p, q)} lies past the materialized prefix of length {self._alpha.size}"
             ) from None
 
+    @np.errstate(over="ignore")
     def cost_matrix(self, points) -> list[list[float]]:
         idx = np.asarray(points, dtype=np.intp)
         w = np.where(idx > 0, self._alpha[idx - 1], 0.0)
         d = np.add.outer(w, w)
         d[np.equal.outer(idx, idx)] = 0.0
-        return d.tolist()
+        return _finite_rows(d, points)
 
     def __eq__(self, other):
         return isinstance(other, AlphaSpace) and (
@@ -282,9 +291,10 @@ class IntervalSpace:
     def distance(self, p, q) -> float:
         return abs(p - q)
 
+    @np.errstate(over="ignore")
     def cost_matrix(self, points) -> list[list[float]]:
         x = np.asarray(points, dtype=float)
-        return np.abs(np.subtract.outer(x, x)).tolist()
+        return _finite_rows(np.abs(np.subtract.outer(x, x)), points)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from freelip import (
+    AlphaSpace,
     FiniteMap,
     FiniteSpace,
     IntervalSpace,
@@ -73,12 +74,40 @@ def test_norm_writes_certificated_report(tmp_path, vector_file):
     assert report["plan"]
 
 
-def test_norm_other_backends_skip_certificates(tmp_path, vector_file):
+def _norm_vectors(d):
+    """One vector per space kind the tree sums and the flow route take."""
+    return {
+        "interval": _write(d / "interval.json", vector_to_json(
+            make_free_vector(IntervalSpace(-2.0, 2.0), [(-1.5, 0.5), (-0.25, -2.0), (0.75, 1.25), (1.5, -0.5)]))),
+        "alpha": _write(d / "alpha.json", vector_to_json(
+            make_free_vector(AlphaSpace([0.5, 1.5, 2.0, 0.5]), [(1, 1.0), (2, -0.75), (4, 2.5)]))),
+        "finite": _finite_vector_file(d, 0.5),
+    }
+
+
+@pytest.mark.parametrize("backend, kind, route", [
+    ("line", "interval", "line"), ("alpha", "alpha", "alpha"),
+    ("auto", "interval", "line"), ("auto", "alpha", "alpha"), ("auto", "finite", "flow"),
+])
+def test_norm_every_backend_writes_certificates(tmp_path, backend, kind, route):
     out = tmp_path / "out"
-    res = run_cli("norm", "--vector", str(vector_file), "--backend", "line", "--outdir", str(out))
-    assert res.returncode == 0
+    res = run_cli("norm", "--vector", _norm_vectors(tmp_path)[kind], "--backend", backend, "--outdir", str(out))
+    assert res.returncode == 0, res.stderr
     report = json.loads((out / "norm.json").read_text())
-    assert report == {"value": 0.5, "backend": "line", "exact": False}
+    assert report["backend"] == route and f"(backend {route})" in res.stdout
+    assert report["value"] > 0 and report["witness"] and report["plan"] and report["exact"] is False
+    assert abs(report["gap"]) <= 1e-12 * report["value"]
+
+
+def test_norm_auto_certifies_points_farther_apart_than_the_float_range(tmp_path):
+    # the flow route cannot price a distance of 2e308; the tree sum never forms it
+    out = tmp_path / "out"
+    res = run_cli("norm", "--vector", _apart_vector_file(tmp_path, "interval"), "--backend", "auto",
+                  "--outdir", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    report = json.loads((out / "norm.json").read_text())
+    assert (report["value"], report["gap"], report["backend"]) == (2.0000000000000002e+298, 0.0, "line")
 
 
 def test_norm_exact_needs_flow(tmp_path, vector_file):
@@ -260,6 +289,15 @@ def _overflow_vector_file(d):
     return _write(d / "vector.json", {"space": space, "terms": [[1, 1e308], [2, 1e308]]})
 
 
+def _apart_vector_file(d, kind):
+    """+1e-10 and -1e-10 at two points 2e308 apart, past the float range."""
+    if kind == "interval":
+        space, terms = IntervalSpace(-math.inf, math.inf), [[1e308, 1e-10], [-1e308, -1e-10]]
+    else:
+        space, terms = AlphaSpace([1e308, 1e308]), [[1, 1e-10], [2, -1e-10]]
+    return _write(d / "vector.json", {"space": space_to_json(space), "terms": terms})
+
+
 def _far_vector_file(d):
     space = space_to_json(IntervalSpace(0.0, 1e300))
     return _write(d / "vector.json", {"space": space, "terms": [[1e200, 1e200]]})
@@ -376,6 +414,12 @@ MALFORMED = {
     "norm-value-overflows": lambda d: ["norm", "--vector", _far_vector_file(d)],
     "norm-value-overflows-exact": lambda d: ["norm", "--exact", "--vector", _far_vector_file(d)],
     "norm-value-overflows-line": lambda d: ["norm", "--backend", "line", "--vector", _far_vector_file(d)],
+    # a distance between two support points overflows a float; the flow route needs it
+    "norm-distance-overflows-interval": lambda d: ["norm", "--vector", _apart_vector_file(d, "interval")],
+    "norm-distance-overflows-interval-exact": lambda d: ["norm", "--exact", "--vector",
+                                                         _apart_vector_file(d, "interval")],
+    "norm-distance-overflows-alpha": lambda d: ["norm", "--vector", _apart_vector_file(d, "alpha")],
+    "norm-distance-overflows-alpha-exact": lambda d: ["norm", "--exact", "--vector", _apart_vector_file(d, "alpha")],
     # f^k orbits get horizon // k steps, which is none when k exceeds the horizon
     "power-above-horizon": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1", "--power", "11",
                                       "--params", _params_file(d, {"horizon": 10})],

@@ -33,12 +33,13 @@ from freelip import (
     norm_alpha,
     norm_flow,
     norm_line,
+    norm_result,
     norm_result_to_json,
     pair,
     restrict_to_points,
     witness_functional,
 )
-from freelip.norms import EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport
+from freelip.norms import EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_tree
 from conftest import random_finite_space
 
 RELTOL = 1e-9
@@ -220,11 +221,15 @@ def test_certificates_are_feasible_and_tight(rng):
     # supplies and backward arcs, and none of that may leave a zero-mass edge
     box = LatticeBox(((-3, 3), (-3, 3)))
     vectors += [random_vector(rng, box, rng.randint(8, 24)) for _ in range(10)]
-    for mu in vectors:
-        sp = mu.space
-        if mu.is_zero():
-            continue
-        res = norm_flow(mu)
+    results = [norm_flow(mu) for mu in vectors if not mu.is_zero()]
+    # tree sums: a path through 0 and a star with tied weights; their plans
+    # ship along the edges, through intermediate support points
+    trees = (IntervalSpace(-2.0, 2.0), AlphaSpace([rng.choice([0.5, 1.0, 2.5]) for _ in range(8)]))
+    results += [norm_tree(random_vector_on(rng, sp, rng.randint(1, 8))) for sp in trees for _ in range(12)]
+    # balanced pairs on each ray: the edges next to 0 carry no mass and ship nothing
+    results.append(norm_tree(make_free_vector(trees[0], [(0.5, 1.0), (1.5, -1.0), (-1.0, 0.75), (-1.5, -0.75)])))
+    for res in results:
+        mu, sp = res.vector, res.vector.space
         # dual witness: 1-Lipschitz on the nodes, vanishes at base, attains value
         vals = dict(res.witness)
         assert vals[sp.basepoint] == 0.0
@@ -257,18 +262,18 @@ def test_witness_extends_one_lipschitz_everywhere(kind, seed):
     rng = random.Random(seed)
     sp = random_space(rng, kind)
     mu = random_vector_on(rng, sp, 4)
-    res = norm_flow(mu)
-    phi = witness_functional(res)
-    # the whole space where it is enumerable; on the interval a grid and the support
-    pts = list(sp.points()) if kind != "interval" else [i / 8 for i in range(-16, 17)] + list(mu.support())
-    for y in pts:
-        for z in pts:
-            assert abs(phi(y) - phi(z)) <= sp.distance(y, z) + 1e-9
-    assert phi(sp.basepoint) == pytest.approx(0.0, abs=1e-12)
-    # the extension agrees with the witness where both are defined
-    for p, v in res.witness:
-        assert phi(p) == pytest.approx(v, abs=1e-9)
-    assert pair(phi, mu) == pytest.approx(res.value, rel=RELTOL, abs=1e-9)
+    for res in [norm_flow(mu)] + ([norm_tree(mu)] if kind in ("alpha", "interval") else []):
+        phi = witness_functional(res)
+        # the whole space where it is enumerable; on the interval a grid and the support
+        pts = list(sp.points()) if kind != "interval" else [i / 8 for i in range(-16, 17)] + list(mu.support())
+        for y in pts:
+            for z in pts:
+                assert abs(phi(y) - phi(z)) <= sp.distance(y, z) + 1e-9
+        assert phi(sp.basepoint) == pytest.approx(0.0, abs=1e-12)
+        # the extension agrees with the witness where both are defined
+        for p, v in res.witness:
+            assert phi(p) == pytest.approx(v, abs=1e-9)
+        assert pair(phi, mu) == pytest.approx(res.value, rel=RELTOL, abs=1e-9)
 
 
 def test_zero_vector_norm_and_certificates():
@@ -331,6 +336,20 @@ def test_backend_dispatch_and_rejection(rng):
         norm_line(mu_alpha)
     with pytest.raises(DomainError):
         free_norm(mu_line, backend="martingale")
+    # one dispatcher: the result names the route taken, and exact mode is flow only
+    sp_finite = FiniteSpace(((0.0, 1.0), (1.0, 0.0)))
+    mu_finite = delta(sp_finite, 1)
+    for mu, route in ((mu_line, "line"), (mu_alpha, "alpha"), (mu_finite, "flow")):
+        assert norm_result(mu).backend == route
+        assert norm_result(mu, "flow").backend == "flow"
+    assert norm_result(mu_finite, exact=True).exact
+    for mu, backend in ((mu_line, "auto"), (mu_line, "line"), (mu_alpha, "alpha")):
+        with pytest.raises(DomainError, match="--exact"):
+            norm_result(mu, backend, exact=True)
+    with pytest.raises(DomainError):
+        norm_result(mu_finite, "line")
+    with pytest.raises(DomainError):
+        norm_tree(mu_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +551,17 @@ def test_a_norm_that_overflows_a_float_is_a_domain_error():
         norm_alpha(make_free_vector(AlphaSpace([1e200, 1.0]), [(1, 1e200), (2, 1.0)]))
     # the largest finite norm still comes back
     assert norm_line(make_free_vector(line, [(1.0, 1.7e308)])) == 1.7e308
+    # points farther apart than the float range: the flow route cannot price
+    # the distance, the tree sum never forms it and certifies the norm
+    whole = IntervalSpace(-math.inf, math.inf)
+    apart = (make_free_vector(whole, [(1e308, 1e-10), (-1e308, -1e-10)]),
+             make_free_vector(AlphaSpace([1e308, 1e308]), [(1, 1e-10), (2, -1e-10)]))
+    for mu in apart:
+        for exact in (False, True):
+            with pytest.raises(DomainError, match="overflows a float"):
+                norm_flow(mu, exact=exact)
+        res = norm_result(mu)
+        assert (res.value, dual_gap(res)) == (2.0000000000000002e+298, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,3 +638,7 @@ def test_flow_matches_closed_forms_at_every_scale(scale, seed):
         got = norm_flow(mu).value
         assert got == pytest.approx(closed(mu), rel=RELTOL, abs=0)
         assert math.copysign(1.0, got) == 1.0
+        # the tree sum's own certificates close to 1e-12 of its value
+        tree = norm_tree(mu)
+        assert tree.value == closed(mu)
+        assert abs(dual_gap(tree)) <= 1e-12 * tree.value

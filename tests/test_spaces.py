@@ -199,6 +199,18 @@ def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
     assert [[(type(x), x.hex()) for x in row] for row in got] == [[(type(x), x.hex()) for x in row] for row in want]
 
 
+def test_cost_matrix_refuses_a_distance_past_the_float_range():
+    # numpy's overflow stays silent; the refusal names the two points
+    whole = IntervalSpace(-math.inf, math.inf)
+    with pytest.raises(DomainError, match="between -1e[+]308 and 1e[+]308 overflows a float"):
+        whole.cost_matrix([0.0, -1e308, 1e308])
+    heavy = AlphaSpace([1e308, 1e308])
+    with pytest.raises(DomainError, match="between 1 and 2 overflows a float"):
+        heavy.cost_matrix([0, 1, 2])
+    # a diagonal entry alpha_n + alpha_n overflows too, but it is zeroed first
+    assert heavy.cost_matrix([0, 1]) == [[0.0, 1e308], [1e308, 0.0]]
+
+
 def test_restrict_interval_points():
     sp = IntervalSpace(0.0, 2.0)
     sub = restrict_to_points(sp, [1.5, 0.5])
