@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Verbs: norm, orbit, classify, rigidity, interval-analyze, gallery, selftest.
+Verbs: norm, orbit, classify, rigidity, interval-analyze, gallery, selftest,
+each an entry of ``VERBS``.  A verb call builds that verb's parser alone; the
+full parser, ``build_parser``, is built only for top-level help and errors.
 Every verb is a thin adapter over the library: it loads JSON inputs, calls
 one operation, writes a JSON report (plus a CSV profile where that makes
 sense) and prints a one-line summary.  Reports carry no timestamps, so a
@@ -34,7 +36,7 @@ from .dynamics import (
 )
 from .gallery import GALLERY, experiment_to_json, gallery_experiments
 from .maps import PiecewiseLinearMap, map_from_json
-from .norms import norm_result, norm_result_to_json
+from .norms import norm_result, norm_result_to_json, norm_route
 from .selftest import run_selftest
 from .spaces import DomainError, IntervalSpace, space_from_json
 from .vectors import coerce_point, vector_from_json
@@ -123,11 +125,8 @@ def _cmd_orbit(args, outdir: Path) -> int:
     f = _load_map(args.map, args.space)
     mu = vector_from_json(_read_json(args.vector))
     profile = orbit_norm_profile(f, mu, args.steps, backend=args.backend)
-    report = {
-        "steps": args.steps,
-        "backend": args.backend,
-        "profile": [float(v) for v in profile],
-    }
+    report = {"steps": args.steps, "backend": norm_route(mu.space, args.backend),
+              "profile": [float(v) for v in profile]}
     _write_json(outdir / "orbit.json", report)
     _write_profile_csv(outdir / "orbit.csv", profile)
     print(f"orbit profile over {args.steps} steps, final {profile[-1]!r} -> {outdir / 'orbit.json'}")
@@ -198,79 +197,76 @@ def _cmd_selftest(args, outdir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument surface
+# argument surface: one table of verbs, each with its function, help and arguments
+
+VERBS = {
+    "norm": (_cmd_norm, "free-space norm of a vector with certificates", [
+        ("--vector", dict(required=True, help="vector JSON (embeds its space)")),
+        ("--backend", dict(default="flow", choices=("flow", "alpha", "line", "auto"))),
+        ("--exact", dict(action="store_true", help="rational arithmetic (flow backend)")),
+    ]),
+    "orbit": (_cmd_orbit, "norm profile of an iterated vector", [
+        ("--map", dict(required=True, help="map JSON ({'space':…, 'map':…} or bare with --space)")),
+        ("--space", dict(help="space JSON when the map file has no embedded space")),
+        ("--vector", dict(required=True)), ("--steps", dict(type=int, required=True)),
+        ("--backend", dict(default="auto", choices=("auto", "flow", "alpha", "line"))),
+    ]),
+    "classify": (_cmd_classify, "recurrent/escaping/bounded evidence for a point orbit", [
+        ("--map", dict(required=True)), ("--space", {}),
+        ("--point", dict(required=True, help="point as JSON (number or array)")),
+        ("--params", dict(help="ClassificationParams overrides as JSON file")),
+        ("--power", dict(type=int, default=1, help="classify under this iterate of the map")),
+    ]),
+    "rigidity": (_cmd_rigidity, "uniform Lipschitz bound + simultaneous returns", [
+        ("--map", dict(required=True)), ("--space", {}),
+        ("--times", dict(required=True, help="comma-separated iterate times")),
+        ("--bound", dict(type=float, required=True)),
+        ("--sample", dict(help="JSON array of points (default: every point; required on an interval)")),
+        ("--tolerances", dict(help="comma-separated per-time return tolerances")),
+    ]),
+    "interval-analyze": (_cmd_interval_analyze, "drift sign analysis with escape certificates", [
+        ("--map", dict(required=True)), ("--space", {}),
+        ("--depth", dict(type=int, default=40)),
+    ]),
+    "gallery": (_cmd_gallery, "run named experiments with built-in checks", [
+        ("name", dict(nargs="?", default="all", help=f"one of {', '.join(GALLERY)} or 'all'")),
+        ("--fast", dict(action="store_true", help="smaller desk scales")),
+    ]),
+    "selftest": (_cmd_selftest, "seeded invariant sweeps; byte-stable reports", [
+        ("--seed", dict(type=int, default=0)), ("--rounds", dict(type=int, default=20)),
+    ]),
+}
+
+
+def verb_parser(verb: str, parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """``verb``'s arguments and ``--outdir`` added to ``parser``, by default a new ``freelip <verb>``."""
+    parser = parser or argparse.ArgumentParser(prog=f"freelip {verb}")
+    fn, _, arguments = VERBS[verb]
+    for name, spec in arguments:
+        parser.add_argument(name, **spec)
+    parser.add_argument("--outdir", help=f"report directory (default ${OUTDIR_ENV} or .)")
+    parser.set_defaults(fn=fn)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every verb as a subcommand: the parser for help and for a call that names no verb."""
     parser = argparse.ArgumentParser(
         prog="freelip",
         description="Workbench for free-space norms and Lipschitz orbit dynamics.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_outdir(p):
-        p.add_argument("--outdir", help=f"report directory (default ${OUTDIR_ENV} or .)")
-
-    p = sub.add_parser("norm", help="free-space norm of a vector with certificates")
-    p.add_argument("--vector", required=True, help="vector JSON (embeds its space)")
-    p.add_argument("--backend", default="flow", choices=("flow", "alpha", "line", "auto"))
-    p.add_argument("--exact", action="store_true", help="rational arithmetic (flow backend)")
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_norm)
-
-    p = sub.add_parser("orbit", help="norm profile of an iterated vector")
-    p.add_argument("--map", required=True, help="map JSON ({'space':…, 'map':…} or bare with --space)")
-    p.add_argument("--space", help="space JSON when the map file has no embedded space")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--backend", default="auto", choices=("auto", "flow", "alpha", "line"))
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_orbit)
-
-    p = sub.add_parser("classify", help="recurrent/escaping/bounded evidence for a point orbit")
-    p.add_argument("--map", required=True)
-    p.add_argument("--space")
-    p.add_argument("--point", required=True, help="point as JSON (number or array)")
-    p.add_argument("--params", help="ClassificationParams overrides as JSON file")
-    p.add_argument("--power", type=int, default=1, help="classify under this iterate of the map")
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("rigidity", help="uniform Lipschitz bound + simultaneous returns")
-    p.add_argument("--map", required=True)
-    p.add_argument("--space")
-    p.add_argument("--times", required=True, help="comma-separated iterate times")
-    p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--sample", help="JSON array of points (default: every point; required on an interval)")
-    p.add_argument("--tolerances", help="comma-separated per-time return tolerances")
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_rigidity)
-
-    p = sub.add_parser("interval-analyze", help="drift sign analysis with escape certificates")
-    p.add_argument("--map", required=True)
-    p.add_argument("--space")
-    p.add_argument("--depth", type=int, default=40)
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_interval_analyze)
-
-    p = sub.add_parser("gallery", help="run named experiments with built-in checks")
-    p.add_argument("name", nargs="?", default="all", help=f"one of {', '.join(GALLERY)} or 'all'")
-    p.add_argument("--fast", action="store_true", help="smaller desk scales")
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_gallery)
-
-    p = sub.add_parser("selftest", help="seeded invariant sweeps; byte-stable reports")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=20)
-    add_outdir(p)
-    p.set_defaults(fn=_cmd_selftest)
-
+    for verb, (_, text, _) in VERBS.items():
+        verb_parser(verb, sub.add_parser(verb, help=text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in VERBS:  # a verb call builds only that verb's parser
+        args = verb_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     try:

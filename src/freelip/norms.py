@@ -314,17 +314,26 @@ def norm_tree(mu: FreeVector) -> NormResult:
     return NormResult(_finite(total), tuple(witness), tuple(plan), mu, backend=backend)
 
 
+def norm_route(space, backend: str = "auto") -> str:
+    """The route ``norm_result`` takes for ``backend`` over ``space``: "auto" is the tree sum
+    where one applies ("line" on an interval, "alpha" on a sequence space), else "flow"."""
+    if backend != "auto":
+        return backend
+    return "line" if isinstance(space, IntervalSpace) else "alpha" if isinstance(space, AlphaSpace) else "flow"
+
+
 def norm_result(mu: FreeVector, backend: str = "auto", exact: bool = False) -> NormResult:
     """The norm with certificates by "flow", "line" or "alpha" (the tree sums), or "auto",
-    a tree sum where one applies; the result names the route taken.  Exact mode is flow only."""
-    if backend == "flow" or backend == "auto" and not isinstance(mu.space, (AlphaSpace, IntervalSpace)):
+    the route ``norm_route`` picks; the result names the route taken.  Exact mode is flow only."""
+    route = norm_route(mu.space, backend)
+    if route == "flow":
         return norm_flow(mu, exact=exact)
-    if backend not in ("auto", "alpha", "line"):
+    if route not in ("alpha", "line"):
         raise DomainError(f"unknown norm backend {backend!r}")
     if exact:
         raise DomainError("exact mode (--exact) runs on the flow backend only")
     result = norm_tree(mu)
-    if backend not in ("auto", result.backend):
+    if result.backend != route:
         raise DomainError(f"the {backend} tree sum does not apply to a vector over the {mu.space.kind} space")
     return result
 

@@ -88,11 +88,13 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
     if at := first(d + np.eye(n) == 0.0):  # the lifted diagonal leaves off-diagonal zeros
         i, j = at
         fail("zero-off-diagonal", f"d[{i}][{j}] = 0 with {i} != {j}")
-    for k in range(n):
-        if at := first(d - (d[:, [k]] + d[[k], :]) > TRIANGLE_TOL):
-            i, j = at
-            fail("triangle",
-                 f"d[{i}][{j}] = {d[i, j]!r} > d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
+    step = max(1, 2**14 // max(n * n, 1))  # pivots per block of about 2**14 sums
+    with np.errstate(over="ignore"):  # a sum past the float range is inf and flags nothing
+        for k0 in range(0, n, step):
+            if at := first(d[None] - (d.T[k0:k0 + step, :, None] + d[k0:k0 + step, None, :]) > TRIANGLE_TOL):
+                k, i, j = at[0] + k0, at[1], at[2]
+                fail("triangle",
+                     f"d[{i}][{j}] = {d[i, j]!r} > d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
 
 
 def _finite_rows(d: np.ndarray, points) -> list[list[float]]:
@@ -385,6 +387,8 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
 
 def _coerce_number(v, integral: bool, what: str = "point"):
     """A JSON number as an int (``integral``: 2.0 reads as 2) or a finite float, else DomainError."""
+    if type(v) is (int if integral else float) and (integral or math.isfinite(v)):
+        return v
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise DomainError(f"{what} {v!r} is not a number")
     if not isinstance(v, numbers.Integral):

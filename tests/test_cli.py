@@ -2,11 +2,13 @@
 
 Every invocation uses ``python -m freelip.cli`` so the tests exercise exactly
 what the installed ``freelip`` script runs, including exit codes and the
-promise that fixed inputs produce byte-identical reports.
+promise that fixed inputs produce byte-identical reports.  The tests of the
+argument surface also build the parsers and call ``main`` in process.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -23,12 +25,14 @@ from freelip import (
     LatticeBox,
     doubling_map,
     experiment_to_json,
+    identity_map,
     make_free_vector,
     map_to_json,
     ramp_map,
     space_to_json,
     vector_to_json,
 )
+from freelip.cli import VERBS, build_parser, main, verb_parser
 from freelip.selftest import run_selftest
 
 
@@ -198,6 +202,20 @@ def test_orbit_profile_files(tmp_path, doubling_bundle, vector_file):
     assert len(rows) == 8
     # csv holds full-precision reprs
     assert float(rows[1].split(",")[1]) == report["profile"][0]
+
+
+@pytest.mark.parametrize("kind, route", [("interval", "line"), ("finite", "flow")])
+def test_orbit_reports_the_route_taken(tmp_path, doubling_bundle, vector_file, kind, route):
+    if kind == "interval":
+        map_file, vec = str(doubling_bundle), str(vector_file)
+    else:
+        map_file = _finite_map_file(tmp_path)
+        space = space_to_json(FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))))
+        vec = _write(tmp_path / "finite-vector.json", {"space": space, "terms": [[1, 1.0], [2, -0.5]]})
+    out = tmp_path / "out"
+    res = run_cli("orbit", "--map", map_file, "--vector", vec, "--steps", "3", "--outdir", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads((out / "orbit.json").read_text())["backend"] == route
 
 
 def test_interval_analyze_reports_case(tmp_path, doubling_bundle):
@@ -562,6 +580,58 @@ def test_selftest_counts_a_nan_as_a_failure(monkeypatch):
     sweep = next(s for s in summary["sweeps"] if s["name"] == "backend-agreement")
     assert not summary["ok"]
     assert sweep["failures"] and all(f["kind"] == "line" for f in sweep["failures"])
+
+
+# ---------------------------------------------------------------------------
+# the argument surface: a verb call builds that verb's parser alone
+
+SEVEN_VERBS = ["norm", "orbit", "classify", "rigidity", "interval-analyze", "gallery", "selftest"]
+
+
+def test_a_verb_parser_prints_the_help_of_the_full_parser():
+    full = build_parser()
+    sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(VERBS) == SEVEN_VERBS
+    for verb in VERBS:
+        assert verb_parser(verb).format_help() == sub.choices[verb].format_help()
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["bogus"], 2)])
+def test_a_call_without_a_verb_lists_every_verb(argv, code):
+    res = run_cli(*argv)
+    assert res.returncode == code
+    text = res.stdout + res.stderr
+    assert text.startswith("usage: freelip [-h]")
+    assert "{" + ",".join(SEVEN_VERBS) + "}" in text
+
+
+def test_an_unrecognized_argument_shows_the_verb_usage(tmp_path, vector_file):
+    res = run_cli("norm", "--vector", str(vector_file), "extra", "--outdir", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage: freelip norm [-h] --vector VECTOR")
+    assert res.stderr.splitlines()[-1] == "freelip norm: error: unrecognized arguments: extra"
+
+
+def test_a_verb_call_never_builds_the_full_parser(tmp_path, monkeypatch, doubling_bundle, vector_file):
+    def refuse():
+        raise AssertionError("a verb call built the full parser")
+
+    monkeypatch.setattr("freelip.cli.build_parser", refuse)
+    identity = tmp_path / "id.json"
+    identity.write_text(json.dumps(_bundle(identity_map(IntervalSpace(0.0, math.inf)))))
+    bundle = str(doubling_bundle)
+    calls = {
+        "norm": ["--vector", str(vector_file)],
+        "orbit": ["--map", bundle, "--vector", str(vector_file), "--steps", "2"],
+        "classify": ["--map", bundle, "--point", "0.25"],
+        "rigidity": ["--map", str(identity), "--times", "1,2", "--bound", "1.0", "--sample", "[0.5]"],
+        "interval-analyze": ["--map", bundle],
+        "gallery": ["doubling", "--fast"],
+        "selftest": ["--rounds", "1"],
+    }
+    assert list(calls) == SEVEN_VERBS
+    for verb, argv in calls.items():
+        assert main([verb, *argv, "--outdir", str(tmp_path / verb)]) == 0, verb
 
 
 # ---------------------------------------------------------------------------

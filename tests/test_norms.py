@@ -39,7 +39,7 @@ from freelip import (
     restrict_to_points,
     witness_functional,
 )
-from freelip.norms import EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_tree
+from freelip.norms import EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_route, norm_tree
 from conftest import random_finite_space
 
 RELTOL = 1e-9
@@ -340,7 +340,7 @@ def test_backend_dispatch_and_rejection(rng):
     sp_finite = FiniteSpace(((0.0, 1.0), (1.0, 0.0)))
     mu_finite = delta(sp_finite, 1)
     for mu, route in ((mu_line, "line"), (mu_alpha, "alpha"), (mu_finite, "flow")):
-        assert norm_result(mu).backend == route
+        assert norm_result(mu).backend == route == norm_route(mu.space)
         assert norm_result(mu, "flow").backend == "flow"
     assert norm_result(mu_finite, exact=True).exact
     for mu, backend in ((mu_line, "auto"), (mu_line, "line"), (mu_alpha, "alpha")):

@@ -50,6 +50,49 @@ def test_validate_flags_each_axiom(matrix, kind):
         validate_finite_metric(matrix)
 
 
+def _first_triangle_violation_per_pivot(matrix):
+    """The reference: one pivot at a time, the first violating (i, j) in row-major order."""
+    d = np.asarray(matrix, dtype=float)
+    for k in range(len(d)):
+        at = np.argwhere(d - (d[:, [k]] + d[[k], :]) > 1e-12)
+        if len(at):
+            i, j = (int(v) for v in at[0])
+            return (f"not a metric (triangle): d[{i}][{j}] = {d[i, j]!r} > "
+                    f"d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
+    return None
+
+
+def test_validate_reports_the_first_triangle_violation_across_pivot_blocks():
+    # 70 points at distance 2, with two shortcuts of length 1 + 1 under a 2.5:
+    # through pivot 4 for the pair (60, 66), through pivot 40 for (1, 2).  The
+    # pivots lie in different blocks, and the first violation by pivot comes
+    # after the other one in row-major order.
+    d = np.full((70, 70), 2.0)
+    np.fill_diagonal(d, 0.0)
+    for k, (i, j) in ((4, (60, 66)), (40, (1, 2))):
+        d[k, [i, j]] = d[[i, j], k] = 1.0
+        d[i, j] = d[j, i] = 2.5
+    want = _first_triangle_violation_per_pivot(d)
+    assert want.startswith("not a metric (triangle): d[60][66] = ") and "> d[60][4] + d[4][66] = " in want
+    with pytest.raises(DomainError) as err:
+        validate_finite_metric(d)
+    assert str(err.value) == want
+    d[60, 66] = d[66, 60] = 2.0  # the violation at pivot 40 is left
+    with pytest.raises(DomainError) as err:
+        validate_finite_metric(d)
+    assert str(err.value) == _first_triangle_violation_per_pivot(d) and "> d[1][40] + d[40][2] = " in str(err.value)
+
+
+def test_a_metric_whose_triangle_sums_overflow_builds_without_a_warning():
+    # 1e308 + 1e308 is inf, which flags no violation; under Tier-1's
+    # error::RuntimeWarning filter a numpy overflow warning would fail here
+    far = 1e308
+    space = FiniteSpace(((0.0, far, far), (far, 0.0, far), (far, far, 0.0)))
+    assert space.distance(1, 2) == far
+    sub = restrict_to_points(AlphaSpace([far, far]), [1])
+    assert sub.matrix == ((0.0, far), (far, 0.0))
+
+
 def test_finite_space_rejects_bad_matrix():
     with pytest.raises(DomainError):
         FiniteSpace(matrix=((0.0, 1.0), (2.0, 0.0)), basepoint=0)
