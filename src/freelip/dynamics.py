@@ -98,8 +98,27 @@ class ClassificationReport:
     note: str = ""
 
 
+def _walk(f, x, steps: int, power: int = 1):
+    """The orbit x, f^power(x), ... for at most ``steps`` steps of f^power, and
+    the DomainError that cut it short, or None.  It stops after an exact return
+    (y == x, which is d(x, y) == 0 on canonical points)."""
+    apply, reps = f.apply, range(power)
+    orbit = [x]
+    y = x
+    for _ in range(steps):
+        try:
+            for _ in reps:
+                y = apply(y)
+        except DomainError as exc:
+            return orbit, exc
+        orbit.append(y)
+        if y == x:
+            break
+    return orbit, None
+
+
 def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
-    """Minimum of d(x, f^n(x)) over 1 <= n <= horizon, with the attaining n.
+    """Minimum of d(x, f^n(x)) over 1 <= n <= horizon, with the first n attaining it.
 
     Stops early on an exact return (the minimum cannot improve on zero).
     Iteration errors propagate to the caller.
@@ -108,17 +127,12 @@ def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
         raise DomainError("horizon must be at least 1")
     space = f.space
     x = space.check_point(x)
-    best = math.inf
-    best_t = 0
-    y = x
-    for n in range(1, horizon + 1):
-        y = f.apply(y)
-        g = space.distance(x, y)
-        if g < best:
-            best, best_t = g, n
-            if best == 0.0:
-                break
-    return float(best), best_t
+    orbit, error = _walk(f, x, horizon)
+    if error is not None:
+        raise error
+    gaps = [space.distance(x, y) for y in orbit[1:]]
+    best = min(gaps)
+    return float(best), gaps.index(best) + 1
 
 
 def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: int = 1) -> ClassificationReport:
@@ -141,6 +155,8 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     a power above the horizon would get no step and is refused.
     """
     params = params or ClassificationParams()
+    if type(power) is not int:  # bool is an int subclass
+        raise DomainError(f"power {power!r} must be an integer")
     if not 1 <= power <= params.horizon:
         raise DomainError(f"power {power} must lie between 1 and the horizon {params.horizon}")
     space = f.space
@@ -150,26 +166,12 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     radii = params.resolve_radii(space, x)
     steps_wanted = params.horizon // power
 
-    # d(x, y) == 0 exactly when y == x, for a metric on canonical points, so
-    # the loop only follows the orbit and the distances are read off after it
-    apply, reps = f.apply, range(power)
-    orbit = [x]
+    orbit, error = _walk(f, x, steps_wanted, power)
     note = ""
-    truncated = False
-    y = x
-    for n in range(1, steps_wanted + 1):
-        try:
-            for _ in reps:
-                y = apply(y)
-        except DomainError as exc:
-            note = f"orbit left the computable presentation at step {n}: {exc}"
-            truncated = True
-            break
-        orbit.append(y)
-        if y == x:
-            if n < steps_wanted:
-                note = f"exact return at step {n}; the orbit is periodic, iteration stopped early"
-            break
+    if error is not None:
+        note = f"orbit left the computable presentation at step {len(orbit)}: {error}"
+    elif len(orbit) <= steps_wanted:
+        note = f"exact return at step {len(orbit) - 1}; the orbit is periodic, iteration stopped early"
     distance = space.distance
     dists = [distance(base, y) for y in orbit]
     gaps = [distance(x, y) for y in orbit[1:]]
@@ -195,7 +197,7 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
         t_all = max(crossing)  # last radius is crossed last (radii increase)
         escape_signal = min(dists[t_all:]) >= radii[0]
 
-    full_run = not truncated and len(dists) == steps_wanted + 1
+    full_run = len(dists) == steps_wanted + 1  # a cut-short orbit is shorter
     cut = max(1, int(len(dists) * (1.0 - params.tail_fraction)))
     bounded_signal = full_run and max_time < cut
 
@@ -288,7 +290,7 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
     default is 1e-9 everywhere.  The certificate always carries the computed
     values, so a failed check still documents how it failed.
     """
-    times = tuple(int(n) for n in times)
+    times = tuple(_coerce_number(n, integral=True, what="time") for n in times)
     if not times or any(n < 1 for n in times) or any(a >= b for a, b in zip(times, times[1:])):
         raise DomainError("times must be strictly increasing and at least 1")
     if not (math.isfinite(bound) and bound > 0):
@@ -297,13 +299,14 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
     if not sample:
         raise DomainError("empty sample")
     if tolerances is None:
-        tols = tuple(1e-9 for _ in times)
-    elif isinstance(tolerances, (int, float)):
-        tols = tuple(float(tolerances) for _ in times)
-    else:
-        tols = tuple(float(t) for t in tolerances)
-        if len(tols) != len(times):
-            raise DomainError("need one tolerance per time")
+        tolerances = 1e-9
+    if isinstance(tolerances, (int, float)):
+        tolerances = (tolerances,) * len(times)
+    # a float goes on to the check below, which names a NaN or an infinity
+    tols = tuple(float(t) if isinstance(t, float) else _coerce_number(t, integral=False, what="tolerance")
+                 for t in tolerances)
+    if len(tols) != len(times):
+        raise DomainError("need one tolerance per time")
     if not all(math.isfinite(t) and t >= 0 for t in tols):
         raise DomainError(f"return tolerances must be finite and nonnegative, got {tols}")
 

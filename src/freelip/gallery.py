@@ -281,8 +281,7 @@ def block_cycle_map(space: AlphaSpace, blocks: int) -> AlphaMap:
         table.append(ss[n])
     if len(table) != space.prefix_length + 1:
         raise DomainError(f"{blocks} blocks need {len(table) - 1} weights, the space has {space.prefix_length}")
-    return AlphaMap(space=space, rule=tuple(table).__getitem__, name="block-cycle",
-                    rule_json={"rule": "table", "table": table})
+    return AlphaMap(space=space, rule=tuple(table).__getitem__, rule_json={"rule": "table", "table": table})
 
 
 def block_cycle_experiment(blocks: int = 10, horizon: int = 1000) -> ExperimentReport:

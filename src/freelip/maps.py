@@ -35,22 +35,6 @@ from .spaces import (
 from .norms import norm_flow
 from .vectors import FreeVector, make_free_vector, push_forward
 
-__all__ = [
-    "LipEstimate",
-    "FiniteMap",
-    "AlphaMap",
-    "PiecewiseLinearMap",
-    "LatticeMap",
-    "lip_constant",
-    "iterate_point",
-    "iterate_vector",
-    "iterate_map",
-    "compose",
-    "operator_norm_estimate",
-    "map_to_json",
-    "map_from_json",
-]
-
 BREAKPOINT_BUDGET = 100_000
 
 
@@ -93,7 +77,6 @@ class AlphaMap:
 
     space: AlphaSpace
     rule: Callable[[int], int]
-    name: str = ""
     rule_json: dict | None = field(default=None, compare=False)
 
     kind = "alpha-rule"
@@ -182,12 +165,7 @@ class PiecewiseLinearMap:
         return sp.check_point(y)  # raises, naming the point and the interval
 
     def slopes(self) -> tuple[float, ...]:
-        out = list(self._seg_slopes)
-        if not math.isfinite(self.space.a):
-            out.insert(0, self.left_slope)
-        if not math.isfinite(self.space.b):
-            out.append(self.right_slope)
-        return tuple(out) if out else (0.0,)
+        return tuple(s for *_, s in self.pieces()) or (0.0,)
 
     # -- exact root machinery -------------------------------------------------
 
@@ -232,7 +210,6 @@ class PiecewiseLinearMap:
 class LatticeMap:
     space: LatticeBox
     rule: Callable[[tuple[int, ...]], tuple[int, ...]]
-    name: str = ""
     rule_json: dict | None = field(default=None, compare=False)
 
     kind = "lattice-rule"
@@ -259,8 +236,7 @@ def compose(f, g):
     if isinstance(f, PiecewiseLinearMap) and isinstance(g, PiecewiseLinearMap):
         return _compose_pl(f, g)
     if isinstance(f, (AlphaMap, LatticeMap)) and type(g) is type(f):
-        return type(f)(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)),
-                       name=f"{f.name or 'f'}*{g.name or 'g'}")
+        return type(f)(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)))
     raise DomainError("mixed map presentations cannot be composed")
 
 
@@ -309,8 +285,7 @@ def iterate_map(f, n: int, budget: int = BREAKPOINT_BUDGET):
     if n < 1:
         raise DomainError("iterate_map needs n >= 1")
     if isinstance(f, (AlphaMap, LatticeMap)):
-        return type(f)(f.space, lambda x, f=f, n=n: _iter_rule(f.rule, x, n),
-                       name=f"{f.name or 'f'}^{n}")
+        return type(f)(f.space, lambda x, f=f, n=n: _iter_rule(f.rule, x, n))
     if isinstance(f, FiniteMap):
         return FiniteMap(f.space, _table_power(f.table, n))
     out = f
@@ -525,8 +500,7 @@ def map_from_json(obj: dict, space):
 def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
     rule = obj.get("rule")
     if rule == "forward-shift":
-        return AlphaMap(space, lambda n: 0 if n == 0 else n + 1,
-                        name="forward-shift", rule_json={"rule": "forward-shift"})
+        return AlphaMap(space, lambda n: 0 if n == 0 else n + 1, rule_json={"rule": "forward-shift"})
     if rule == "table":
         table = [_coerce_number(v, integral=True, what="table entry") for v in obj["table"]]
         if not table or table[0] != 0:
@@ -537,8 +511,7 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
                 raise PrefixExhausted(f"table rule covers indices up to {len(table) - 1}")
             return table[n]
 
-        return AlphaMap(space, apply_table, name="table",
-                        rule_json={"rule": "table", "table": table})
+        return AlphaMap(space, apply_table, rule_json={"rule": "table", "table": table})
     raise DomainError(f"unknown alpha rule {rule!r}")
 
 
@@ -552,5 +525,4 @@ def _lattice_rule_from_json(obj: dict, space: LatticeBox) -> LatticeMap:
     def apply_mat(p, mat=tuple(tuple(r) for r in mat)):
         return tuple(sum(m * c for m, c in zip(row, p)) for row in mat)
 
-    return LatticeMap(space, apply_mat, name="linear",
-                      rule_json={"rule": "matrix", "matrix": [list(r) for r in mat]})
+    return LatticeMap(space, apply_mat, rule_json={"rule": "matrix", "matrix": [list(r) for r in mat]})

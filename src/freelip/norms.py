@@ -25,21 +25,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 
-from .spaces import AlphaSpace, DomainError, IntervalSpace
+from .spaces import DomainError
 from .vectors import FreeVector, Functional, point_to_json
-
-__all__ = [
-    "NormResult",
-    "FlowConvergenceError",
-    "norm_flow",
-    "norm_alpha",
-    "norm_line",
-    "norm_tree",
-    "norm_result",
-    "free_norm",
-    "dual_gap",
-    "witness_functional",
-]
 
 MASS_TOL = 1e-12
 EXACT_SUPPORT_LIMIT = 64
@@ -66,12 +53,6 @@ class NormResult:
     vector: FreeVector
     backend: str = "flow"
     exact: bool = False
-
-    def witness_value(self, p) -> float:
-        for q, v in self.witness:
-            if q == p:
-                return v
-        raise DomainError(f"point {p!r} not covered by the witness")
 
     def plan_cost(self) -> float:
         return float(sum(m * c for _, _, m, c in self.plan))
@@ -293,10 +274,11 @@ def norm_tree(mu: FreeVector) -> NormResult:
     at or beyond p: it adds |m|*w to its branch (branch totals add in order),
     ships |m| inward if m > 0, else outward, and steps the witness by copysign(w, m)."""
     space, base = mu.space, mu.space.basepoint
-    if isinstance(space, AlphaSpace):
-        branches, backend = [[(n, space.distance(0, n), c)] for n, c in mu.terms], "alpha"
-    elif isinstance(space, IntervalSpace):  # each ray as (x, |x|, mass at or beyond x), outermost first, then turned
-        rays, backend = ([t for t in reversed(mu.terms) if t[0] > 0.0], [t for t in mu.terms if t[0] < 0.0]), "line"
+    backend = norm_route(space)
+    if backend == "alpha":
+        branches = [[(n, space.distance(0, n), c)] for n, c in mu.terms]
+    elif backend == "line":  # each ray as (x, |x|, mass at or beyond x), outermost first, then turned
+        rays = ([t for t in reversed(mu.terms) if t[0] > 0.0], [t for t in mu.terms if t[0] < 0.0])
         branches = [[(x, abs(x), m) for (x, _), m in zip(ray, accumulate(c for _, c in ray))][::-1] for ray in rays]
     else:
         raise DomainError("norm_tree needs a vector over an interval or a sequence space")
@@ -319,7 +301,7 @@ def norm_route(space, backend: str = "auto") -> str:
     where one applies ("line" on an interval, "alpha" on a sequence space), else "flow"."""
     if backend != "auto":
         return backend
-    return "line" if isinstance(space, IntervalSpace) else "alpha" if isinstance(space, AlphaSpace) else "flow"
+    return {"interval": "line", "alpha": "alpha"}.get(space.kind, "flow")
 
 
 def norm_result(mu: FreeVector, backend: str = "auto", exact: bool = False) -> NormResult:

@@ -1,14 +1,16 @@
 """Pointed metric spaces in four concrete presentations.
 
 Every space designates a basepoint and exposes the same small interface:
-``contains``, ``check_point``, ``distance`` and ``kind``.  Points are carried
+``check_point``, ``distance``, ``cost_matrix`` and ``kind``.  Points are carried
 as plain payloads -- an index for finite and sequence spaces, a float for
 intervals, an integer tuple for lattice boxes.
 
-A point is validated once, where it enters the system: ``check_point``
-returns it in canonical form (an int, a float or an int tuple), which is
-hashable, sortable and compares by value.  ``distance`` takes checked points
-and does not check them again; a bad index would wrap or fail obscurely.
+A point is validated once, where it enters the system: ``check_point`` is
+the one membership test.  It returns the point in canonical form (an int, a
+float or an int tuple), which is hashable, sortable and compares by value, or
+raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
+``distance`` takes checked points and does not check them again; a bad index
+would wrap or fail obscurely.
 ``cost_matrix(points)`` gives the distances among checked points as a list of
 rows, each entry bit-identical to ``distance``, built from arrays rather than
 one call per pair.
@@ -25,20 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-
-__all__ = [
-    "DomainError",
-    "PrefixExhausted",
-    "validate_finite_metric",
-    "FiniteSpace",
-    "AlphaSpace",
-    "IntervalSpace",
-    "LatticeBox",
-    "restrict_to_points",
-    "same_space",
-    "space_to_json",
-    "space_from_json",
-]
 
 
 class DomainError(ValueError):
@@ -79,12 +67,12 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
         fail("non-finite", f"non-finite entry d[{at[0]}][{at[1]}]")
     if at := first(np.diagonal(d) != 0.0):
         i = at[0]
-        fail("diagonal", f"d[{i}][{i}] = {d[i, i]!r} != 0")
+        fail("diagonal", f"d[{i}][{i}] = {float(d[i, i])!r} != 0")
     if at := first(np.triu(d != d.T, 1)):
         fail("symmetry", f"d[{at[0]}][{at[1]}] != d[{at[1]}][{at[0]}]")
     if at := first(d < 0):
         i, j = at
-        fail("negative", f"d[{i}][{j}] = {d[i, j]!r} < 0")
+        fail("negative", f"d[{i}][{j}] = {float(d[i, j])!r} < 0")
     if at := first(d + np.eye(n) == 0.0):  # the lifted diagonal leaves off-diagonal zeros
         i, j = at
         fail("zero-off-diagonal", f"d[{i}][{j}] = 0 with {i} != {j}")
@@ -93,8 +81,8 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
         for k0 in range(0, n, step):
             if at := first(d[None] - (d.T[k0:k0 + step, :, None] + d[k0:k0 + step, None, :]) > TRIANGLE_TOL):
                 k, i, j = at[0] + k0, at[1], at[2]
-                fail("triangle",
-                     f"d[{i}][{j}] = {d[i, j]!r} > d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
+                fail("triangle", f"d[{i}][{j}] = {float(d[i, j])!r} > "
+                                 f"d[{i}][{k}] + d[{k}][{j}] = {float(d[i, k] + d[k, j])!r}")
 
 
 def _finite_rows(d: np.ndarray, points) -> list[list[float]]:
@@ -140,13 +128,10 @@ class FiniteSpace:
     def points(self) -> range:
         return range(self.size)
 
-    def contains(self, p) -> bool:
-        return isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < self.size
-
     def check_point(self, p) -> int:
-        if not self.contains(p):
-            raise DomainError(f"point {p!r} not in finite space of size {self.size}")
-        return int(p)
+        if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < self.size:
+            return int(p)
+        raise DomainError(f"point {p!r} not in finite space of size {self.size}")
 
     def distance(self, p, q) -> float:
         return self.matrix[p][q]
@@ -206,23 +191,12 @@ class AlphaSpace:
         """The materialized points 0..N."""
         return range(self._alpha.size + 1)
 
-    def contains(self, p) -> bool:
-        return (
-            isinstance(p, (int, np.integer))
-            and not isinstance(p, bool)
-            and 0 <= p <= self._alpha.size
-        )
-
     def check_point(self, p) -> int:
-        if not self.contains(p):
-            if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p > self._alpha.size:
-                raise PrefixExhausted(
-                    f"point {p} lies past the materialized prefix of length {self._alpha.size}"
-                )
-            raise DomainError(
-                f"point {p!r} not in sequence space with prefix length {self._alpha.size}"
-            )
-        return int(p)
+        if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0:
+            if p <= self._alpha.size:
+                return int(p)
+            raise PrefixExhausted(f"point {p} lies past the materialized prefix of length {self._alpha.size}")
+        raise DomainError(f"point {p!r} not in sequence space with prefix length {self._alpha.size}")
 
     def distance(self, p, q) -> float:
         if p == q:
@@ -280,15 +254,11 @@ class IntervalSpace:
     def bounded(self) -> bool:
         return math.isfinite(self.a) and math.isfinite(self.b)
 
-    def contains(self, p) -> bool:
-        return isinstance(p, (float, int, np.floating, np.integer)) and not isinstance(
-            p, bool
-        ) and math.isfinite(p) and self.a <= p <= self.b
-
     def check_point(self, p) -> float:
-        if not self.contains(p):
-            raise DomainError(f"point {p!r} not in interval [{self.a}, {self.b}]")
-        return float(p)
+        if (isinstance(p, (float, int, np.floating, np.integer)) and not isinstance(p, bool)
+                and math.isfinite(p) and self.a <= p <= self.b):
+            return float(p)
+        raise DomainError(f"point {p!r} not in interval [{self.a}, {self.b}]")
 
     def distance(self, p, q) -> float:
         return abs(p - q)
@@ -322,18 +292,13 @@ class LatticeBox:
     def basepoint(self) -> tuple[int, ...]:
         return (0,) * self.dim
 
-    def contains(self, p) -> bool:
-        if not isinstance(p, tuple) or len(p) != self.dim:
-            return False
-        return all(
+    def check_point(self, p) -> tuple[int, ...]:
+        if isinstance(p, tuple) and len(p) == self.dim and all(
             isinstance(c, (int, np.integer)) and not isinstance(c, bool) and lo <= c <= hi
             for c, (lo, hi) in zip(p, self.bounds)
-        )
-
-    def check_point(self, p) -> tuple[int, ...]:
-        if not self.contains(p):
-            raise DomainError(f"point {p!r} not in lattice box {self.bounds}")
-        return tuple(int(c) for c in p)
+        ):
+            return tuple(int(c) for c in p)
+        raise DomainError(f"point {p!r} not in lattice box {self.bounds}")
 
     def distance(self, p, q) -> float:
         return float(sum(map(abs, map(operator.sub, p, q))))

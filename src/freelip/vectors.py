@@ -17,16 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .spaces import DomainError, _coerce_number, same_space, space_from_json, space_to_json
 
-__all__ = [
-    "FreeVector",
-    "Functional",
-    "make_free_vector",
-    "delta",
-    "linear_combine",
-    "push_forward",
-    "pair",
-]
-
 DROP_TOL = 1e-15
 
 

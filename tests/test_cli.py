@@ -348,6 +348,8 @@ MALFORMED = {
         "space": space_to_json(FiniteSpace(((0.0, 1.0), (1.0, 0.0)))), "terms": 5})],
     "finite-matrix-not-numbers": lambda d: ["norm", "--vector", _write(d / "vector.json", {
         "space": {"kind": "finite", "matrix": [[0, "a"], ["a", 0]]}, "terms": []})],
+    "finite-matrix-not-a-metric": lambda d: ["norm", "--vector", _write(d / "vector.json", {
+        "space": {"kind": "finite", "matrix": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}, "terms": []})],
     "alpha-not-numbers": lambda d: ["norm", "--vector", _write(d / "vector.json", {
         "space": {"kind": "alpha", "alpha": [1.0, "a"]}, "terms": []})],
     "interval-endpoint-not-a-number": lambda d: ["norm", "--vector", _write(d / "vector.json", {
@@ -460,6 +462,11 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+def test_a_metric_error_names_plain_floats(tmp_path):
+    res = run_cli(*MALFORMED["finite-matrix-not-a-metric"](tmp_path), "--outdir", str(tmp_path / "out"))
+    assert res.stderr == "error: not a metric (triangle): d[0][2] = 3.0 > d[0][1] + d[1][2] = 2.0\n"
 
 
 # ---------------------------------------------------------------------------

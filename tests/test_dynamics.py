@@ -27,6 +27,7 @@ from freelip import (
     IntervalSpace,
     LatticeBox,
     PiecewiseLinearMap,
+    PrefixExhausted,
     backward_shift_map,
     backward_shift_space,
     block_cycle_map,
@@ -118,6 +119,27 @@ def test_recurrence_gap_monotone_in_horizon():
     assert g2 <= g1
 
 
+def test_recurrence_gap_is_the_gap_classify_orbit_reports():
+    cases = [(f, x) for f in interval_map_suite().values() for x in (0.1, 0.3, 0.75, 1.0)]
+    cases += [(block_cycle_map(block_cycle_space(10), 10), n) for n in (1, 5, 30, 65)]
+    shift = backward_shift_space(12)
+    cases += [(backward_shift_map(shift), n) for n in shift.points()]
+    _, rotation = circle_rotation_space(7)
+    cases += [(rotation, n) for n in rotation.space.points()]
+    for f, x in cases:
+        for horizon in (1, 7, 200):
+            r = classify_orbit(f, x, ClassificationParams(horizon=horizon))
+            assert recurrence_gap(f, x, horizon) == (r.gap, r.gap_time), (f, x, horizon)
+
+
+def test_recurrence_gap_raises_where_classify_orbit_reports_truncation():
+    f = forward_shift_map(AlphaSpace([1.0] * 10))
+    rep = classify_orbit(f, 8, ClassificationParams(horizon=20))
+    assert rep.steps == 2 and rep.note.startswith("orbit left the computable presentation at step 3: ")
+    with pytest.raises(PrefixExhausted):
+        recurrence_gap(f, 8, 20)
+
+
 # ---------------------------------------------------------------------------
 # classification verdicts
 
@@ -202,6 +224,13 @@ def test_power_above_the_horizon_is_a_domain_error():
     assert classify_orbit(doubling_map(), 0.3, params, power=10).steps == 1
     with pytest.raises(DomainError, match="power 11 must lie between 1 and the horizon 10"):
         classify_orbit(doubling_map(), 0.3, params, power=11)
+
+
+def test_a_power_that_is_not_an_int_is_a_domain_error():
+    # True would run as power 1 and be written to classify.json as "power": true
+    for power in (True, 2.0):
+        with pytest.raises(DomainError, match="must be an integer"):
+            classify_orbit(doubling_map(), 0.3, ClassificationParams(horizon=10), power=power)
 
 
 def reference_classification(f, x, params, power):
@@ -400,6 +429,22 @@ def test_rigidity_validates_times_and_sample():
             rigidity_check(f, [0.5], [1, 2], bound=1.0, tolerances=bad)
         with pytest.raises(DomainError):
             rigidity_check(f, [0.5], [1, 2], bound=1.0, tolerances=[1e-9, bad])
+
+
+def test_rigidity_reads_times_as_integers():
+    f = doubling_map()
+    assert rigidity_check(f, [0.5], [2.0, 3], bound=1.0).times == (2, 3)
+    for times in ((1.5, 4.9), (True, 2)):  # once read as (1, 4) and (1, 2)
+        with pytest.raises(DomainError):
+            rigidity_check(f, [0.5], times, bound=1.0)
+
+
+def test_rigidity_refuses_a_bool_tolerance():
+    f = doubling_map()
+    assert rigidity_check(f, [0.5], [1, 2], bound=2.0, tolerances=[0, 1]).tolerances == (0.0, 1.0)
+    for tolerances in (True, [1e-9, True]):  # once read as 1.0
+        with pytest.raises(DomainError, match="tolerance True is not a number"):
+            rigidity_check(f, [0.5], [1, 2], bound=2.0, tolerances=tolerances)
 
 
 def test_rigidity_bounds_pushforward_displacement(rng):

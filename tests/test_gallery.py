@@ -373,7 +373,7 @@ def _block_cycle_wrapping_to(offset):
         for n in range(1, blocks + 1):
             table.extend(range(ss[n] + 1, ss[n + 1]))
             table.append(ss[n] + offset)
-        return AlphaMap(space=space, rule=tuple(table).__getitem__, name="broken")
+        return AlphaMap(space=space, rule=tuple(table).__getitem__)
 
     return build
 

@@ -317,6 +317,11 @@ def test_lip_pl_is_max_slope():
                            left_slope=3.0)
     assert f.slopes() == (3.0, 2.0, 0.5)
     assert (lip_constant(f).value, lip_constant(f).witness) == (3.0, 0)
+    # both ends unbounded: the left ray, the segments, then the right ray
+    f = PiecewiseLinearMap(IntervalSpace(-math.inf, math.inf), [(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)],
+                           left_slope=3.0, right_slope=-4.0)
+    assert f.slopes() == (3.0, 2.0, 0.5, -4.0)
+    assert (lip_constant(f).value, lip_constant(f).witness) == (4.0, 3)
 
 
 def test_lip_alpha_is_window_limited():

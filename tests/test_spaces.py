@@ -50,6 +50,17 @@ def test_validate_flags_each_axiom(matrix, kind):
         validate_finite_metric(matrix)
 
 
+def test_metric_messages_name_plain_floats():
+    for matrix, message in (
+        ([[1.0]], "not a metric (diagonal): d[0][0] = 1.0 != 0"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "not a metric (negative): d[0][1] = -1.0 < 0"),
+        ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "not a metric (triangle): d[0][2] = 3.0 > d[0][1] + d[1][2] = 2.0"),
+    ):
+        with pytest.raises(DomainError) as err:
+            validate_finite_metric(matrix)
+        assert str(err.value) == message
+
+
 def _first_triangle_violation_per_pivot(matrix):
     """The reference: one pivot at a time, the first violating (i, j) in row-major order."""
     d = np.asarray(matrix, dtype=float)
@@ -57,8 +68,8 @@ def _first_triangle_violation_per_pivot(matrix):
         at = np.argwhere(d - (d[:, [k]] + d[[k], :]) > 1e-12)
         if len(at):
             i, j = (int(v) for v in at[0])
-            return (f"not a metric (triangle): d[{i}][{j}] = {d[i, j]!r} > "
-                    f"d[{i}][{k}] + d[{k}][{j}] = {d[i, k] + d[k, j]!r}")
+            return (f"not a metric (triangle): d[{i}][{j}] = {float(d[i, j])!r} > "
+                    f"d[{i}][{k}] + d[{k}][{j}] = {float(d[i, k] + d[k, j])!r}")
     return None
 
 
@@ -135,12 +146,25 @@ def test_alpha_space_is_one_indexed():
 def test_alpha_space_prefix_is_finite_window():
     sp = AlphaSpace([1.0, 2.0])
     assert sp.prefix_length == 2
-    assert sp.contains(2)
-    assert not sp.contains(3)
+    assert sp.check_point(2) == 2
+    with pytest.raises(PrefixExhausted):
+        sp.check_point(3)
     with pytest.raises(PrefixExhausted):
         sp.alpha(3)
     with pytest.raises(PrefixExhausted):
         sp.distance(0, 3)
+
+
+def test_alpha_check_point_tells_a_non_point_from_one_past_the_prefix():
+    sp = AlphaSpace([1.0, 2.0, 3.0])
+    for bad in (-1, True, 1.0, "1"):
+        with pytest.raises(DomainError, match="not in sequence space with prefix length 3") as err:
+            sp.check_point(bad)
+        assert not isinstance(err.value, PrefixExhausted)
+    with pytest.raises(PrefixExhausted, match="point 4 lies past the materialized prefix of length 3"):
+        sp.check_point(4)
+    p = sp.check_point(np.int64(3))
+    assert p == 3 and type(p) is int
 
 
 def test_alpha_space_rejects_nonpositive_weights():
@@ -174,7 +198,9 @@ def test_alpha_space_equality_and_hash():
 def test_interval_space_membership():
     sp = IntervalSpace(0.0, 1.0)
     assert sp.bounded
-    assert sp.contains(0.5) and not sp.contains(1.5)
+    assert sp.check_point(0.5) == 0.5
+    with pytest.raises(DomainError):
+        sp.check_point(1.5)
     assert sp.distance(0.25, 1.0) == 0.75
     with pytest.raises(DomainError):
         sp.check_point(-0.1)
@@ -190,9 +216,9 @@ def test_interval_space_must_contain_basepoint():
 def test_interval_space_unbounded_sides():
     ray = IntervalSpace(0.0, math.inf)
     assert not ray.bounded
-    assert ray.contains(1e12)
+    assert ray.check_point(1e12) == 1e12
     line = IntervalSpace(-math.inf, math.inf)
-    assert line.contains(-1e9)
+    assert line.check_point(-1e9) == -1e9
 
 
 def test_lattice_box_taxicab():
@@ -202,8 +228,10 @@ def test_lattice_box_taxicab():
     assert box.distance((1, 2), (-1, 0)) == 4.0
     assert box.size() == 5 * 4
     assert (2, 3) in set(box.points())
-    assert not box.contains((3, 0))
-    assert not box.contains((0.5, 0))
+    with pytest.raises(DomainError):
+        box.check_point((3, 0))
+    with pytest.raises(DomainError):
+        box.check_point((0.5, 0))
     with pytest.raises(DomainError):
         LatticeBox(bounds=((1, 2),))
 
@@ -318,5 +346,5 @@ def test_alpha_space_triangle_inequality_everywhere(weights):
 def test_numpy_integers_accepted_as_lattice_coords():
     box = LatticeBox(bounds=((-4, 4),))
     p = (np.int64(3),)
-    assert box.contains(p)
+    assert box.check_point(p) == (3,)
     assert box.distance(p, (-1,)) == 4.0
