@@ -123,8 +123,8 @@ def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
     Stops early on an exact return (the minimum cannot improve on zero).
     Iteration errors propagate to the caller.
     """
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
+    if type(horizon) is not int or horizon < 1:  # bool is an int subclass
+        raise DomainError("horizon must be an integer of at least 1")
     space = f.space
     x = space.check_point(x)
     orbit, error = _walk(f, x, horizon)
@@ -234,8 +234,8 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
 
 def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -> list[float]:
     """Norms of the pushed-forward vector at steps 0..horizon."""
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
+    if type(horizon) is not int or horizon < 0:  # bool is an int subclass
+        raise DomainError("horizon must be a nonnegative integer")
     values = [free_norm(mu, backend=backend)]
     cur = mu
     for _ in range(horizon):
@@ -539,8 +539,8 @@ def interval_analyze(f, depth: int = 40) -> IntervalAnalysis:
     """
     if not isinstance(f, PiecewiseLinearMap):
         raise DomainError("interval analysis needs a piecewise-linear interval map")
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
+    if type(depth) is not int or depth < 1:  # bool is an int subclass
+        raise DomainError("depth must be an integer of at least 1")
     sides = [_analyze_positive_side(f, depth, "positive")]
     if f.space.a < 0:
         mirrored = _analyze_positive_side(_reflect_pl(f), depth, "negative")

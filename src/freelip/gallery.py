@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .dynamics import (
     BOUNDED,
@@ -152,15 +151,13 @@ def tempered_alpha_space(blocks: int = 12, scheme: BlockScheme | None = None) ->
     makes some ratio exactly 2) can land one ulp above, so the check allows a
     1e-12 relative margin.
     """
+    import numpy as np  # a million powers and ratios; Python takes seconds
     scheme = scheme or BlockScheme.tempered(blocks)
     scheme.validate_tempered()
     ks, ss = scheme.ks, scheme.ss
-    parts = []
-    for m in range(scheme.blocks):
-        k = ks[m + 1]
-        parts.append(np.power(float(m + 1), np.arange(1, k + 1, dtype=np.float64) / k))
-    alpha = np.concatenate(parts)
-    space = AlphaSpace(alpha)
+    alpha = np.concatenate([np.power(float(m + 1), np.arange(1, ks[m + 1] + 1, dtype=np.float64) / ks[m + 1])
+                            for m in range(scheme.blocks)])
+    space = AlphaSpace(array("d", alpha.tobytes()))  # an array('d') is copied as memory, not weight by weight
 
     ends_ok = all(alpha[ss[m] - 1] == float(m) for m in range(1, scheme.blocks + 1))
     worst = 0.0
@@ -496,16 +493,14 @@ def kronecker_return_times(angles, eps: float, bound: int) -> list[int]:
     """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
-    if bound < 1:
-        raise DomainError("bound must be at least 1")
-    angles = [float(a) for a in angles]
-    if not angles:
+    if type(bound) is not int or bound < 1:  # bool is an int subclass
+        raise DomainError("bound must be an integer of at least 1")
+    halves = [float(a) / 2.0 for a in angles]
+    if not halves:
         raise DomainError("need at least one angle")
-    ns = np.arange(1, bound + 1, dtype=np.float64)
-    worst = np.zeros_like(ns)
-    for a in angles:
-        np.maximum(worst, 2.0 * np.abs(np.sin(ns * (a / 2.0))), out=worst)
-    return [int(n) for n in np.nonzero(worst < eps)[0] + 1]
+    if not all(math.isfinite(h * bound) for h in halves):
+        raise DomainError("every angle times the bound must be a finite number")
+    return [n for n in range(1, bound + 1) if all(2.0 * abs(math.sin(n * h)) < eps for h in halves)]
 
 
 def circle_rotation_space(q: int) -> tuple[FiniteSpace, FiniteMap]:
@@ -610,7 +605,7 @@ def _shift_tempered_report(fast: bool) -> ExperimentReport:
 
 
 def _shift_linear_report(fast: bool) -> ExperimentReport:
-    linear = AlphaSpace(np.arange(1.0, 402.0))
+    linear = AlphaSpace(range(1, 402))
     return forward_shift_experiment(
         linear, [1.0], 400, radii=tuple(2.0 ** j for j in range(1, 9)), cross_check_steps=30
     )

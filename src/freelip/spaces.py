@@ -12,8 +12,9 @@ raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
 ``distance`` takes checked points and does not check them again; a bad index
 would wrap or fail obscurely.
 ``cost_matrix(points)`` gives the distances among checked points as a list of
-rows, each entry bit-identical to ``distance``, built from arrays rather than
-one call per pair.
+rows, each entry bit-identical to ``distance``, built a row or an axis at a
+time in plain Python.  numpy is imported only by the triangle check of
+``validate_finite_metric`` and by ``AlphaSpace.alpha_prefix``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import operator
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
-
-import numpy as np
 
 
 class DomainError(ValueError):
@@ -51,6 +50,7 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
     entries, in the order shape, non-finite, diagonal, symmetry, negative,
     zero-off-diagonal, triangle.
     """
+    import numpy as np  # 15-30x faster than Python here, and nowhere else needed
     d = np.asarray(matrix, dtype=float)
 
     def first(mask):
@@ -85,12 +85,12 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
                                  f"d[{i}][{k}] + d[{k}][{j}] = {float(d[i, k] + d[k, j])!r}")
 
 
-def _finite_rows(d: np.ndarray, points) -> list[list[float]]:
-    """``d.tolist()``, or a DomainError naming a distance past the float range."""
-    if not np.isfinite(d).all():
-        i, j = np.argwhere(~np.isfinite(d))[0]
+def _finite_rows(rows: list[list[float]], points) -> list[list[float]]:
+    """``rows`` of distances, or a DomainError naming the first one past the float range."""
+    if max(map(max, rows), default=0.0) == math.inf:
+        i, j = next((i, row.index(math.inf)) for i, row in enumerate(rows) if math.inf in row)
         raise DomainError(f"distance between {points[i]!r} and {points[j]!r} overflows a float")
-    return d.tolist()
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ class FiniteSpace:
         return range(self.size)
 
     def check_point(self, p) -> int:
-        if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < self.size:
+        if isinstance(p, (int, numbers.Integral)) and not isinstance(p, bool) and 0 <= p < self.size:
             return int(p)
         raise DomainError(f"point {p!r} not in finite space of size {self.size}")
 
@@ -155,48 +155,54 @@ class AlphaSpace:
     basepoint = 0
 
     def __init__(self, alpha: Iterable[float]):
-        arr = np.fromiter(alpha, dtype=float)
-        if arr.size == 0:
-            raise DomainError("alpha prefix must be nonempty")
-        if not np.all(arr > 0) or not np.all(np.isfinite(arr)):
-            bad = int(np.argwhere(~((arr > 0) & np.isfinite(arr)))[0, 0])
-            raise DomainError(f"alpha_{bad + 1} = {arr[bad]!r} is not a positive real")
         # one buffer of doubles indexed by point, with 0.0 at the basepoint:
         # distance reads plain floats from it without a check (0.0 + alpha_n
-        # is alpha_n bit for bit), and the prefix array is a view of it, so a
-        # prefix of a million weights is not held twice
-        self._weights = array("d", [0.0])
-        self._weights.frombytes(arr.tobytes())
-        self._alpha = np.frombuffer(self._weights, dtype=float, offset=self._weights.itemsize)
-        self._alpha.setflags(write=False)
+        # is alpha_n bit for bit); an array('d') argument is copied as memory
+        w = array("d", [0.0])
+        try:
+            w.extend(alpha if isinstance(alpha, array) and alpha.typecode == "d" else iter(alpha))
+        except (TypeError, OverflowError) as exc:  # extend keeps the weights read before the bad one
+            raise DomainError(f"alpha_{len(w)} is not a real number ({exc})") from None
+        if len(w) == 1:
+            raise DomainError("alpha prefix must be nonempty")
+        # min and sum run at C speed over a long prefix; the loop only names the culprit
+        if not (min(itertools.islice(w, 1, None)) > 0.0 and math.isfinite(sum(w))):
+            bad = next((n for n in range(1, len(w)) if not 0.0 < w[n] < math.inf), None)
+            if bad is not None:  # else only the sum overflowed
+                raise DomainError(f"alpha_{bad} = {w[bad]!r} is not a positive real")
+        self._weights = w
 
     @property
     def prefix_length(self) -> int:
-        return int(self._alpha.size)
+        return len(self._weights) - 1
 
     def alpha(self, n: int) -> float:
         """Weight alpha_n for 1 <= n <= prefix length."""
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        if not isinstance(n, (int, numbers.Integral)) or isinstance(n, bool) or n < 1:
             raise DomainError(f"alpha index {n!r} must be a positive integer")
-        if n > self._alpha.size:
+        if n > self.prefix_length:
             raise PrefixExhausted(
-                f"alpha_{n} requested but only {self._alpha.size} terms are materialized"
+                f"alpha_{n} requested but only {self.prefix_length} terms are materialized"
             )
         return self._weights[n]
 
-    def alpha_prefix(self) -> np.ndarray:
-        return self._alpha
+    def alpha_prefix(self) -> "numpy.ndarray":
+        """alpha_1..alpha_N as a read-only numpy view of the weights (no copy)."""
+        import numpy as np
+        arr = np.frombuffer(self._weights, dtype=float, offset=self._weights.itemsize)
+        arr.setflags(write=False)
+        return arr
 
     def points(self) -> range:
         """The materialized points 0..N."""
-        return range(self._alpha.size + 1)
+        return range(len(self._weights))
 
     def check_point(self, p) -> int:
-        if isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 0:
-            if p <= self._alpha.size:
+        if isinstance(p, (int, numbers.Integral)) and not isinstance(p, bool) and p >= 0:
+            if p < len(self._weights):
                 return int(p)
-            raise PrefixExhausted(f"point {p} lies past the materialized prefix of length {self._alpha.size}")
-        raise DomainError(f"point {p!r} not in sequence space with prefix length {self._alpha.size}")
+            raise PrefixExhausted(f"point {p} lies past the materialized prefix of length {self.prefix_length}")
+        raise DomainError(f"point {p!r} not in sequence space with prefix length {self.prefix_length}")
 
     def distance(self, p, q) -> float:
         if p == q:
@@ -205,28 +211,23 @@ class AlphaSpace:
             return self._weights[p] + self._weights[q]
         except IndexError:
             raise PrefixExhausted(
-                f"point {max(p, q)} lies past the materialized prefix of length {self._alpha.size}"
+                f"point {max(p, q)} lies past the materialized prefix of length {self.prefix_length}"
             ) from None
 
-    @np.errstate(over="ignore")
     def cost_matrix(self, points) -> list[list[float]]:
-        idx = np.asarray(points, dtype=np.intp)
-        w = np.where(idx > 0, self._alpha[idx - 1], 0.0)
-        d = np.add.outer(w, w)
-        d[np.equal.outer(idx, idx)] = 0.0
-        return _finite_rows(d, points)
+        w = [self._weights[p] for p in points]
+        return _finite_rows([[0.0 if p == q else a + b for q, b in zip(points, w)]
+                             for p, a in zip(points, w)], points)
 
     def __eq__(self, other):
-        return isinstance(other, AlphaSpace) and (
-            self._alpha is other._alpha or np.array_equal(self._alpha, other._alpha)
-        )
+        return isinstance(other, AlphaSpace) and self._weights == other._weights
 
     def __hash__(self):
-        a = self._alpha
-        return hash(("alpha", a.size, float(a[0]), float(a[-1])))
+        w = self._weights
+        return hash(("alpha", len(w) - 1, w[1], w[-1]))
 
     def __repr__(self):
-        return f"AlphaSpace(prefix_length={self._alpha.size})"
+        return f"AlphaSpace(prefix_length={self.prefix_length})"
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,9 @@ class IntervalSpace:
         return math.isfinite(self.a) and math.isfinite(self.b)
 
     def check_point(self, p) -> float:
-        if (isinstance(p, (float, int, np.floating, np.integer)) and not isinstance(p, bool)
+        # any real but bool and Fraction; the builtin types first, ahead of the ABC checks
+        if (isinstance(p, (float, int, numbers.Real)) and not isinstance(p, bool)
+                and (isinstance(p, (float, int, numbers.Integral)) or not isinstance(p, numbers.Rational))
                 and math.isfinite(p) and self.a <= p <= self.b):
             return float(p)
         raise DomainError(f"point {p!r} not in interval [{self.a}, {self.b}]")
@@ -263,10 +266,8 @@ class IntervalSpace:
     def distance(self, p, q) -> float:
         return abs(p - q)
 
-    @np.errstate(over="ignore")
     def cost_matrix(self, points) -> list[list[float]]:
-        x = np.asarray(points, dtype=float)
-        return _finite_rows(np.abs(np.subtract.outer(x, x)), points)
+        return _finite_rows([[abs(x - y) for y in points] for x in points], points)
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ class LatticeBox:
 
     def check_point(self, p) -> tuple[int, ...]:
         if isinstance(p, tuple) and len(p) == self.dim and all(
-            isinstance(c, (int, np.integer)) and not isinstance(c, bool) and lo <= c <= hi
+            isinstance(c, (int, numbers.Integral)) and not isinstance(c, bool) and lo <= c <= hi
             for c, (lo, hi) in zip(p, self.bounds)
         ):
             return tuple(int(c) for c in p)
@@ -304,11 +305,12 @@ class LatticeBox:
         return float(sum(map(abs, map(operator.sub, p, q))))
 
     def cost_matrix(self, points) -> list[list[float]]:
-        # exact integer sums, rounded to float once as in ``distance``; Python
-        # ints where an int64 difference could overflow
-        wide = max(hi - lo for lo, hi in self.bounds) * self.dim >= 2**62
-        x = np.array(points, dtype=object if wide else np.int64)
-        return np.abs(x[:, None] - x).sum(axis=2).astype(float).tolist()
+        # exact integer sums, one axis at a time, rounded to float once as in ``distance``
+        n = len(points)
+        total = itertools.repeat([0] * n, n)
+        for col in zip(*points):
+            total = [list(map(operator.add, row, [abs(x - y) for y in col])) for row, x in zip(total, col)]
+        return [list(map(float, row)) for row in total]
 
     def points(self):
         """Enumerate the whole box (row-major); intended for small boxes."""
@@ -392,7 +394,7 @@ def space_to_json(space) -> dict:
             out["labels"] = [list(l) if isinstance(l, tuple) else l for l in space.labels]
         return out
     if isinstance(space, AlphaSpace):
-        return {"kind": "alpha", "alpha": [float(a) for a in space.alpha_prefix()]}
+        return {"kind": "alpha", "alpha": space._weights[1:].tolist()}
     if isinstance(space, IntervalSpace):
         return {"kind": "interval", "a": _endpoint_to_json(space.a), "b": _endpoint_to_json(space.b)}
     if isinstance(space, LatticeBox):

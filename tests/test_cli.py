@@ -555,6 +555,31 @@ def test_selftest_runs_on_numpy_alone(tmp_path):
     assert res.stdout.split("\n")[-2] == "0 []"
 
 
+def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path):
+    # numpy is imported only by the finite-metric check, so a fresh process
+    # runs the other three kinds without it; the process is what is tested
+    vectors = {
+        "interval": make_free_vector(IntervalSpace(-2.0, 2.0), [(0.5, 1.0), (-1.5, -2.0)]),
+        "alpha": make_free_vector(AlphaSpace([1.0, 2.0, 3.0]), [(1, 1.0), (3, -0.5)]),
+        "lattice": make_free_vector(LatticeBox(((-3, 3), (-3, 3))), [((1, 2), 1.0), ((-2, 0), -1.0)]),
+        "finite": make_free_vector(FiniteSpace(((0.0, 1.0), (1.0, 0.0))), [(1, 1.0)]),
+    }
+    for kind, mu in vectors.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(vector_to_json(mu)))
+    code = (
+        "import sys\n"
+        "from freelip.cli import main\n"
+        "print('import', 'numpy' in sys.modules)\n"
+        f"for kind in {list(vectors)!r}:\n"
+        f"    status = main(['norm', '--vector', {str(tmp_path)!r} + '/' + kind + '.json', '--outdir', {str(tmp_path)!r}])\n"
+        "    print(kind, status, 'numpy' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    lines = [line for line in res.stdout.splitlines() if not line.startswith("norm ")]
+    assert lines == ["import False", "interval 0 False", "alpha 0 False", "lattice 0 False", "finite 0 True"]
+
+
 def test_selftest_summary_shape(tmp_path):
     res = run_cli("selftest", "--seed", "3", "--rounds", "2", "--outdir", str(tmp_path))
     assert res.returncode == 0

@@ -233,6 +233,18 @@ def test_a_power_that_is_not_an_int_is_a_domain_error():
             classify_orbit(doubling_map(), 0.3, ClassificationParams(horizon=10), power=power)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 3.0, np.int64(3)])
+def test_horizons_and_depths_that_are_not_ints_are_domain_errors(bad):
+    # True would run as 1 and 2.5 would fail later with a TypeError
+    f = doubling_map()
+    with pytest.raises(DomainError, match="horizon must be an integer of at least 1"):
+        recurrence_gap(f, 0.3, bad)
+    with pytest.raises(DomainError, match="horizon must be a nonnegative integer"):
+        orbit_norm_profile(f, delta(f.space, 0.3), bad)
+    with pytest.raises(DomainError, match="depth must be an integer of at least 1"):
+        interval_analyze(ramp_map(), bad)
+
+
 def reference_classification(f, x, params, power):
     """The rule documented in classify_orbit, written plainly: the orbit of
     f^power up to an exact return or an image outside the presentation, a

@@ -328,6 +328,12 @@ def test_kronecker_validates_inputs():
         kronecker_return_times([], eps=1e-9, bound=10)
     with pytest.raises(DomainError):
         kronecker_return_times([1.0], eps=0.0, bound=10)
+    for bound in (True, 10.0):
+        with pytest.raises(DomainError, match="bound must be an integer of at least 1"):
+            kronecker_return_times([1.0], eps=1e-9, bound=bound)
+    for angle in (math.inf, math.nan, 1e308):
+        with pytest.raises(DomainError, match="every angle times the bound must be a finite number"):
+            kronecker_return_times([1.0, angle], eps=1e-9, bound=10)
 
 
 # ---------------------------------------------------------------------------

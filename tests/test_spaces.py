@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,11 +176,98 @@ def test_alpha_space_rejects_nonpositive_weights():
         AlphaSpace([])
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, -1.0], "alpha_2 = -1.0 is not a positive real"),
+    ((w for w in [2.0, 1.0, math.nan]), "alpha_3 = nan is not a positive real"),
+    (np.array([math.inf]), "alpha_1 = inf is not a positive real"),
+    (["a"], "alpha_1 is not a real number (must be real number, not str)"),
+    ([1.0, 10**400], "alpha_2 is not a real number (int too large to convert to float)"),
+], ids=["negative", "nan-from-a-generator", "inf-in-an-ndarray", "string", "huge-int"])
+def test_a_bad_alpha_weight_is_named_as_a_plain_float(weights, message):
+    with pytest.raises(DomainError) as err:
+        AlphaSpace(weights)
+    assert str(err.value) == message
+
+
+def test_alpha_weights_whose_sum_overflows_are_still_valid():
+    sp = AlphaSpace([1e308, 1e308])
+    assert sp.alpha(2) == 1e308 and sp.distance(0, 2) == 1e308
+
+
+def test_alpha_weights_read_from_any_iterable_of_reals():
+    want = AlphaSpace([0.5, 2.0, 3.0])
+    for weights in (array("d", [0.5, 2.0, 3.0]), array("f", [0.5, 2.0, 3.0]), np.array([0.5, 2.0, 3.0]),
+                    (w for w in (0.5, 2, Fraction(3)))):
+        assert AlphaSpace(weights) == want
+
+
 def test_alpha_prefix_array_is_readonly():
     sp = AlphaSpace([1.0, 2.0, 3.0])
     arr = sp.alpha_prefix()
     with pytest.raises((ValueError, RuntimeError)):
         arr[0] = 99.0
+
+
+BIG = 10**400
+
+# each input's outcome, as returned or raised before numpy left the import path:
+# a value with its type, or an error class with its message
+CHECK_POINT_CASES = {
+    "finite": [
+        ("int64", np.int64(1), 1),
+        ("float32", np.float32(1.0), (DomainError, "point np.float32(1.0) not in finite space of size 3")),
+        ("float64", np.float64(1.0), (DomainError, "point np.float64(1.0) not in finite space of size 3")),
+        ("fraction-1", Fraction(1), (DomainError, "point Fraction(1, 1) not in finite space of size 3")),
+        ("bool", True, (DomainError, "point True not in finite space of size 3")),
+        ("10**400", BIG, (DomainError, f"point {BIG} not in finite space of size 3")),
+    ],
+    "alpha": [
+        ("int64", np.int64(1), 1),
+        ("float32", np.float32(1.0), (DomainError, "point np.float32(1.0) not in sequence space with prefix length 2")),
+        ("float64", np.float64(1.0), (DomainError, "point np.float64(1.0) not in sequence space with prefix length 2")),
+        ("fraction-1", Fraction(1), (DomainError, "point Fraction(1, 1) not in sequence space with prefix length 2")),
+        ("bool", True, (DomainError, "point True not in sequence space with prefix length 2")),
+        ("10**400", BIG, (PrefixExhausted, f"point {BIG} lies past the materialized prefix of length 2")),
+        ("-10**400", -BIG, (DomainError, f"point {-BIG} not in sequence space with prefix length 2")),
+    ],
+    "interval": [
+        ("int64", np.int64(-1), -1.0),
+        ("float32", np.float32(1.5), 1.5),
+        ("float64", np.float64(1.5), 1.5),
+        ("fraction-1/2", Fraction(1, 2), (DomainError, "point Fraction(1, 2) not in interval [-3.0, 3.0]")),
+        ("fraction-1", Fraction(1), (DomainError, "point Fraction(1, 1) not in interval [-3.0, 3.0]")),
+        ("bool", True, (DomainError, "point True not in interval [-3.0, 3.0]")),
+        ("10**400", BIG, (OverflowError, "int too large to convert to float")),
+    ],
+    "lattice": [
+        ("int64", (np.int64(-1),), (-1,)),
+        ("float32", (np.float32(1.0),), (DomainError, "point (np.float32(1.0),) not in lattice box ((-3, 3),)")),
+        ("float64", (np.float64(1.0),), (DomainError, "point (np.float64(1.0),) not in lattice box ((-3, 3),)")),
+        ("fraction-1", (Fraction(1),), (DomainError, "point (Fraction(1, 1),) not in lattice box ((-3, 3),)")),
+        ("bool", (True,), (DomainError, "point (True,) not in lattice box ((-3, 3),)")),
+        ("10**400", (BIG,), (DomainError, f"point ({BIG},) not in lattice box ((-3, 3),)")),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, p, want", [pytest.param(k, p, w, id=f"{k}-{label}")
+                                           for k, cases in CHECK_POINT_CASES.items() for label, p, w in cases])
+def test_check_point_on_numpy_scalars_fractions_bools_and_huge_ints(kind, p, want):
+    space = {
+        "finite": FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))),
+        "alpha": AlphaSpace([1.0, 2.0]),
+        "interval": IntervalSpace(-3.0, 3.0),
+        "lattice": LatticeBox(((-3, 3),)),
+    }[kind]
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        with pytest.raises(want[0]) as err:
+            space.check_point(p)
+        assert type(err.value) is want[0] and str(err.value) == want[1]
+    else:
+        got = space.check_point(p)
+        assert got == want and type(got) is type(want)
+        if isinstance(got, tuple):
+            assert all(type(c) is int for c in got)
 
 
 def test_alpha_space_equality_and_hash():
@@ -251,10 +340,11 @@ def test_restrict_inserts_basepoint_first(rng):
             assert sub.matrix[i][j] == sp.distance(p, q)
 
 
-@pytest.mark.parametrize("kind", ["finite", "alpha", "interval", "lattice", "wide-lattice"])
+@pytest.mark.parametrize("kind", ["finite", "alpha", "interval", "lattice", "wide-lattice", "line-lattice"])
 def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
     # the per-pair ``distance`` loop is the reference; entries must be equal
-    # floats, also where an int64 lattice difference would overflow
+    # floats, also where an int64 lattice difference would overflow and where
+    # a point is listed twice
     spaces = {
         "finite": (random_finite_space(rng, 12), list(range(12))),
         "alpha": (AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(12)]), [0, *rng.sample(range(1, 13), 9), 3]),
@@ -263,6 +353,8 @@ def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
                     [(0, 0, 0), *((rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(0, 3)) for _ in range(9))]),
         "wide-lattice": (LatticeBox(((-(2**63), 2**63), (-3, 3))),
                          [(0, 0), (2**63, 3), (-(2**63), -3), (2**53 + 1, 0), (-1, 2)]),
+        "line-lattice": (LatticeBox(((-(2**62), 2**62),)),
+                         [(0,), (2**62,), (-(2**62),), (2**62 - 1,), (2**62,), (-(2**53) - 1,)]),
     }
     space, pts = spaces[kind]
     got = space.cost_matrix([space.check_point(p) for p in pts])
@@ -271,7 +363,7 @@ def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
 
 
 def test_cost_matrix_refuses_a_distance_past_the_float_range():
-    # numpy's overflow stays silent; the refusal names the two points
+    # a float sum or difference past the range is a silent inf; the refusal names the two points
     whole = IntervalSpace(-math.inf, math.inf)
     with pytest.raises(DomainError, match="between -1e[+]308 and 1e[+]308 overflows a float"):
         whole.cost_matrix([0.0, -1e308, 1e308])
