@@ -130,7 +130,7 @@ def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
     orbit, error = _walk(f, x, horizon)
     if error is not None:
         raise error
-    gaps = [space.distance(x, y) for y in orbit[1:]]
+    gaps = space.distances(x, orbit[1:])
     best = min(gaps)
     return float(best), gaps.index(best) + 1
 
@@ -161,7 +161,6 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
         raise DomainError(f"power {power} must lie between 1 and the horizon {params.horizon}")
     space = f.space
     x = space.check_point(x)
-    base = space.basepoint
     eps = params.resolve_eps(space)
     radii = params.resolve_radii(space, x)
     steps_wanted = params.horizon // power
@@ -172,9 +171,8 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
         note = f"orbit left the computable presentation at step {len(orbit)}: {error}"
     elif len(orbit) <= steps_wanted:
         note = f"exact return at step {len(orbit) - 1}; the orbit is periodic, iteration stopped early"
-    distance = space.distance
-    dists = [distance(base, y) for y in orbit]
-    gaps = [distance(x, y) for y in orbit[1:]]
+    dists = space.distances(space.basepoint, orbit)
+    gaps = space.distances(x, orbit[1:])
     gap = min(gaps, default=math.inf)
     gap_time = gaps.index(gap) + 1 if gaps else 0
 

@@ -10,14 +10,16 @@ rules are window-limited, and nothing is sampled.  On a finite space, a
 lattice box or a sequence space, the Lipschitz constant and the norm of the
 linearized operator are both attained on an edge of the space (``_edges``).
 ``apply`` takes a checked point and checks only its image, where the
-presentation can leave the space: an interval image, a float that ``eval``
-has just computed, is checked by its bounds and its finiteness.
+presentation can leave the space.  A piecewise-linear map builds ``eval`` and
+``apply`` once, at construction, from one piece formula (``_pl_function``);
+``apply`` also holds its image to the finite floats of the interval.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -89,6 +91,24 @@ class AlphaMap:
         return self.space.check_point(self.rule(p))
 
 
+def _pl_function(xs, ys, slopes, left_slope, right_slope, lo, hi, outside):
+    """x -> the piece formula's y at x when lo <= y <= hi, else outside(y);
+    every name is bound here, once, so a call makes no attribute lookup."""
+    x0, xn, y0, yn = xs[0], xs[-1], ys[0], ys[-1]
+
+    def apply(x):  # the name bench/spans.py credits map applications to
+        if x <= x0:
+            y = y0 + left_slope * (x - x0)
+        elif x >= xn:
+            y = yn + right_slope * (x - xn)
+        else:
+            i = bisect_right(xs, x) - 1
+            y = ys[i] + slopes[i] * (x - xs[i])
+        return y if lo <= y <= hi else outside(y)
+
+    return apply
+
+
 class PiecewiseLinearMap:
     """Continuous piecewise-linear self-map of an interval, fixing 0.
 
@@ -134,6 +154,13 @@ class PiecewiseLinearMap:
         self._seg_slopes = tuple(
             (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(breakpoints, breakpoints[1:])
         )
+        # eval passes every value, NaN through float; apply's image can round
+        # 1 ulp outside [a, b] or overflow to +-inf on an unbounded tail, so it
+        # must be a finite float of [a, b], and check_point only words the error
+        pieces = (self.xs, self.ys, self._seg_slopes, self.left_slope, self.right_slope)
+        top = sys.float_info.max
+        self.eval = _pl_function(*pieces, -math.inf, math.inf, float)
+        self.apply = _pl_function(*pieces, max(space.a, -top), min(space.b, top), space.check_point)
 
         for y in ys:
             if not (space.a <= y <= space.b):
@@ -144,25 +171,6 @@ class PiecewiseLinearMap:
             raise DomainError("left tail escapes the interval upward")
         if self.eval(0.0) != 0.0:
             raise DomainError(f"map must fix the basepoint 0, got f(0) = {self.eval(0.0)!r}")
-
-    def eval(self, x: float) -> float:
-        xs = self.xs
-        if x <= xs[0]:
-            return self.ys[0] + self.left_slope * (x - xs[0])
-        if x >= xs[-1]:
-            return self.ys[-1] + self.right_slope * (x - xs[-1])
-        i = bisect_right(xs, x) - 1
-        return self.ys[i] + self._seg_slopes[i] * (x - xs[i])
-
-    def apply(self, p) -> float:
-        # rounding can land 1 ulp outside, and an unbounded tail can reach
-        # +-inf (where inf <= inf holds), so the image is checked by its
-        # bounds and its finiteness; check_point only words the error
-        y = self.eval(p)
-        sp = self.space
-        if sp.a <= y <= sp.b and math.isfinite(y):
-            return y
-        return sp.check_point(y)  # raises, naming the point and the interval
 
     def slopes(self) -> tuple[float, ...]:
         return tuple(s for *_, s in self.pieces()) or (0.0,)

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
+from operator import add
 
 from .spaces import DomainError
 from .vectors import FreeVector, Functional, point_to_json
@@ -72,10 +73,11 @@ def witness_functional(result: NormResult) -> Functional:
     """Extend the witness to the whole space by the tight Lipschitz formula
     ``phi(z) = min_y (phi(y) + d(z, y))`` over witness nodes."""
     space = result.vector.space
-    nodes = result.witness
+    points = [y for y, _ in result.witness]
+    values = [v for _, v in result.witness]
 
     def fn(z):
-        return min(v + space.distance(z, y) for y, v in nodes)
+        return min(map(add, values, space.distances(z, points)))
 
     return Functional(space=space, fn=fn, lip_bound=1.0, name="transport-witness")
 

@@ -1,9 +1,9 @@
 """Pointed metric spaces in four concrete presentations.
 
 Every space designates a basepoint and exposes the same small interface:
-``check_point``, ``distance``, ``cost_matrix`` and ``kind``.  Points are carried
-as plain payloads -- an index for finite and sequence spaces, a float for
-intervals, an integer tuple for lattice boxes.
+``check_point``, ``distance``, ``distances``, ``cost_matrix`` and ``kind``.
+Points are carried as plain payloads -- an index for finite and sequence
+spaces, a float for intervals, an integer tuple for lattice boxes.
 
 A point is validated once, where it enters the system: ``check_point`` is
 the one membership test.  It returns the point in canonical form (an int, a
@@ -11,10 +11,13 @@ float or an int tuple), which is hashable, sortable and compares by value, or
 raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
 ``distance`` takes checked points and does not check them again; a bad index
 would wrap or fail obscurely.
+``distances(p, points)`` is ``[distance(p, q) for q in points]`` bit for bit,
+in one pass; only a lattice box calls ``distance`` per point.
 ``cost_matrix(points)`` gives the distances among checked points as a list of
-rows, each entry bit-identical to ``distance``, built a row or an axis at a
-time in plain Python.  numpy is imported only by the triangle check of
-``validate_finite_metric`` and by ``AlphaSpace.alpha_prefix``.
+rows, each entry bit-identical to ``distance``: a row of ``distances`` each,
+or exact integer sums an axis at a time on a lattice box.  numpy is imported
+only by the triangle check of ``validate_finite_metric`` and by
+``AlphaSpace.alpha_prefix``.
 """
 
 from __future__ import annotations
@@ -136,9 +139,12 @@ class FiniteSpace:
     def distance(self, p, q) -> float:
         return self.matrix[p][q]
 
+    def distances(self, p, points) -> list[float]:
+        row = self.matrix[p]
+        return [row[q] for q in points]
+
     def cost_matrix(self, points) -> list[list[float]]:
-        rows = [self.matrix[p] for p in points]
-        return [[row[q] for q in points] for row in rows]
+        return [self.distances(p, points) for p in points]
 
 
 class AlphaSpace:
@@ -214,10 +220,13 @@ class AlphaSpace:
                 f"point {max(p, q)} lies past the materialized prefix of length {self.prefix_length}"
             ) from None
 
+    def distances(self, p, points) -> list[float]:
+        w = self._weights
+        a = w[p]
+        return [0.0 if p == q else a + w[q] for q in points]
+
     def cost_matrix(self, points) -> list[list[float]]:
-        w = [self._weights[p] for p in points]
-        return _finite_rows([[0.0 if p == q else a + b for q, b in zip(points, w)]
-                             for p, a in zip(points, w)], points)
+        return _finite_rows([self.distances(p, points) for p in points], points)
 
     def __eq__(self, other):
         return isinstance(other, AlphaSpace) and self._weights == other._weights
@@ -257,17 +266,23 @@ class IntervalSpace:
 
     def check_point(self, p) -> float:
         # any real but bool and Fraction; the builtin types first, ahead of the ABC checks
-        if (isinstance(p, (float, int, numbers.Real)) and not isinstance(p, bool)
-                and (isinstance(p, (float, int, numbers.Integral)) or not isinstance(p, numbers.Rational))
-                and math.isfinite(p) and self.a <= p <= self.b):
-            return float(p)
+        try:
+            if (isinstance(p, (float, int, numbers.Real)) and not isinstance(p, bool)
+                    and (isinstance(p, (float, int, numbers.Integral)) or not isinstance(p, numbers.Rational))
+                    and math.isfinite(p) and self.a <= p <= self.b):
+                return float(p)
+        except OverflowError:  # isfinite of an int past the float range
+            pass
         raise DomainError(f"point {p!r} not in interval [{self.a}, {self.b}]")
 
     def distance(self, p, q) -> float:
         return abs(p - q)
 
+    def distances(self, p, points) -> list[float]:
+        return [abs(p - q) for q in points]
+
     def cost_matrix(self, points) -> list[list[float]]:
-        return _finite_rows([[abs(x - y) for y in points] for x in points], points)
+        return _finite_rows([self.distances(x, points) for x in points], points)
 
 
 @dataclass(frozen=True)
@@ -303,6 +318,9 @@ class LatticeBox:
 
     def distance(self, p, q) -> float:
         return float(sum(map(abs, map(operator.sub, p, q))))
+
+    def distances(self, p, points) -> list[float]:
+        return [self.distance(p, q) for q in points]
 
     def cost_matrix(self, points) -> list[list[float]]:
         # exact integer sums, one axis at a time, rounded to float once as in ``distance``

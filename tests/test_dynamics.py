@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -328,6 +329,55 @@ def test_classify_orbit_matches_the_documented_rule(case):
                 want = reference_classification(f, f.space.check_point(x), params, power)
                 got = {k: getattr(rep, k) for k in want}
                 assert got == want, (label, x, params.radii, power)
+
+
+def random_pl_orbits(rng):
+    """(label, map, points): seeded piecewise-linear maps on a bounded
+    interval, on both half-lines and on the whole line, with end slopes up to
+    2 in size, so some tails overflow to inf within the horizon."""
+    ends = ((-1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf))
+    cases = []
+    for i in range(24):
+        a, b = ends[i % 4]
+        lo, hi = max(a, -4.0), min(b, 4.0)
+        xs = sorted({a, b, 0.0} - {math.inf, -math.inf} | {rng.uniform(lo, hi) for _ in range(rng.randint(1, 6))})
+        ys = [0.0 if x == 0.0 else rng.uniform(lo, hi) for x in xs]
+        slopes = {}
+        if a == -math.inf:
+            slopes["left_slope"] = rng.choice((0.0, 0.5, 1.0, 2.0) if b < math.inf else (-2.0, -0.5, 0.0, 1.0, 2.0))
+        if b == math.inf:
+            slopes["right_slope"] = rng.choice((0.0, 0.5, 1.0, 1.5, 2.0) if a > -math.inf else (-2.0, -1.0, 0.5, 2.0))
+        f = PiecewiseLinearMap(IntervalSpace(a, b), list(zip(xs, ys)), **slopes)
+        cases.append((f"pl-{i}", f, [rng.uniform(lo, hi) for _ in range(3)] + [xs[-1]]))
+    return cases
+
+
+# SHA-256 over the float.hex of every distance, gap and maximum, and the
+# crossing times, verdict and note, of each classify_orbit report on the
+# pinned orbits (ladders, powers 1-5), and of recurrence_gap on each: a
+# change to the orbit path must not move one bit of any report.
+PINNED_ORBITS_SHA256 = "147a8fc35e933de28b5e043c068538a8b3181437f82ca5de73c18adfd8f669a0"
+
+
+def test_orbit_reports_are_pinned_bit_for_bit():
+    digest = hashlib.sha256()
+    for _, f, points in oracle_orbits() + random_pl_orbits(random.Random(20231120)):
+        for x in points:
+            for params in (ClassificationParams(horizon=1500, radii=SMALL_LADDER),
+                           ClassificationParams(horizon=1500)):
+                for power in range(1, 6):
+                    rep = classify_orbit(f, x, params, power=power)
+                    digest.update(repr((
+                        [d.hex() for d in rep.distances], rep.steps, rep.gap.hex(), rep.gap_time,
+                        rep.max_distance.hex(), rep.max_distance_time, rep.crossing_times,
+                        rep.verdict, rep.note,
+                    )).encode())
+            try:
+                gap, t = recurrence_gap(f, x, 1500)
+                digest.update(f"{gap.hex()} {t}".encode())
+            except DomainError as exc:
+                digest.update(str(exc).encode())
+    assert digest.hexdigest() == PINNED_ORBITS_SHA256
 
 
 def test_crossing_counts_a_distance_equal_to_the_radius():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from freelip import (
     compose,
     delta,
     doubling_map,
+    interval_map_suite,
     iterate_map,
     iterate_point,
     iterate_vector,
@@ -132,6 +134,75 @@ def test_pl_eval_interpolates_exactly():
     assert f.eval(0.5) == 1.0
     assert f.eval(0.75) == 0.5
     assert f.apply(1.0) == 0.0
+
+
+def reference_eval(f, x):
+    """The piece formula, written plainly from the breakpoints and end slopes."""
+    xs, ys = f.xs, f.ys
+    if x <= xs[0]:
+        return ys[0] + f.left_slope * (x - xs[0])
+    if x >= xs[-1]:
+        return ys[-1] + f.right_slope * (x - xs[-1])
+    i = bisect_right(xs, x) - 1
+    return ys[i] + (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) * (x - xs[i])
+
+
+def reference_apply(f, p):
+    """eval, then the image refused unless it is a finite float in [a, b]."""
+    y = reference_eval(f, p)
+    a, b = f.space.a, f.space.b
+    if a <= y <= b and math.isfinite(y):
+        return y
+    raise DomainError(f"point {y!r} not in interval [{a}, {b}]")
+
+
+def compiled_step_cases():
+    """(map, points): the interval suite, seeded maps on a bounded interval,
+    both half-lines and the whole line with end slopes up to 2 (so a far
+    point's image overflows to inf), and a segment whose rounding lands one
+    ulp above the right end.  The points are random, the breakpoints, +-0.0,
+    the ends and the largest floats."""
+    rng = random.Random(20231121)
+    maps = list(interval_map_suite().values())
+    for a, b in ((-1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)) * 5:
+        lo, hi = max(a, -4.0), min(b, 4.0)
+        xs = sorted({a, b, 0.0} - {math.inf, -math.inf} | {rng.uniform(lo, hi) for _ in range(rng.randint(1, 6))})
+        slopes = {}
+        if a == -math.inf:
+            slopes["left_slope"] = rng.choice((0.0, 0.5, 2.0) if b < math.inf else (-2.0, 0.5, 2.0))
+        if b == math.inf:
+            slopes["right_slope"] = rng.choice((0.0, 0.5, 2.0) if a > -math.inf else (-2.0, 0.5, 2.0))
+        ys = [0.0 if x == 0.0 else rng.uniform(lo, hi) for x in xs]
+        maps.append(PiecewiseLinearMap(IntervalSpace(a, b), list(zip(xs, ys)), **slopes))
+    top = 6.506575659823921
+    maps.append(PiecewiseLinearMap(IntervalSpace(0.0, top), [(0.0, 0.0), (0.9930959394666341, 1.8517423620184288),
+                                                            (5.102897947728598, top), (top, 0.0)]))
+    for f in maps:
+        a, b = f.space.a, f.space.b
+        ends = [v for v in (a, b, -1e308, 1e308, -math.ulp(0.0), -1.7976931348623157e308, 1.7976931348623157e308)
+                if a <= v <= b]
+        window = (max(a, -8.0), min(b, 8.0))
+        pts = [rng.uniform(*window) for _ in range(50)] + list(f.xs) + [0.0, -0.0, 5.102897947728597] + ends
+        yield f, [f.space.check_point(p) for p in pts if a <= p <= b and math.isfinite(p)]
+
+
+def test_compiled_apply_and_eval_are_the_piece_formula_bit_for_bit():
+    refused = 0
+    for f, pts in compiled_step_cases():
+        for p in pts + [math.inf, -math.inf]:
+            assert f.eval(p).hex() == reference_eval(f, p).hex(), (f.xs, p)
+        for p in pts:
+            try:
+                want = reference_apply(f, p).hex()
+            except DomainError as exc:
+                want = str(exc)
+                refused += 1
+            try:
+                got = f.apply(p).hex()
+            except DomainError as exc:
+                got = str(exc)
+            assert got == want, (f.xs, p)
+    assert refused >= 10  # infinite images and the ulp above the right end were met
 
 
 def _map_with_point_outside(kind):

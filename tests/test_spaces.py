@@ -237,7 +237,8 @@ CHECK_POINT_CASES = {
         ("fraction-1/2", Fraction(1, 2), (DomainError, "point Fraction(1, 2) not in interval [-3.0, 3.0]")),
         ("fraction-1", Fraction(1), (DomainError, "point Fraction(1, 1) not in interval [-3.0, 3.0]")),
         ("bool", True, (DomainError, "point True not in interval [-3.0, 3.0]")),
-        ("10**400", BIG, (OverflowError, "int too large to convert to float")),
+        ("10**400", BIG, (DomainError, f"point {BIG} not in interval [-3.0, 3.0]")),
+        ("-10**400", -BIG, (DomainError, f"point {-BIG} not in interval [-3.0, 3.0]")),
     ],
     "lattice": [
         ("int64", (np.int64(-1),), (-1,)),
@@ -360,6 +361,36 @@ def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
     got = space.cost_matrix([space.check_point(p) for p in pts])
     want = [[space.distance(p, q) for q in pts] for p in pts]
     assert [[(type(x), x.hex()) for x in row] for row in got] == [[(type(x), x.hex()) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("kind", ["finite", "numpy-finite", "alpha", "heavy-alpha", "interval", "whole-line",
+                                  "lattice", "wide-lattice", "line-lattice"])
+def test_distances_is_the_distance_loop_bit_for_bit(rng, kind):
+    # from each point to all, a repeat included: equal types and floats, also
+    # for numpy entries, +-0.0, sums and differences past the float range and
+    # lattice differences past int64
+    spaces = {
+        "finite": (random_finite_space(rng, 9), [0, 3, 8, 3, 1]),
+        "numpy-finite": (FiniteSpace(tuple(map(tuple, np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 0.5], [2.0, 0.5, 0.0]])))),
+                         [0, 2, 1, 2]),
+        "alpha": (AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(12)]), [0, *rng.sample(range(1, 13), 9), 3]),
+        "heavy-alpha": (AlphaSpace([1e308, 1e308, 5e-324]), [0, 1, 2, 3, 1]),
+        "interval": (IntervalSpace(-2.0, 2.0), [0.0, -0.0, *(rng.uniform(-2, 2) for _ in range(9)), 1e-300, 2.0]),
+        "whole-line": (IntervalSpace(-math.inf, math.inf), [0.0, -1e308, 1e308, -5e-324, 1.7976931348623157e308]),
+        "lattice": (LatticeBox(((-5, 5), (-5, 5), (0, 3))),
+                    [(0, 0, 0), *((rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(0, 3)) for _ in range(9))]),
+        "wide-lattice": (LatticeBox(((-(2**63), 2**63), (-3, 3))),
+                         [(0, 0), (2**63, 3), (-(2**63), -3), (2**53 + 1, 0), (-1, 2)]),
+        "line-lattice": (LatticeBox(((-(2**62), 2**62),)),
+                         [(0,), (2**62,), (-(2**62),), (2**62 - 1,), (2**62,), (-(2**53) - 1,)]),
+    }
+    space, pts = spaces[kind]
+    pts = [space.check_point(p) for p in pts]
+    for p in pts:
+        got = space.distances(p, pts)
+        want = [space.distance(p, q) for q in pts]
+        assert type(got) is list
+        assert [(type(x), x.hex()) for x in got] == [(type(x), x.hex()) for x in want], p
 
 
 def test_cost_matrix_refuses_a_distance_past_the_float_range():
