@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace, _coerce_number
+from .spaces import DomainError, IntervalSpace, _coerce_number, _count
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
@@ -50,8 +50,7 @@ class ClassificationParams:
     tail_fraction: float = 0.5
 
     def __post_init__(self):
-        if type(self.horizon) is not int or self.horizon < 1:  # bool is an int subclass
-            raise DomainError("horizon must be an integer of at least 1")
+        _count(self.horizon, "horizon")
         eps = self.eps_recurrent
         if eps is not None and not _coerce_number(eps, integral=False, what="recurrence tolerance") > 0:
             raise DomainError("recurrence tolerance must be positive")
@@ -60,8 +59,7 @@ class ClassificationParams:
             if not rr or any(r <= 0 for r in rr) or any(a >= b for a, b in zip(rr, rr[1:])):
                 raise DomainError("radii must be positive and strictly increasing")
             object.__setattr__(self, "radii", rr)
-        if type(self.ladder_size) is not int or self.ladder_size < 1:
-            raise DomainError("ladder_size must be an integer of at least 1")
+        _count(self.ladder_size, "ladder_size")
         if not 0.0 < self.tail_fraction < 1.0:
             raise DomainError("tail_fraction must lie strictly between 0 and 1")
 
@@ -123,8 +121,7 @@ def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
     Stops early on an exact return (the minimum cannot improve on zero).
     Iteration errors propagate to the caller.
     """
-    if type(horizon) is not int or horizon < 1:  # bool is an int subclass
-        raise DomainError("horizon must be an integer of at least 1")
+    _count(horizon, "horizon")
     space = f.space
     x = space.check_point(x)
     orbit, error = _walk(f, x, horizon)
@@ -155,9 +152,7 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     a power above the horizon would get no step and is refused.
     """
     params = params or ClassificationParams()
-    if type(power) is not int:  # bool is an int subclass
-        raise DomainError(f"power {power!r} must be an integer")
-    if not 1 <= power <= params.horizon:
+    if _count(power, "power") > params.horizon:
         raise DomainError(f"power {power} must lie between 1 and the horizon {params.horizon}")
     space = f.space
     x = space.check_point(x)
@@ -232,8 +227,7 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
 
 def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -> list[float]:
     """Norms of the pushed-forward vector at steps 0..horizon."""
-    if type(horizon) is not int or horizon < 0:  # bool is an int subclass
-        raise DomainError("horizon must be a nonnegative integer")
+    _count(horizon, "horizon", least=0)
     values = [free_norm(mu, backend=backend)]
     cur = mu
     for _ in range(horizon):
@@ -248,8 +242,7 @@ def shift_profile_closed_form(lam, space, k: int) -> float:
     ``lam[i]`` is the coefficient at point ``i + 1``; the value is
     ``sum |lam_n| * alpha_{n+k} / alpha_n``.  Raises past the stored prefix.
     """
-    if k < 0:
-        raise DomainError("shift count must be nonnegative")
+    _count(k, "shift count k", least=0)
     total = 0.0
     for i, c in enumerate(lam):
         if c == 0:
@@ -342,8 +335,7 @@ def escape_test_functional(space, m: int, radius: float) -> Functional:
     Vanishes on the ball of radius m*R and saturates at R beyond (m+1)*R, so
     a unit of mass escaping past the window pairs to the full R.
     """
-    if m < 1:
-        raise DomainError("window index m must be at least 1")
+    _count(m, "window index m")
     if not radius > 0:
         raise DomainError("window radius must be positive")
     base = space.basepoint
@@ -537,8 +529,7 @@ def interval_analyze(f, depth: int = 40) -> IntervalAnalysis:
     """
     if not isinstance(f, PiecewiseLinearMap):
         raise DomainError("interval analysis needs a piecewise-linear interval map")
-    if type(depth) is not int or depth < 1:  # bool is an int subclass
-        raise DomainError("depth must be an integer of at least 1")
+    _count(depth, "depth")
     sides = [_analyze_positive_side(f, depth, "positive")]
     if f.space.a < 0:
         mirrored = _analyze_positive_side(_reflect_pl(f), depth, "negative")
@@ -580,8 +571,7 @@ def power_equivalence_check(f, k: int, sample, params: ClassificationParams | No
     for horizon // k steps.  Only the escaping flag is compared; bounded and
     recurrent verdicts may legitimately differ between f and its powers.
     """
-    if k < 1:
-        raise DomainError("power must be at least 1")
+    _count(k, "power k")
     params = params or ClassificationParams()
     entries = []
     bad = []

@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
-from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace
+from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _count
 from .vectors import FreeVector, make_free_vector, push_forward
 
 
@@ -85,8 +85,8 @@ class BlockScheme:
     def __post_init__(self):
         if not self.ks or self.ks[0] != 0:
             raise DomainError("block scheme starts with k_0 = 0")
-        if any(k < 1 for k in self.ks[1:]):
-            raise DomainError("block lengths k_1, k_2, ... must be at least 1")
+        for m, k in enumerate(self.ks[1:], 1):
+            _count(k, f"block length k_{m}")
 
     @property
     def ss(self) -> tuple[int, ...]:
@@ -106,9 +106,7 @@ class BlockScheme:
     @classmethod
     def triangular(cls, blocks: int) -> "BlockScheme":
         """k_m = m, so s_m = m (m + 1) / 2."""
-        if blocks < 1:
-            raise DomainError("need at least one block")
-        return cls(ks=tuple(range(blocks + 1)))
+        return cls(ks=tuple(range(_count(blocks, "blocks") + 1)))
 
     @classmethod
     def tempered(cls, blocks: int) -> "BlockScheme":
@@ -119,8 +117,7 @@ class BlockScheme:
         constraint is vacuous at m = 1 (1^(1/k) = 1 cannot dominate anything)
         and is enforced from m = 2 on.
         """
-        if blocks < 1:
-            raise DomainError("need at least one block")
+        _count(blocks, "blocks")
         ks = [0, 1]
         s = 1
         for m in range(2, blocks + 1):
@@ -141,7 +138,7 @@ class BlockScheme:
                 raise DomainError(f"block scheme violates the rate-monotone constraint at m = {m}")
 
 
-def tempered_alpha_space(blocks: int = 12, scheme: BlockScheme | None = None) -> tuple[AlphaSpace, ExperimentReport]:
+def tempered_alpha_space(blocks: int = 12) -> tuple[AlphaSpace, ExperimentReport]:
     """Weight sequence rising geometrically inside blocks, hitting the value
     m exactly at each block end, with every shifted ratio alpha_{n+s_m}/alpha_n
     at most 2.
@@ -152,7 +149,7 @@ def tempered_alpha_space(blocks: int = 12, scheme: BlockScheme | None = None) ->
     1e-12 relative margin.
     """
     import numpy as np  # a million powers and ratios; Python takes seconds
-    scheme = scheme or BlockScheme.tempered(blocks)
+    scheme = BlockScheme.tempered(blocks)
     scheme.validate_tempered()
     ks, ss = scheme.ks, scheme.ss
     alpha = np.concatenate([np.power(float(m + 1), np.arange(1, ks[m + 1] + 1, dtype=np.float64) / ks[m + 1])
@@ -215,6 +212,8 @@ def forward_shift_experiment(
     subsequence that rules out norm escape).  With a radius ladder instead,
     the experiment looks for escape evidence: every radius crossed.
     """
+    _count(horizon, "horizon", least=0)
+    _count(cross_check_steps, "cross_check_steps", least=0)
     lam = [float(c) for c in lam]
     l1 = sum(abs(c) for c in lam)
     profile = [shift_profile_closed_form(lam, space, k) for k in range(horizon + 1)]
@@ -264,14 +263,14 @@ def block_cycle_space(blocks: int) -> AlphaSpace:
     weights 2^(m - s_n) rise from 2^0 to 2^n, cycled by ``block_cycle_map``
     with period n + 1."""
     alpha = []
-    for n in range(1, blocks + 1):
+    for n in range(1, _count(blocks, "blocks") + 1):
         alpha.extend(2.0 ** j for j in range(n + 1))
     return AlphaSpace(alpha)
 
 
 def block_cycle_map(space: AlphaSpace, blocks: int) -> AlphaMap:
     """Step forward within each block, wrapping the last index to the start."""
-    ss = BlockScheme.triangular(blocks + 1).ss
+    ss = BlockScheme.triangular(_count(blocks, "blocks") + 1).ss
     table = [0]
     for n in range(1, blocks + 1):
         table.extend(range(ss[n] + 1, ss[n + 1]))
@@ -360,6 +359,7 @@ def doubling_map() -> PiecewiseLinearMap:
 
 def dyadic_tail_vector(space: IntervalSpace, n_terms: int) -> FreeVector:
     """Unit masses at 1/2, 1/4, ..., 2^-N."""
+    _count(n_terms, "n_terms", least=0)
     return make_free_vector(space, [(2.0 ** -n, 1.0) for n in range(1, n_terms + 1)])
 
 
@@ -368,7 +368,7 @@ def doubling_experiment(n_terms: int = 40, horizon: int = 30) -> ExperimentRepor
     and shifts the rest, so step k is exactly k*delta(1) + (tail of N - k
     terms) with norm k + 1 - 2^(k-N); the space is bounded so no orbit
     escapes."""
-    if horizon > n_terms:
+    if _count(horizon, "horizon", least=0) > n_terms:
         raise DomainError("horizon beyond the truncation has no closed form")
     f = doubling_map()
     space = f.space
@@ -425,8 +425,7 @@ def doubling_experiment(n_terms: int = 40, horizon: int = 30) -> ExperimentRepor
 
 def backward_shift_space(n_points: int = 12) -> FiniteSpace:
     """{0} together with 1, 1/2, ..., 2^-(N-1) under the line metric."""
-    if n_points < 2:
-        raise DomainError("need at least two nonzero points")
+    _count(n_points, "n_points", least=2)
     values = [0.0] + [2.0 ** -n for n in range(n_points)]
     matrix = tuple(tuple(abs(a - b) for b in values) for a in values)
     return FiniteSpace(matrix=matrix, basepoint=0, labels=tuple(values))
@@ -493,8 +492,7 @@ def kronecker_return_times(angles, eps: float, bound: int) -> list[int]:
     """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
-    if type(bound) is not int or bound < 1:  # bool is an int subclass
-        raise DomainError("bound must be an integer of at least 1")
+    _count(bound, "bound")
     halves = [float(a) / 2.0 for a in angles]
     if not halves:
         raise DomainError("need at least one angle")
@@ -510,8 +508,7 @@ def circle_rotation_space(q: int) -> tuple[FiniteSpace, FiniteMap]:
     Chord lengths are precomputed per residue, so rotation preserves each
     distance exactly and every iterate has Lipschitz constant exactly 1.
     """
-    if q < 2:
-        raise DomainError("need at least two rotation steps")
+    _count(q, "q", least=2)
     chord = [2.0 * abs(math.sin(math.pi * r / q)) for r in range(q // 2 + 1)]
     size = q + 1
 

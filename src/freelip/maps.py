@@ -32,6 +32,7 @@ from .spaces import (
     LatticeBox,
     PrefixExhausted,
     _coerce_number,
+    _count,
     same_space,
 )
 from .norms import norm_flow
@@ -93,17 +94,18 @@ class AlphaMap:
 
 def _pl_function(xs, ys, slopes, left_slope, right_slope, lo, hi, outside):
     """x -> the piece formula's y at x when lo <= y <= hi, else outside(y);
-    every name is bound here, once, so a call makes no attribute lookup."""
+    every name is bound here, once, so a call makes no attribute lookup.
+    NaN passes no comparison, so it takes the right ray and its y is NaN."""
     x0, xn, y0, yn = xs[0], xs[-1], ys[0], ys[-1]
 
     def apply(x):  # the name bench/spans.py credits map applications to
         if x <= x0:
             y = y0 + left_slope * (x - x0)
-        elif x >= xn:
-            y = yn + right_slope * (x - xn)
-        else:
+        elif x < xn:
             i = bisect_right(xs, x) - 1
             y = ys[i] + slopes[i] * (x - xs[i])
+        else:
+            y = yn + right_slope * (x - xn)
         return y if lo <= y <= hi else outside(y)
 
     return apply
@@ -290,8 +292,7 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
 def iterate_map(f, n: int, budget: int = BREAKPOINT_BUDGET):
     """The n-th iterate as a map object (n >= 1); finite tables and
     piecewise-linear presentations are flattened, rules stay lazy."""
-    if n < 1:
-        raise DomainError("iterate_map needs n >= 1")
+    _count(n, "iterate count n")
     if isinstance(f, (AlphaMap, LatticeMap)):
         return type(f)(f.space, lambda x, f=f, n=n: _iter_rule(f.rule, x, n))
     if isinstance(f, FiniteMap):
@@ -324,8 +325,7 @@ def _iter_rule(rule, x, n):
 def iterate_point(f, x, n: int):
     """f^n(x) for n >= 0.  ``x`` is checked once; a map checks its own image
     only where the presentation can leave the space."""
-    if n < 0:
-        raise DomainError("cannot iterate a negative number of times")
+    _count(n, "iterate count n", least=0)
     p = f.space.check_point(x)
     for _ in range(n):
         p = f.apply(p)
@@ -334,8 +334,7 @@ def iterate_point(f, x, n: int):
 
 def iterate_vector(f, mu: FreeVector, n: int) -> FreeVector:
     """Image of mu under the n-th power of the linearized map."""
-    if n < 0:
-        raise DomainError("cannot iterate a negative number of times")
+    _count(n, "iterate count n", least=0)
     out = mu
     for _ in range(n):
         out = push_forward(f, out)
@@ -386,6 +385,8 @@ def lip_constant(f, window: int | None = None) -> LipEstimate:
     1..window (default: the whole materialized prefix) and reported as
     window-limited.
     """
+    if window is not None:
+        _count(window, "window")
     if isinstance(f, (FiniteMap, LatticeMap)):
         sp = f.space
         image = {p: f.apply(p) for p in sp.points()}

@@ -316,10 +316,9 @@ def norm_result(mu: FreeVector, backend: str = "auto", exact: bool = False) -> N
         raise DomainError(f"unknown norm backend {backend!r}")
     if exact:
         raise DomainError("exact mode (--exact) runs on the flow backend only")
-    result = norm_tree(mu)
-    if result.backend != route:
+    if norm_route(mu.space) != route:
         raise DomainError(f"the {backend} tree sum does not apply to a vector over the {mu.space.kind} space")
-    return result
+    return norm_tree(mu)
 
 
 def norm_alpha(mu: FreeVector) -> float:

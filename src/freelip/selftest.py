@@ -16,7 +16,7 @@ from fractions import Fraction
 from .gallery import gallery_experiments
 from .maps import FiniteMap, lip_constant, operator_norm_estimate
 from .norms import dual_gap, norm_alpha, norm_flow, norm_line, witness_functional
-from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace
+from .spaces import AlphaSpace, FiniteSpace, IntervalSpace, _count
 from .vectors import make_free_vector, pair as pair_vector
 
 
@@ -141,8 +141,7 @@ def run_selftest(seed: int, rounds: int = 20) -> tuple[dict, list]:
     record when it fails.  Returns the summary and the gallery's (key,
     report) pairs; writes nothing.
     """
-    if rounds < 1:
-        raise DomainError("rounds must be at least 1")
+    _count(rounds, "rounds")
     rng = random.Random(seed)
     sweeps = []
     for name, sweep in _SWEEPS:

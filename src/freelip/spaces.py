@@ -299,6 +299,10 @@ class LatticeBox:
         for ax, (lo, hi) in enumerate(self.bounds):
             if not (lo <= 0 <= hi):
                 raise DomainError(f"axis {ax} bounds [{lo}, {hi}] must contain 0")
+        try:  # so that every distance, each at most the diameter, is a finite float
+            float(sum(hi - lo for lo, hi in self.bounds))
+        except OverflowError:
+            raise DomainError("the l1 diameter of the lattice box overflows a float") from None
 
     @property
     def dim(self) -> int:
@@ -383,6 +387,15 @@ def _coerce_number(v, integral: bool, what: str = "point"):
         return int(v) if integral else float(v)
     except OverflowError as exc:
         raise DomainError(f"{what} {v} is too large for a float") from exc
+
+
+def _count(v, what: str, least: int = 1) -> int:
+    """A count argument: ``v`` when it is an int of at least ``least``, else DomainError.
+    A bool, a float (2.0 too) and a numpy integer are refused: none is an int."""
+    if type(v) is int and v >= least:
+        return v
+    raise DomainError(f"{what} must be a nonnegative integer" if least == 0
+                      else f"{what} must be an integer of at least {least}")
 
 
 def _endpoint_to_json(x: float):

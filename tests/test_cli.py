@@ -316,6 +316,11 @@ def _apart_vector_file(d, kind):
     return _write(d / "vector.json", {"space": space_to_json(space), "terms": terms})
 
 
+def _wide_lattice_vector_file(d):
+    space = {"kind": "lattice", "bounds": [[0, 10**400]]}
+    return _write(d / "vector.json", {"space": space, "terms": [[[10**400], 1.0], [[1], -1.0]]})
+
+
 def _far_vector_file(d):
     space = space_to_json(IntervalSpace(0.0, 1e300))
     return _write(d / "vector.json", {"space": space, "terms": [[1e200, 1e200]]})
@@ -440,6 +445,9 @@ MALFORMED = {
                                                          _apart_vector_file(d, "interval")],
     "norm-distance-overflows-alpha": lambda d: ["norm", "--vector", _apart_vector_file(d, "alpha")],
     "norm-distance-overflows-alpha-exact": lambda d: ["norm", "--exact", "--vector", _apart_vector_file(d, "alpha")],
+    # a lattice box whose l1 diameter is past the float range has distances past it too
+    "lattice-diameter-overflows": lambda d: ["norm", "--vector", _wide_lattice_vector_file(d)],
+    "lattice-diameter-overflows-exact": lambda d: ["norm", "--exact", "--vector", _wide_lattice_vector_file(d)],
     # f^k orbits get horizon // k steps, which is none when k exceeds the horizon
     "power-above-horizon": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1", "--power", "11",
                                       "--params", _params_file(d, {"horizon": 10})],

@@ -22,6 +22,7 @@ from freelip import (
     UNDECIDED,
     AlphaMap,
     AlphaSpace,
+    BlockScheme,
     ClassificationParams,
     DomainError,
     FiniteMap,
@@ -37,16 +38,21 @@ from freelip import (
     classification_to_json,
     classify_orbit,
     delta,
+    doubling_experiment,
     doubling_map,
+    dyadic_tail_vector,
     escape_test_functional,
     fill_map,
+    forward_shift_experiment,
     forward_shift_map,
     identity_map,
     interval_analysis_to_json,
     interval_analyze,
     interval_map_suite,
+    iterate_map,
     iterate_point,
     iterate_vector,
+    kronecker_return_times,
     lip_constant,
     make_free_vector,
     map_from_json,
@@ -59,6 +65,7 @@ from freelip import (
     rigidity_check,
     shift_profile_closed_form,
 )
+from freelip.selftest import run_selftest
 from conftest import random_finite_space
 
 SMALL_LADDER = tuple(2.0**j for j in range(1, 9))
@@ -244,6 +251,48 @@ def test_horizons_and_depths_that_are_not_ints_are_domain_errors(bad):
         orbit_norm_profile(f, delta(f.space, 0.3), bad)
     with pytest.raises(DomainError, match="depth must be an integer of at least 1"):
         interval_analyze(ramp_map(), bad)
+
+
+# every public count argument: (name in the message, least value, call)
+COUNTS = {
+    "params-horizon": ("horizon", 1, lambda v: ClassificationParams(horizon=v)),
+    "params-ladder-size": ("ladder_size", 1, lambda v: ClassificationParams(ladder_size=v)),
+    "recurrence-gap": ("horizon", 1, lambda v: recurrence_gap(doubling_map(), 0.3, v)),
+    "classify-power": ("power", 1, lambda v: classify_orbit(doubling_map(), 0.3, ClassificationParams(horizon=10),
+                                                             power=v)),
+    "orbit-norm-profile": ("horizon", 0, lambda v: orbit_norm_profile(doubling_map(), delta(doubling_map().space, 0.3),
+                                                                      v)),
+    "shift-closed-form": ("k", 0, lambda v: shift_profile_closed_form([1.0], AlphaSpace([1.0, 2.0, 3.0, 4.0, 5.0]), v)),
+    "escape-window": ("m", 1, lambda v: escape_test_functional(IntervalSpace(0.0, math.inf), v, 1.0)),
+    "interval-depth": ("depth", 1, lambda v: interval_analyze(ramp_map(), v)),
+    "power-equivalence": ("k", 1, lambda v: power_equivalence_check(doubling_map(), v, [0.3])),
+    "iterate-point": ("n", 0, lambda v: iterate_point(doubling_map(), 0.3, v)),
+    "iterate-vector": ("n", 0, lambda v: iterate_vector(doubling_map(), delta(IntervalSpace(0.0, 1.0), 0.3), v)),
+    "iterate-map": ("n", 1, lambda v: iterate_map(doubling_map(), v)),
+    "lip-window": ("window", 1, lambda v: lip_constant(forward_shift_map(AlphaSpace([1.0, 2.0, 3.0])), window=v)),
+    "triangular-blocks": ("blocks", 1, lambda v: BlockScheme.triangular(v)),
+    "tempered-blocks": ("blocks", 1, lambda v: BlockScheme.tempered(v)),
+    "kronecker-bound": ("bound", 1, lambda v: kronecker_return_times([1.0], 1e-9, v)),
+    "selftest-rounds": ("rounds", 1, lambda v: run_selftest(1, v)),
+    "block-cycle-space": ("blocks", 1, lambda v: block_cycle_space(v)),
+    "block-cycle-map": ("blocks", 1, lambda v: block_cycle_map(block_cycle_space(3), v)),
+    "dyadic-tail": ("n_terms", 0, lambda v: dyadic_tail_vector(IntervalSpace(0.0, 1.0), v)),
+    "doubling-horizon": ("horizon", 0, lambda v: doubling_experiment(40, v)),
+    "forward-shift-horizon": ("horizon", 0, lambda v: forward_shift_experiment(AlphaSpace([1.0, 2.0]), [1.0], v)),
+    "forward-shift-cross-check": ("cross_check_steps", 0, lambda v: forward_shift_experiment(
+        AlphaSpace([1.0, 2.0]), [1.0], 1, cross_check_steps=v)),
+    "backward-shift-points": ("n_points", 2, lambda v: backward_shift_space(v)),
+    "rotation-steps": ("q", 2, lambda v: circle_rotation_space(v)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_count_arguments_take_only_ints_of_at_least_their_least(case):
+    # a bool, a float (3.0 too) and a numpy integer are not counts; below the least is refused too
+    name, least, call = COUNTS[case]
+    for bad in (True, 2.5, 3.0, np.int64(3), least - 1):
+        with pytest.raises(DomainError, match=rf"\b{name} must be "):
+            call(bad)
 
 
 def reference_classification(f, x, params, power):

@@ -72,8 +72,9 @@ def test_triangular_scheme_partial_sums():
 def test_block_scheme_rejects_bad_lengths():
     with pytest.raises(DomainError):
         BlockScheme(ks=(1, 2))
-    with pytest.raises(DomainError):
-        BlockScheme(ks=(0, 0))
+    for ks, m in (((0, 0), 1), ((0, 1, 1.5), 2), ((0, True), 1), ((0, 1, 2.0), 2)):
+        with pytest.raises(DomainError, match=f"block length k_{m} must be an integer of at least 1"):
+            BlockScheme(ks=ks)
 
 
 def test_tempered_scheme_minimal_lengths():

@@ -191,6 +191,11 @@ def test_compiled_apply_and_eval_are_the_piece_formula_bit_for_bit():
     for f, pts in compiled_step_cases():
         for p in pts + [math.inf, -math.inf]:
             assert f.eval(p).hex() == reference_eval(f, p).hex(), (f.xs, p)
+        # NaN passes no comparison: eval carries it through, as on an end ray, and apply refuses it
+        assert math.isnan(f.eval(math.nan)), f.xs
+        with pytest.raises(DomainError) as exc:
+            f.apply(math.nan)
+        assert str(exc.value) == f"point nan not in interval [{f.space.a}, {f.space.b}]"
         for p in pts:
             try:
                 want = reference_apply(f, p).hex()

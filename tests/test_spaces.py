@@ -324,6 +324,10 @@ def test_lattice_box_taxicab():
         box.check_point((0.5, 0))
     with pytest.raises(DomainError):
         LatticeBox(bounds=((1, 2),))
+    # every distance must be a finite float, so the l1 diameter must be one; the second box fits axis by axis
+    for bounds in (((0, 10**400),), ((-(2**1023), 0), (0, 2**1023))):
+        with pytest.raises(DomainError, match="l1 diameter of the lattice box overflows a float"):
+            LatticeBox(bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
