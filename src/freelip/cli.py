@@ -17,7 +17,6 @@ report, the selftest's included, is written by ``_write_json``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -69,11 +68,8 @@ def _write_gallery(outdir: Path, results) -> None:
 
 
 def _write_profile_csv(path: Path, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "norm"])
-        for k, v in enumerate(values):
-            writer.writerow([k, repr(float(v))])
+    # the CSV bytes in one write: an int or a float's repr never needs quoting
+    path.write_text("step,norm\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(values)), newline="")
 
 
 def _load_map(map_path: str, space_path: str | None):

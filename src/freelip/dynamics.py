@@ -60,8 +60,10 @@ class ClassificationParams:
                 raise DomainError("radii must be positive and strictly increasing")
             object.__setattr__(self, "radii", rr)
         _count(self.ladder_size, "ladder_size")
-        if not 0.0 < self.tail_fraction < 1.0:
+        tail = _coerce_number(self.tail_fraction, integral=False, what="tail_fraction")
+        if not 0.0 < tail < 1.0:
             raise DomainError("tail_fraction must lie strictly between 0 and 1")
+        object.__setattr__(self, "tail_fraction", tail)
 
     def resolve_eps(self, space) -> float:
         if self.eps_recurrent is not None:
@@ -284,8 +286,8 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
     times = tuple(_coerce_number(n, integral=True, what="time") for n in times)
     if not times or any(n < 1 for n in times) or any(a >= b for a, b in zip(times, times[1:])):
         raise DomainError("times must be strictly increasing and at least 1")
-    if not (math.isfinite(bound) and bound > 0):
-        raise DomainError("the uniform bound must be finite and positive")
+    if not (bound := _coerce_number(bound, integral=False, what="uniform bound")) > 0:
+        raise DomainError("the uniform bound must be positive")
     sample = [f.space.check_point(p) for p in sample]
     if not sample:
         raise DomainError("empty sample")
@@ -320,7 +322,7 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
             reason = f"return-error: worst return distance {err} at time {n} exceeds {tol}"
     return RigidityCertificate(
         times=times,
-        bound=float(bound),
+        bound=bound,
         lip_values=tuple(lips),
         return_errors=tuple(errs),
         tolerances=tols,
@@ -336,7 +338,7 @@ def escape_test_functional(space, m: int, radius: float) -> Functional:
     a unit of mass escaping past the window pairs to the full R.
     """
     _count(m, "window index m")
-    if not radius > 0:
+    if not (radius := _coerce_number(radius, integral=False, what="window radius")) > 0:
         raise DomainError("window radius must be positive")
     base = space.basepoint
 

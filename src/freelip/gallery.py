@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
-from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _count
+from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count
 from .vectors import FreeVector, make_free_vector, push_forward
 
 
@@ -138,6 +138,22 @@ class BlockScheme:
                 raise DomainError(f"block scheme violates the rate-monotone constraint at m = {m}")
 
 
+def _tempered_weights(blocks: int) -> tuple[BlockScheme, AlphaSpace]:
+    """The tempered scheme and its sequence space, the weights of each block
+    computed in place in one buffer that the space then copies as memory."""
+    import numpy as np  # a million powers; Python takes seconds
+    scheme = BlockScheme.tempered(blocks)
+    scheme.validate_tempered()
+    ks, ss = scheme.ks, scheme.ss
+    weights = array("d", [0.0]) * ss[-1]
+    view = np.frombuffer(weights, dtype=np.float64)  # writable: an array('d') exports a writable buffer
+    for m in range(scheme.blocks):
+        block = view[ss[m]:ss[m + 1]]
+        np.divide(np.arange(1, ks[m + 1] + 1, dtype=np.float64), ks[m + 1], out=block)
+        np.power(float(m + 1), block, out=block)
+    return scheme, AlphaSpace(weights)
+
+
 def tempered_alpha_space(blocks: int = 12) -> tuple[AlphaSpace, ExperimentReport]:
     """Weight sequence rising geometrically inside blocks, hitting the value
     m exactly at each block end, with every shifted ratio alpha_{n+s_m}/alpha_n
@@ -148,32 +164,27 @@ def tempered_alpha_space(blocks: int = 12) -> tuple[AlphaSpace, ExperimentReport
     makes some ratio exactly 2) can land one ulp above, so the check allows a
     1e-12 relative margin.
     """
-    import numpy as np  # a million powers and ratios; Python takes seconds
-    scheme = BlockScheme.tempered(blocks)
-    scheme.validate_tempered()
-    ks, ss = scheme.ks, scheme.ss
-    alpha = np.concatenate([np.power(float(m + 1), np.arange(1, ks[m + 1] + 1, dtype=np.float64) / ks[m + 1])
-                            for m in range(scheme.blocks)])
-    space = AlphaSpace(array("d", alpha.tobytes()))  # an array('d') is copied as memory, not weight by weight
-
-    ends_ok = all(alpha[ss[m] - 1] == float(m) for m in range(1, scheme.blocks + 1))
+    import numpy as np
+    scheme, space = _tempered_weights(blocks)
+    ss, n = scheme.ss, space.prefix_length
+    ends_ok = all(space.alpha(ss[m]) == float(m) for m in range(1, scheme.blocks + 1))
+    alpha = space.alpha_prefix()
     worst = 0.0
-    for m in range(1, scheme.blocks + 1):
-        s = ss[m]
-        if s >= alpha.size:
-            break
-        worst = max(worst, float(np.max(alpha[s:] / alpha[: alpha.size - s])))
+    for s in ss[1:]:  # in slices, so that no ratio array is as long as the weights
+        for i in range(0, n - s, 1 << 16):
+            j = min(i + (1 << 16), n - s)
+            worst = max(worst, float(np.max(alpha[s + i:s + j] / alpha[i:j])))
     ratio_ok = worst <= 2.0 * (1.0 + 1e-12)
 
     report = ExperimentReport(
         name="tempered-alpha",
-        params={"blocks": scheme.blocks, "ks": list(ks)},
+        params={"blocks": scheme.blocks, "ks": list(scheme.ks)},
         checks=(
             _check("block-end-weights-hit-integers", ends_ok,
                    "alpha at each block end equals the block number exactly"),
             _check("shifted-ratio-at-most-two", ratio_ok, f"max ratio {worst!r}"),
         ),
-        data={"ss": list(ss), "prefix_length": int(alpha.size), "max_shifted_ratio": worst},
+        data={"ss": list(ss), "prefix_length": n, "max_shifted_ratio": worst},
     )
     return space, report
 
@@ -490,7 +501,7 @@ def kronecker_return_times(angles, eps: float, bound: int) -> list[int]:
 
     |exp(i t) - 1| = 2 |sin(t / 2)|; an empty result is a legitimate outcome.
     """
-    if not eps > 0:
+    if not _coerce_number(eps, integral=False, what="tolerance") > 0:
         raise DomainError("tolerance must be positive")
     _count(bound, "bound")
     halves = [float(a) / 2.0 for a in angles]
@@ -594,8 +605,7 @@ def interval_map_suite() -> dict[str, PiecewiseLinearMap]:
 
 def _shift_tempered_report(fast: bool) -> ExperimentReport:
     blocks = 8 if fast else 12
-    space, _ = tempered_alpha_space(blocks)
-    scheme = BlockScheme.tempered(blocks)
+    scheme, space = _tempered_weights(blocks)
     lam = [1.0 / n ** 2 for n in range(1, 21)]
     horizon = scheme.ss[5 if fast else 8]
     return forward_shift_experiment(space, lam, horizon, scheme=scheme)

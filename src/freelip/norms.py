@@ -216,7 +216,8 @@ def _scaled_ints(rows):
     """Rows of exact ints k*x, for the least power of two k that clears every float x."""
     ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
     k = max(d for row in ratios for _, d in row)
-    return [[p * (k // d) for p, d in row] for row in ratios], k
+    top = k.bit_length()  # every d is a power of two, so k // d is a shift
+    return [[p << (top - d.bit_length()) for p, d in row] for row in ratios], k
 
 
 def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:

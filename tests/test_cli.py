@@ -9,6 +9,7 @@ argument surface also build the parsers and call ``main`` in process.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from freelip import (
     space_to_json,
     vector_to_json,
 )
-from freelip.cli import VERBS, build_parser, main, verb_parser
+from freelip.cli import VERBS, _write_profile_csv, build_parser, main, verb_parser
 from freelip.selftest import run_selftest
 
 
@@ -144,6 +145,19 @@ def test_classify_bounded_orbit(tmp_path, doubling_bundle):
     csv_lines = (out / "classify.csv").read_text().splitlines()
     assert csv_lines[0] == "step,norm"
     assert len(csv_lines) >= 3
+
+
+def test_profile_csv_is_what_csv_writer_writes(tmp_path):
+    # the profile is written in one piece; the reference is the csv module's writer
+    values = [0.0, -0.0, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 1 / 3, 7]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["step", "norm"])
+        for k, v in enumerate(values):
+            writer.writerow([k, repr(float(v))])
+    _write_profile_csv(tmp_path / "got.csv", values)
+    assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
 
 
 def test_classify_with_params_file(tmp_path):

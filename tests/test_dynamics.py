@@ -295,6 +295,25 @@ def test_count_arguments_take_only_ints_of_at_least_their_least(case):
             call(bad)
 
 
+# the real-valued arguments read as finite floats where they enter: (name in the message, call)
+REALS = {
+    "rigidity-bound": ("uniform bound", lambda v: rigidity_check(doubling_map(), [0.5], [1], bound=v)),
+    "kronecker-eps": ("tolerance", lambda v: kronecker_return_times([1.0], v, 3)),
+    "escape-radius": ("window radius", lambda v: escape_test_functional(IntervalSpace(0.0, math.inf), 1, v)),
+    "params-tail-fraction": ("tail_fraction", lambda v: ClassificationParams(tail_fraction=v)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REALS))
+def test_real_arguments_take_only_finite_numbers(case):
+    # a bool, a numeric string, a NaN and an infinity are refused by name; a numpy float is read
+    name, call = REALS[case]
+    for bad in (True, "0.5", math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=rf"^{name} .* is not a "):
+            call(bad)
+    call(np.float64(0.5))
+
+
 def reference_classification(f, x, params, power):
     """The rule documented in classify_orbit, written plainly: the orbit of
     f^power up to an exact return or an image outside the presentation, a

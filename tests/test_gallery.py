@@ -9,7 +9,9 @@ from slope products.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -140,11 +142,36 @@ def test_tempered_alpha_rises_geometrically_within_blocks(small_tempered):
     assert space.alpha(1) == 1.0
 
 
-def test_full_tempered_construction_report():
-    space, report = tempered_alpha_space(blocks=12)
+@pytest.fixture(scope="module")
+def full_tempered():
+    """The 12-block space and report, and the peak of traced memory while they were built."""
+    tracemalloc.start()
+    try:
+        space, report = tempered_alpha_space(blocks=12)
+        return space, report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_tempered_construction_report(full_tempered):
+    space, report, _ = full_tempered
     assert report.ok
     assert space.prefix_length == TEMPERED_SS[-1]
     assert report.data["ss"] == list(TEMPERED_SS)
+
+
+def test_tempered_weights_are_pinned_bit_for_bit(full_tempered):
+    # SHA-256 of the space's weight buffer: 0.0 at the basepoint, then alpha_1..alpha_N
+    digest = lambda space: hashlib.sha256(space._weights.tobytes()).hexdigest()
+    assert digest(tempered_alpha_space(blocks=8)[0]) == "f71d349ee518d51ede9df417c8044bacbbc63f99f93713a9f14e6038c43f0687"
+    assert digest(full_tempered[0]) == "c03a16a9bc8bf6a0f0a66f3f07de3423fd658f0541cd9d22bb323a377f177fac"
+
+
+def test_tempered_build_holds_about_two_copies_of_the_weights(full_tempered):
+    # the blocks are computed in one buffer that the space copies as memory, and the
+    # ratio check runs in slices, so the peak is that buffer and the space's own copy
+    space, _, peak = full_tempered
+    assert peak <= 2.25 * 8 * space.prefix_length
 
 
 def test_shift_vector_normalizes_by_weight(small_tempered):
