@@ -34,7 +34,7 @@ from .dynamics import (
     rigidity_to_json,
 )
 from .gallery import GALLERY, experiment_to_json, gallery_experiments
-from .maps import PiecewiseLinearMap, map_from_json
+from .maps import map_from_json
 from .norms import norm_result, norm_result_to_json, norm_route
 from .selftest import run_selftest
 from .spaces import DomainError, IntervalSpace, space_from_json
@@ -56,6 +56,8 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal too long to convert (sys.get_int_max_str_digits)
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -165,8 +167,6 @@ def _cmd_rigidity(args, outdir: Path) -> int:
 
 def _cmd_interval_analyze(args, outdir: Path) -> int:
     f = _load_map(args.map, args.space)
-    if not isinstance(f, PiecewiseLinearMap):
-        raise InputError("interval-analyze needs a piecewise-linear map")
     analysis = interval_analyze(f, depth=args.depth)
     _write_json(outdir / "interval-analysis.json", interval_analysis_to_json(analysis))
     print(f"case {analysis.case} -> {outdir / 'interval-analysis.json'}")

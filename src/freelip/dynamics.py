@@ -295,13 +295,11 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
         tolerances = 1e-9
     if isinstance(tolerances, (int, float)):
         tolerances = (tolerances,) * len(times)
-    # a float goes on to the check below, which names a NaN or an infinity
-    tols = tuple(float(t) if isinstance(t, float) else _coerce_number(t, integral=False, what="tolerance")
-                 for t in tolerances)
+    tols = tuple(_coerce_number(t, integral=False, what="tolerance") for t in tolerances)
     if len(tols) != len(times):
         raise DomainError("need one tolerance per time")
-    if not all(math.isfinite(t) and t >= 0 for t in tols):
-        raise DomainError(f"return tolerances must be finite and nonnegative, got {tols}")
+    if not all(t >= 0 for t in tols):
+        raise DomainError(f"return tolerances must be nonnegative, got {tols}")
 
     space = f.space
     lips: list[float] = []
@@ -494,12 +492,8 @@ def _reflect_pl(f: PiecewiseLinearMap) -> PiecewiseLinearMap:
     space = f.space
     mirrored = IntervalSpace(a=-space.b, b=-space.a)
     bps = tuple((-x, -y) for x, y in reversed(tuple(zip(f.xs, f.ys))))
-    kwargs = {}
-    if not math.isfinite(mirrored.a):
-        kwargs["left_slope"] = f.right_slope
-    if not math.isfinite(mirrored.b):
-        kwargs["right_slope"] = f.left_slope
-    return PiecewiseLinearMap(mirrored, bps, **kwargs)
+    return PiecewiseLinearMap(mirrored, bps, None if math.isfinite(mirrored.a) else f.right_slope,
+                              None if math.isfinite(mirrored.b) else f.left_slope)
 
 
 def _reflect_side(res: SideAnalysis, original_space) -> SideAnalysis:

@@ -2,13 +2,14 @@
 Lipschitz constants with attaining certificates, and iteration of points,
 vectors and whole maps.
 
-A map presentation matches its space: an index table on a finite space, an
-index rule on a sequence space, a continuous piecewise-linear function on an
-interval, a coordinate rule on a lattice box.  Lipschitz constants are exact
-for finite tables, piecewise-linear slopes and lattice boxes; only sequence
-rules are window-limited, and nothing is sampled.  On a finite space, a
-lattice box or a sequence space, the Lipschitz constant and the norm of the
-linearized operator are both attained on an edge of the space (``_edges``).
+A map presentation matches its space, and refuses any other: an index table
+on a finite space, an index rule on a sequence space, a continuous
+piecewise-linear function on an interval, a coordinate rule on a lattice box.
+Lipschitz constants are exact for finite tables, piecewise-linear slopes and
+lattice boxes; only sequence rules are window-limited, and nothing is
+sampled.  On a finite space, a lattice box or a sequence space, the Lipschitz
+constant and the norm of the linearized operator are both attained on an edge
+of the space (``_edges``).
 ``apply`` takes a checked point and checks only its image, where the
 presentation can leave the space.  A piecewise-linear map builds ``eval`` and
 ``apply`` once, at construction, from one piece formula (``_pl_function``);
@@ -33,6 +34,8 @@ from .spaces import (
     PrefixExhausted,
     _coerce_number,
     _count,
+    _reals,
+    _show,
     same_space,
 )
 from .norms import norm_flow
@@ -61,11 +64,13 @@ class FiniteMap:
     kind = "finite-table"
 
     def __post_init__(self):
-        if len(self.table) != self.space.size:
+        if not isinstance(self.space, FiniteSpace):
+            raise DomainError("finite-table maps need a finite space")
+        table = tuple(map(self.space.check_point, self.table))
+        if len(table) != self.space.size:
             raise DomainError("map table must cover every point of the space")
-        for j in self.table:
-            self.space.check_point(j)
-        if self.table[self.space.basepoint] != self.space.basepoint:
+        object.__setattr__(self, "table", table)
+        if table[self.space.basepoint] != self.space.basepoint:
             raise DomainError("map must fix the basepoint")
 
     def apply(self, p) -> int:
@@ -85,6 +90,8 @@ class AlphaMap:
     kind = "alpha-rule"
 
     def __post_init__(self):
+        if not isinstance(self.space, AlphaSpace):
+            raise DomainError("alpha rules need a sequence space")
         if self.rule(0) != 0:
             raise DomainError("map must fix the basepoint 0")
 
@@ -125,37 +132,34 @@ class PiecewiseLinearMap:
 
     def __init__(self, space: IntervalSpace, breakpoints: Sequence[tuple[float, float]],
                  left_slope: float | None = None, right_slope: float | None = None):
+        if not isinstance(space, IntervalSpace):
+            raise DomainError("piecewise-linear maps need an interval space")
         if not breakpoints:
             raise DomainError("need at least one breakpoint")
-        xs = [float(x) for x, _ in breakpoints]
-        ys = [float(y) for _, y in breakpoints]
+        xs, ys = _reals(([x for x, _ in breakpoints], [y for _, y in breakpoints]), "breakpoint")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("breakpoint abscissae must be strictly increasing")
-        if math.isfinite(space.a):
-            if xs[0] != space.a:
-                raise DomainError(f"first breakpoint must sit at the left endpoint {space.a}")
-            if left_slope is not None:
-                raise DomainError("left slope is only for an unbounded left end")
-            left_slope = 0.0
-        elif left_slope is None:
-            raise DomainError("unbounded left end needs an explicit left slope")
-        if math.isfinite(space.b):
-            if xs[-1] != space.b:
-                raise DomainError(f"last breakpoint must sit at the right endpoint {space.b}")
-            if right_slope is not None:
-                raise DomainError("right slope is only for an unbounded right end")
-            right_slope = 0.0
-        elif right_slope is None:
-            raise DomainError("unbounded right end needs an explicit right slope")
 
+        def end_slope(side, first, x, end, slope):
+            # a finite end holds the extreme breakpoint and slope 0; an infinite one needs a slope
+            if math.isfinite(end):
+                if x != end:
+                    raise DomainError(f"{first} breakpoint must sit at the {side} endpoint {end}")
+                if slope is not None:
+                    raise DomainError(f"{side} slope is only for an unbounded {side} end")
+                return 0.0
+            if slope is None:
+                raise DomainError(f"unbounded {side} end needs an explicit {side} slope")
+            return _coerce_number(slope, integral=False, what=f"{side}_slope")
+
+        left_slope = end_slope("left", "first", xs[0], space.a, left_slope)
+        right_slope = end_slope("right", "last", xs[-1], space.b, right_slope)
         self.space = space
-        self.xs = tuple(xs)
-        self.ys = tuple(ys)
-        self.left_slope = float(left_slope)
-        self.right_slope = float(right_slope)
-        self._seg_slopes = tuple(
-            (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(breakpoints, breakpoints[1:])
-        )
+        self.xs = xs
+        self.ys = ys
+        self.left_slope = left_slope
+        self.right_slope = right_slope
+        self._seg_slopes = tuple((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
         # eval passes every value, NaN through float; apply's image can round
         # 1 ulp outside [a, b] or overflow to +-inf on an unbounded tail, so it
         # must be a finite float of [a, b], and check_point only words the error
@@ -225,9 +229,11 @@ class LatticeMap:
     kind = "lattice-rule"
 
     def __post_init__(self):
+        if not isinstance(self.space, LatticeBox):
+            raise DomainError("lattice rules need a lattice box")
         o = self.space.basepoint
-        if tuple(self.rule(o)) != o:
-            raise DomainError("map must fix the origin")
+        if (image := tuple(self.rule(o))) != o:
+            raise DomainError(f"map must fix the origin {o}, got {_show(image)}")
 
     def apply(self, p):
         return self.space.check_point(tuple(self.rule(p)))
@@ -267,25 +273,14 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
             f"composition needs {len(knots)} breakpoints, over the budget {budget}"
         )
     bps = [(x, f.eval(g.eval(x))) for x in knots]
-    ls = rs = None
-    if not math.isfinite(space.a):
-        # a constant left tail composes to a constant; a monotone one lands on
+
+    def tail(s, same, other):
+        # a constant tail of g composes to a constant; a monotone one lands on
         # the matching tail of f once past the last collected knot
-        gl = g.left_slope
-        if gl > 0:
-            ls = f.left_slope * gl
-        elif gl < 0:
-            ls = f.right_slope * gl
-        else:
-            ls = 0.0
-    if not math.isfinite(space.b):
-        gr = g.right_slope
-        if gr > 0:
-            rs = f.right_slope * gr
-        elif gr < 0:
-            rs = f.left_slope * gr
-        else:
-            rs = 0.0
+        return same * s if s > 0 else other * s if s < 0 else 0.0
+
+    ls = None if math.isfinite(space.a) else tail(g.left_slope, f.left_slope, f.right_slope)
+    rs = None if math.isfinite(space.b) else tail(g.right_slope, f.right_slope, f.left_slope)
     return PiecewiseLinearMap(space, bps, left_slope=ls, right_slope=rs)
 
 
@@ -477,25 +472,12 @@ def map_from_json(obj: dict, space):
     kind = obj["kind"]
     try:
         if kind == "finite-table":
-            if not isinstance(space, FiniteSpace):
-                raise DomainError("finite-table maps need a finite space")
             return FiniteMap(space, tuple(_coerce_number(i, integral=True, what="table entry") for i in obj["table"]))
         if kind == "piecewise-linear":
-            if not isinstance(space, IntervalSpace):
-                raise DomainError("piecewise-linear maps need an interval space")
-            bps = [(_coerce_number(x, integral=False, what="breakpoint"),
-                    _coerce_number(y, integral=False, what="breakpoint"))
-                   for x, y in obj["breakpoints"]]
-            slopes = {k: _coerce_number(obj[k], integral=False, what=k)
-                      for k in ("left_slope", "right_slope") if obj.get(k) is not None}
-            return PiecewiseLinearMap(space, bps, **slopes)
+            return PiecewiseLinearMap(space, obj["breakpoints"], obj.get("left_slope"), obj.get("right_slope"))
         if kind == "alpha-rule":
-            if not isinstance(space, AlphaSpace):
-                raise DomainError("alpha rules need a sequence space")
             return _alpha_rule_from_json(obj, space)
         if kind == "lattice-rule":
-            if not isinstance(space, LatticeBox):
-                raise DomainError("lattice rules need a lattice box")
             return _lattice_rule_from_json(obj, space)
     except DomainError:
         raise
@@ -525,13 +507,12 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
 
 
 def _lattice_rule_from_json(obj: dict, space: LatticeBox) -> LatticeMap:
-    if "matrix" not in obj:
-        raise DomainError("lattice rules are given by an integer matrix")
     mat = [[_coerce_number(v, integral=True, what="matrix entry") for v in row] for row in obj["matrix"]]
-    if len(mat) != space.dim or any(len(r) != space.dim for r in mat):
-        raise DomainError("matrix shape must match the box dimension")
+    if any(len(r) != len(mat) for r in mat):
+        raise DomainError("lattice rules are given by a square integer matrix")
 
     def apply_mat(p, mat=tuple(tuple(r) for r in mat)):
         return tuple(sum(m * c for m, c in zip(row, p)) for row in mat)
 
+    # LatticeMap refuses any space but a lattice box, and a matrix of another dimension moves the origin
     return LatticeMap(space, apply_mat, rule_json={"rule": "matrix", "matrix": [list(r) for r in mat]})

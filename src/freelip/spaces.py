@@ -10,7 +10,8 @@ the one membership test.  It returns the point in canonical form (an int, a
 float or an int tuple), which is hashable, sortable and compares by value, or
 raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
 ``distance`` takes checked points and does not check them again; a bad index
-would wrap or fail obscurely.
+would wrap or fail obscurely.  A space's constructor reads its numbers, once,
+through ``_coerce_number`` (``AlphaSpace`` alone into an ``array('d')``).
 ``distances(p, points)`` is ``[distance(p, q) for q in points]`` bit for bit,
 in one pass; only a lattice box calls ``distance`` per point.
 ``cost_matrix(points)`` gives the distances among checked points as a list of
@@ -115,14 +116,18 @@ class FiniteSpace:
     kind = "finite"
 
     def __post_init__(self):
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
+        matrix = _reals(self.matrix, "matrix entry")
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
             raise DomainError("distance matrix must be square")
-        if not (0 <= self.basepoint < n):
-            raise DomainError(f"basepoint {self.basepoint} outside 0..{n-1}")
+        basepoint = _coerce_number(self.basepoint, integral=True, what="basepoint")
+        if not (0 <= basepoint < n):
+            raise DomainError(f"basepoint {_show(basepoint)} outside 0..{n-1}")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "basepoint", basepoint)
         if self.labels is not None and len(self.labels) != n:
             raise DomainError("labels must align with the matrix")
-        validate_finite_metric(self.matrix)
+        validate_finite_metric(matrix)
 
     @property
     def size(self) -> int:
@@ -134,7 +139,7 @@ class FiniteSpace:
     def check_point(self, p) -> int:
         if isinstance(p, (int, numbers.Integral)) and not isinstance(p, bool) and 0 <= p < self.size:
             return int(p)
-        raise DomainError(f"point {p!r} not in finite space of size {self.size}")
+        raise DomainError(f"point {_show(p)} not in finite space of size {self.size}")
 
     def distance(self, p, q) -> float:
         return self.matrix[p][q]
@@ -185,10 +190,10 @@ class AlphaSpace:
     def alpha(self, n: int) -> float:
         """Weight alpha_n for 1 <= n <= prefix length."""
         if not isinstance(n, (int, numbers.Integral)) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"alpha index {n!r} must be a positive integer")
+            raise DomainError(f"alpha index {_show(n)} must be a positive integer")
         if n > self.prefix_length:
             raise PrefixExhausted(
-                f"alpha_{n} requested but only {self.prefix_length} terms are materialized"
+                f"alpha_{_show(int(n))} requested but only {self.prefix_length} terms are materialized"
             )
         return self._weights[n]
 
@@ -207,8 +212,8 @@ class AlphaSpace:
         if isinstance(p, (int, numbers.Integral)) and not isinstance(p, bool) and p >= 0:
             if p < len(self._weights):
                 return int(p)
-            raise PrefixExhausted(f"point {p} lies past the materialized prefix of length {self.prefix_length}")
-        raise DomainError(f"point {p!r} not in sequence space with prefix length {self.prefix_length}")
+            raise PrefixExhausted(f"point {_show(int(p))} lies past the materialized prefix of length {self.prefix_length}")
+        raise DomainError(f"point {_show(p)} not in sequence space with prefix length {self.prefix_length}")
 
     def distance(self, p, q) -> float:
         if p == q:
@@ -253,8 +258,8 @@ class IntervalSpace:
     basepoint = 0.0
 
     def __post_init__(self):
-        if math.isnan(self.a) or math.isnan(self.b):
-            raise DomainError("interval endpoints must not be NaN")
+        object.__setattr__(self, "a", _endpoint(self.a))
+        object.__setattr__(self, "b", _endpoint(self.b))
         if not (self.a <= 0.0 <= self.b):
             raise DomainError(f"interval [{self.a}, {self.b}] must contain the basepoint 0")
         if self.a >= self.b:
@@ -273,7 +278,7 @@ class IntervalSpace:
                 return float(p)
         except OverflowError:  # isfinite of an int past the float range
             pass
-        raise DomainError(f"point {p!r} not in interval [{self.a}, {self.b}]")
+        raise DomainError(f"point {_show(p)} not in interval [{self.a}, {self.b}]")
 
     def distance(self, p, q) -> float:
         return abs(p - q)
@@ -294,13 +299,15 @@ class LatticeBox:
     kind = "lattice"
 
     def __post_init__(self):
-        if not self.bounds:
+        bounds = tuple(tuple(_coerce_number(v, integral=True, what="bound") for v in axis) for axis in self.bounds)
+        if not bounds:
             raise DomainError("lattice box needs at least one axis")
-        for ax, (lo, hi) in enumerate(self.bounds):
+        for ax, (lo, hi) in enumerate(bounds):
             if not (lo <= 0 <= hi):
-                raise DomainError(f"axis {ax} bounds [{lo}, {hi}] must contain 0")
+                raise DomainError(f"axis {ax} bounds [{_show(lo)}, {_show(hi)}] must contain 0")
+        object.__setattr__(self, "bounds", bounds)
         try:  # so that every distance, each at most the diameter, is a finite float
-            float(sum(hi - lo for lo, hi in self.bounds))
+            float(sum(hi - lo for lo, hi in bounds))
         except OverflowError:
             raise DomainError("the l1 diameter of the lattice box overflows a float") from None
 
@@ -318,7 +325,7 @@ class LatticeBox:
             for c, (lo, hi) in zip(p, self.bounds)
         ):
             return tuple(int(c) for c in p)
-        raise DomainError(f"point {p!r} not in lattice box {self.bounds}")
+        raise DomainError(f"point {_show(p)} not in lattice box {self.bounds}")
 
     def distance(self, p, q) -> float:
         return float(sum(map(abs, map(operator.sub, p, q))))
@@ -366,27 +373,51 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
         raise DomainError("cannot restrict to an empty point list")
     base = space.basepoint
     ordered = [base] + sorted({space.check_point(p) for p in points} - {base})
-    matrix = tuple(map(tuple, space.cost_matrix(ordered)))
-    return FiniteSpace(matrix=matrix, basepoint=0, labels=tuple(ordered))
+    return FiniteSpace(matrix=space.cost_matrix(ordered), basepoint=0, labels=tuple(ordered))
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format
+# reading numbers, and the JSON wire format
 
 
 def _coerce_number(v, integral: bool, what: str = "point"):
-    """A JSON number as an int (``integral``: 2.0 reads as 2) or a finite float, else DomainError."""
+    """A number as an int (``integral``: 2.0 reads as 2) or a finite float, else DomainError."""
     if type(v) is (int if integral else float) and (integral or math.isfinite(v)):
         return v
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise DomainError(f"{what} {v!r} is not a number")
-    if not isinstance(v, numbers.Integral):
-        if not math.isfinite(v) or (integral and not float(v).is_integer()):
-            raise DomainError(f"{what} {v!r} is not a finite {'integer' if integral else 'number'}")
-    try:
+    try:  # a Fraction past the float range overflows in isfinite
+        if not isinstance(v, numbers.Integral):
+            if not math.isfinite(v) or (integral and not float(v).is_integer()):
+                raise DomainError(f"{what} {v!r} is not a finite {'integer' if integral else 'number'}")
         return int(v) if integral else float(v)
     except OverflowError as exc:
-        raise DomainError(f"{what} {v} is too large for a float") from exc
+        raise DomainError(f"{what} {_show(v)} is too large for a float") from exc
+
+
+def _reals(rows, what: str) -> tuple[tuple[float, ...], ...]:
+    """``rows`` of numbers read by ``_coerce_number``, as tuples; floats with a finite sum pass at C speed."""
+    rows = tuple(map(tuple, rows))
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {float} and math.isfinite(sum(map(sum, rows))):
+        return rows
+    return tuple(tuple(_coerce_number(v, integral=False, what=what) for v in row) for row in rows)
+
+
+def _endpoint(v) -> float:
+    """An interval end: +-inf, or a real read by ``_coerce_number``."""
+    infinite = isinstance(v, numbers.Real) and v in (math.inf, -math.inf)
+    return float(v) if infinite else _coerce_number(v, integral=False, what="interval endpoint")
+
+
+def _show(v) -> str:
+    """``repr(v)``, but an int too long to print (past ``sys.get_int_max_str_digits()``)
+    is named by its size, in a tuple too."""
+    try:
+        return repr(v)
+    except ValueError:  # only an int has no repr, alone or in a tuple
+        if isinstance(v, tuple):
+            return f"({', '.join(map(_show, v))}{',' * (len(v) == 1)})"
+        return f"<{'a negative' if v < 0 else 'an'} integer of {v.bit_length()} bits>"
 
 
 def _count(v, what: str, least: int = 1) -> int:
@@ -406,12 +437,8 @@ def _endpoint_to_json(x: float):
     return x
 
 
-def _endpoint_from_json(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return _coerce_number(v, integral=False, what="interval endpoint")
+def _endpoint_from_json(v):
+    return math.inf if v == "inf" else -math.inf if v == "-inf" else v
 
 
 def space_to_json(space) -> dict:
@@ -442,19 +469,13 @@ def space_from_json(obj: dict):
             labels = obj.get("labels")
             if labels is not None:
                 labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
-            return FiniteSpace(
-                matrix=tuple(tuple(_coerce_number(x, integral=False, what="matrix entry") for x in row)
-                             for row in obj["matrix"]),
-                basepoint=_coerce_number(obj.get("basepoint", 0), integral=True, what="basepoint"),
-                labels=labels,
-            )
+            return FiniteSpace(obj["matrix"], obj.get("basepoint", 0), labels)
         if kind == "alpha":
             return AlphaSpace([_coerce_number(a, integral=False, what="alpha weight") for a in obj["alpha"]])
         if kind == "interval":
             return IntervalSpace(_endpoint_from_json(obj.get("a", 0.0)), _endpoint_from_json(obj.get("b", "inf")))
         if kind == "lattice":
-            bounds = [[_coerce_number(v, integral=True, what="bound") for v in b] for b in obj["bounds"]]
-            return LatticeBox(tuple(map(tuple, bounds)))
+            return LatticeBox(obj["bounds"])
     except DomainError:
         raise
     except KeyError as exc:

@@ -50,13 +50,14 @@ def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector
     Points are validated here, where they enter, and merged under exact
     coordinate equality.  The basepoint, exact zeros and any coefficient with
     |c| < DROP_TOL * max |c| (over the merged, non-basepoint coefficients)
-    vanish.  A merged coefficient that is NaN or infinite raises DomainError.
+    vanish.  A coefficient is a real read by ``_coerce_number``; one that is
+    NaN or infinite, or a merged one past the float range, raises DomainError.
     """
     acc: dict = {}
     for p, c in pairs:
         q = space.check_point(p)
-        acc[q] = acc.get(q, 0.0) + float(c)
-        if not math.isfinite(acc[q]):
+        acc[q] = acc.get(q, 0.0) + (c if type(c) is float else _coerce_number(c, integral=False, what="coefficient"))
+        if not math.isfinite(acc[q]):  # a NaN or infinite float, or a sum past the float range
             raise DomainError(f"coefficient at point {q!r} is not finite: {acc[q]!r}")
     acc.pop(space.basepoint, None)
     floor = DROP_TOL * max(map(abs, acc.values()), default=0.0)
@@ -76,6 +77,7 @@ def linear_combine(parts: Sequence[tuple[float, FreeVector]]) -> FreeVector:
     space = parts[0][1].space
     pairs = []
     for a, mu in parts:
+        a = _coerce_number(a, integral=False, what="scalar")
         if not same_space(mu.space, space):
             raise DomainError("cannot combine vectors over different spaces")
         pairs.extend((p, a * c) for p, c in mu.terms)
@@ -107,8 +109,10 @@ class Functional:
         v = self.fn(self.space.basepoint)
         if abs(v) > 1e-12:
             raise DomainError(f"functional must vanish at the basepoint, got {v!r}")
-        if not (self.lip_bound >= 0):
+        lip_bound = _coerce_number(self.lip_bound, integral=False, what="Lipschitz bound")
+        if not lip_bound >= 0:
             raise DomainError("Lipschitz bound must be a nonnegative real")
+        object.__setattr__(self, "lip_bound", lip_bound)
 
     def __call__(self, p) -> float:
         return float(self.fn(self.space.check_point(p)))
@@ -154,7 +158,7 @@ def vector_from_json(obj: dict, space=None) -> FreeVector:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise DomainError(f"bad term {entry!r}: expected [point, coefficient]")
         p, c = entry
-        pairs.append((coerce_point(space, p), _coerce_number(c, integral=False, what="coefficient")))
+        pairs.append((coerce_point(space, p), c))
     return make_free_vector(space, pairs)
 
 

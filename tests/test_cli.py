@@ -335,6 +335,14 @@ def _wide_lattice_vector_file(d):
     return _write(d / "vector.json", {"space": space, "terms": [[[10**400], 1.0], [[1], -1.0]]})
 
 
+def _long_literal_file(d, name, template):
+    """``template`` with a 5,000-digit integer literal in place of ``{}``: past
+    Python's default limit on int-to-string conversion, so json.loads refuses it."""
+    path = d / name
+    path.write_text(template.replace("{}", "1" + "0" * 4999))
+    return str(path)
+
+
 def _far_vector_file(d):
     space = space_to_json(IntervalSpace(0.0, 1e300))
     return _write(d / "vector.json", {"space": space, "terms": [[1e200, 1e200]]})
@@ -468,6 +476,11 @@ MALFORMED = {
     # a selftest of no rounds would check nothing and still write "ok": true
     "selftest-rounds-zero": lambda d: ["selftest", "--rounds", "0"],
     "selftest-rounds-negative": lambda d: ["selftest", "--rounds", "-1"],
+    # an integer literal too long to convert is bad input, not a crash
+    "vector-integer-literal-too-long": lambda d: ["norm", "--vector", _long_literal_file(
+        d, "vector.json", '{"space": {"kind": "finite", "matrix": [[0, 1], [1, 0]]}, "terms": [[1, {}]]}')],
+    "params-integer-literal-too-long": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                                  "--params", _long_literal_file(d, "params.json", '{"horizon": {}}')],
     # an isometric swap fails its return check at tolerance 1e-9; NaN must not pass it
     "tolerances-nan": lambda d: [
         "rigidity", "--times", "1", "--bound", "1", "--tolerances", "nan", "--map",

@@ -4,6 +4,7 @@ import math
 import random
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -571,6 +572,91 @@ def test_lattice_map_json_matrix_rule():
 def test_map_from_json_rejects_unknown_kind():
     with pytest.raises(DomainError):
         map_from_json({"kind": "quantum"}, UNIT)
+
+
+# ---------------------------------------------------------------------------
+# each number is read once, by the constructor of the map that holds it
+
+LINE = IntervalSpace(-math.inf, math.inf)
+PAIR = FiniteSpace(((0.0, 1.0), (1.0, 0.0)))
+
+# each input is refused by name from the Python API, as it is from a JSON file
+BAD_MAP_INPUTS = {
+    "nan-abscissa": (lambda: PiecewiseLinearMap(LINE, [(math.nan, 0.0), (0.0, 0.0)], left_slope=1.0, right_slope=1.0),
+                     "breakpoint nan is not a finite number"),
+    "infinite-value": (lambda: PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0), (1.0, math.inf)], right_slope=1.0),
+                       "breakpoint inf is not a finite number"),
+    "huge-breakpoint": (lambda: PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0), (10**400, 1.0)], right_slope=1.0),
+                        f"breakpoint {10**400} is too large for a float"),
+    "infinite-slope": (lambda: PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0)], right_slope=math.inf),
+                       "right_slope inf is not a finite number"),
+    "string-slope": (lambda: PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0)], right_slope="2"),
+                     "right_slope '2' is not a number"),
+    "bool-slope": (lambda: PiecewiseLinearMap(LINE, [(0.0, 0.0)], left_slope=True, right_slope=1.0),
+                   "left_slope True is not a number"),
+    "pl-on-a-finite-space": (lambda: PiecewiseLinearMap(PAIR, [(0.0, 0.0)]),
+                             "piecewise-linear maps need an interval space"),
+    "table-on-an-interval": (lambda: FiniteMap(IntervalSpace(), (0,)), "finite-table maps need a finite space"),
+    "alpha-rule-on-a-finite-space": (lambda: AlphaMap(PAIR, lambda n: n), "alpha rules need a sequence space"),
+    "lattice-rule-on-an-interval": (lambda: LatticeMap(UNIT, lambda p: p), "lattice rules need a lattice box"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MAP_INPUTS))
+def test_a_map_refuses_a_bad_number_or_space_by_name(case):
+    build, message = BAD_MAP_INPUTS[case]
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_map_stores_its_numbers_in_canonical_types():
+    f = PiecewiseLinearMap(HALF_LINE, [(0, 0), (1, 2)], right_slope=np.float64(1))
+    assert f.xs == (0.0, 1.0) and f.ys == (0.0, 2.0) and type(f.right_slope) is float
+    assert all(type(v) is float for v in f.xs + f.ys + f.slopes())
+    g = FiniteMap(PAIR, [np.int64(0), 1])
+    assert g.table == (0, 1) and all(type(j) is int for j in g.table)
+
+
+def test_table_entries_stay_points_in_python():
+    with pytest.raises(DomainError, match="point 1.0 not in finite space of size 2"):
+        FiniteMap(PAIR, (0, 1.0))
+
+
+# a JSON map with one bad field, and the Python call that holds the same field
+MAP_TWINS = {
+    "breakpoint-string": (UNIT, {"kind": "piecewise-linear", "breakpoints": [[0, 0], [1, "0.5"]]},
+                          lambda: PiecewiseLinearMap(UNIT, [(0, 0), (1, "0.5")])),
+    "breakpoint-nan": (LINE, {"kind": "piecewise-linear", "breakpoints": [[0, 0], [math.nan, 1]],
+                              "left_slope": 1, "right_slope": 1},
+                       lambda: PiecewiseLinearMap(LINE, [(0, 0), (math.nan, 1)], 1, 1)),
+    "right-slope-infinite": (HALF_LINE, {"kind": "piecewise-linear", "breakpoints": [[0, 0]], "right_slope": math.inf},
+                             lambda: PiecewiseLinearMap(HALF_LINE, [(0, 0)], right_slope=math.inf)),
+    "table-on-an-interval": (UNIT, {"kind": "finite-table", "table": [0]}, lambda: FiniteMap(UNIT, (0,))),
+    "pl-on-a-finite-space": (PAIR, {"kind": "piecewise-linear", "breakpoints": [[0, 0]]},
+                             lambda: PiecewiseLinearMap(PAIR, [(0, 0)])),
+    "alpha-rule-on-a-finite-space": (PAIR, {"kind": "alpha-rule", "rule": "forward-shift"},
+                                     lambda: AlphaMap(PAIR, lambda n: n)),
+    "lattice-rule-on-an-interval": (UNIT, {"kind": "lattice-rule", "matrix": [[1]]},
+                                    lambda: LatticeMap(UNIT, lambda p: p)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAP_TWINS))
+def test_a_json_map_and_its_python_twin_refuse_a_bad_field_alike(case):
+    space, obj, build = MAP_TWINS[case]
+    with pytest.raises(DomainError) as from_json:
+        map_from_json(obj, space)
+    with pytest.raises(DomainError) as from_python:
+        build()
+    assert str(from_json.value) == str(from_python.value)
+
+
+@pytest.mark.parametrize("matrix", [[[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]],
+                         ids=["not-square", "three-by-three", "one-by-one"])
+def test_a_lattice_matrix_of_another_shape_is_refused(matrix):
+    with pytest.raises(DomainError):
+        map_from_json({"kind": "lattice-rule", "matrix": matrix}, LatticeBox(((-2, 2), (-2, 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -475,3 +475,94 @@ def test_numpy_integers_accepted_as_lattice_coords():
     p = (np.int64(3),)
     assert box.check_point(p) == (3,)
     assert box.distance(p, (-1,)) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# each number is read once, by the constructor of the space that holds it
+
+UNIT = ((0.0, 1.0), (1.0, 0.0))
+
+# each input is refused by name from the Python API, as it is from a JSON file
+BAD_SPACE_INPUTS = {
+    "finite-string-entries": (lambda: FiniteSpace((("0", "1"), ("1", "0"))), "matrix entry '0' is not a number"),
+    "finite-bool-entry": (lambda: FiniteSpace(((0.0, True), (True, 0.0))), "matrix entry True is not a number"),
+    "finite-nan-entry": (lambda: FiniteSpace(((0.0, math.nan), (math.nan, 0.0))),
+                         "matrix entry nan is not a finite number"),
+    "finite-huge-entry": (lambda: FiniteSpace(((0, BIG), (BIG, 0))), f"matrix entry {BIG} is too large for a float"),
+    "finite-basepoint-bool": (lambda: FiniteSpace(UNIT, basepoint=True), "basepoint True is not a number"),
+    "finite-basepoint-not-integral": (lambda: FiniteSpace(UNIT, basepoint=0.9),
+                                      "basepoint 0.9 is not a finite integer"),
+    "interval-end-bool": (lambda: IntervalSpace(0, True), "interval endpoint True is not a number"),
+    "interval-end-string": (lambda: IntervalSpace("0", 1), "interval endpoint '0' is not a number"),
+    "interval-end-huge": (lambda: IntervalSpace(0, BIG), f"interval endpoint {BIG} is too large for a float"),
+    "interval-end-nan": (lambda: IntervalSpace(math.nan, 1.0), "interval endpoint nan is not a finite number"),
+    "interval-end-huge-fraction": (lambda: IntervalSpace(0, Fraction(BIG)),
+                                   f"interval endpoint {Fraction(BIG)!r} is too large for a float"),
+    "lattice-bound-not-integral": (lambda: LatticeBox(((-1.5, 2),)), "bound -1.5 is not a finite integer"),
+    "lattice-bound-string": (lambda: LatticeBox((("-1", 2),)), "bound '-1' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPACE_INPUTS))
+def test_a_space_refuses_a_bad_number_by_name(case):
+    build, message = BAD_SPACE_INPUTS[case]
+    with pytest.raises(DomainError) as err:
+        build()
+    assert type(err.value) is DomainError and str(err.value) == message
+
+
+def test_a_space_stores_its_numbers_in_canonical_types():
+    sp = IntervalSpace(-1, 1)
+    assert (sp.a, sp.b) == (-1.0, 1.0) and type(sp.a) is float and type(sp.b) is float
+    assert IntervalSpace(np.float64(-math.inf), np.int64(2)) == IntervalSpace(-math.inf, 2.0)
+    box = LatticeBox(((-1.0, 2.0),))
+    assert box.bounds == ((-1, 2),) and all(type(v) is int for v in box.bounds[0])
+    assert LatticeBox([[np.int64(-1), 2]]).bounds == ((-1, 2),)
+    fs = FiniteSpace([[0, 2], [2, 0]], basepoint=np.int64(1))
+    assert fs.matrix == ((0.0, 2.0), (2.0, 0.0)) and all(type(x) is float for row in fs.matrix for x in row)
+    assert type(fs.basepoint) is int and fs.distance(0, 1) == 2.0
+    assert FiniteSpace(UNIT, basepoint=1.0).basepoint == 1
+
+
+# a JSON space with one bad field, and the Python call that holds the same field
+SPACE_TWINS = {
+    "finite-matrix-entry": ({"kind": "finite", "matrix": [[0, "a"], ["a", 0]]},
+                            lambda: FiniteSpace(((0, "a"), ("a", 0)))),
+    "finite-nan-entry": ({"kind": "finite", "matrix": [[0, math.nan], [math.nan, 0]]},
+                         lambda: FiniteSpace(((0, math.nan), (math.nan, 0)))),
+    "finite-basepoint": ({"kind": "finite", "matrix": [[0, 1], [1, 0]], "basepoint": 0.9},
+                         lambda: FiniteSpace(((0, 1), (1, 0)), basepoint=0.9)),
+    "interval-endpoint": ({"kind": "interval", "a": "-1.5"}, lambda: IntervalSpace("-1.5", math.inf)),
+    "interval-nan": ({"kind": "interval", "b": math.nan}, lambda: IntervalSpace(0.0, math.nan)),
+    "lattice-bound": ({"kind": "lattice", "bounds": [[-2.7, 3]]}, lambda: LatticeBox(((-2.7, 3),))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_TWINS))
+def test_a_json_space_and_its_python_twin_refuse_a_bad_field_alike(case):
+    obj, build = SPACE_TWINS[case]
+    with pytest.raises(DomainError) as from_json:
+        space_from_json(obj)
+    with pytest.raises(DomainError) as from_python:
+        build()
+    assert str(from_json.value) == str(from_python.value)
+
+
+HUGE = 10**5000  # past sys.get_int_max_str_digits(), so it has no repr
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteSpace(UNIT).check_point(HUGE), "point <an integer of 16610 bits> not in finite space of size 2"),
+    (lambda: IntervalSpace(-1.0, 1.0).check_point(-HUGE),
+     "point <a negative integer of 16610 bits> not in interval [-1.0, 1.0]"),
+    (lambda: AlphaSpace([1.0]).check_point(HUGE),
+     "point <an integer of 16610 bits> lies past the materialized prefix of length 1"),
+    (lambda: LatticeBox(((-1, 1),)).check_point((HUGE,)),
+     "point (<an integer of 16610 bits>,) not in lattice box ((-1, 1),)"),
+    (lambda: IntervalSpace(0.0, HUGE), "interval endpoint <an integer of 16610 bits> is too large for a float"),
+    (lambda: LatticeBox(((1, HUGE),)), "axis 0 bounds [1, <an integer of 16610 bits>] must contain 0"),
+], ids=["finite", "interval", "alpha", "lattice", "interval-endpoint", "lattice-bound"])
+def test_an_int_too_long_to_print_is_named_by_its_size(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message

@@ -249,3 +249,45 @@ def test_coefficient_lookup_uses_point_identity():
     mu = make_free_vector(sp, [(2.0, 1.0), (-2.0, 1.0)])
     assert mu.coefficient(2.0) == 1.0
     assert mu.coefficient(-2.0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# each coefficient, scalar and bound is read once, where the vector or functional is built
+
+SQUARE = FiniteSpace(((0.0, 1.0), (1.0, 0.0)))
+
+# each input is refused by name from the Python API, as it is from a JSON file
+BAD_VECTOR_INPUTS = {
+    "string-coefficient": (lambda: make_free_vector(LINE, [(0.5, "2")]), "coefficient '2' is not a number"),
+    "bool-coefficient": (lambda: make_free_vector(LINE, [(0.5, True)]), "coefficient True is not a number"),
+    "huge-coefficient": (lambda: make_free_vector(LINE, [(0.5, 10**400)]),
+                         f"coefficient {10**400} is too large for a float"),
+    "string-scalar": (lambda: linear_combine([("2", delta(LINE, 0.5))]), "scalar '2' is not a number"),
+    "nan-scalar": (lambda: linear_combine([(math.nan, delta(LINE, 0.5))]), "scalar nan is not a finite number"),
+    "string-lip-bound": (lambda: Functional(LINE, lambda p: 0.0, lip_bound="1"), "Lipschitz bound '1' is not a number"),
+    "infinite-lip-bound": (lambda: Functional(LINE, lambda p: 0.0, lip_bound=math.inf),
+                           "Lipschitz bound inf is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VECTOR_INPUTS))
+def test_a_vector_or_functional_refuses_a_bad_number_by_name(case):
+    build, message = BAD_VECTOR_INPUTS[case]
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_functional_stores_its_bound_as_a_float():
+    phi = Functional(LINE, lambda p: 0.0, lip_bound=1)
+    assert phi.lip_bound == 1.0 and type(phi.lip_bound) is float
+
+
+@pytest.mark.parametrize("coefficient", ["2", True, 10**400, math.nan, math.inf],
+                         ids=["string", "bool", "huge", "nan", "inf"])
+def test_a_json_vector_and_its_python_twin_refuse_a_bad_coefficient_alike(coefficient):
+    with pytest.raises(DomainError) as from_json:
+        vector_from_json({"terms": [[1, coefficient]]}, SQUARE)
+    with pytest.raises(DomainError) as from_python:
+        make_free_vector(SQUARE, [(1, coefficient)])
+    assert str(from_json.value) == str(from_python.value)
