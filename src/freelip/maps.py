@@ -35,6 +35,7 @@ from .spaces import (
     _coerce_number,
     _count,
     _reals,
+    _rows,
     _show,
     same_space,
 )
@@ -134,9 +135,9 @@ class PiecewiseLinearMap:
                  left_slope: float | None = None, right_slope: float | None = None):
         if not isinstance(space, IntervalSpace):
             raise DomainError("piecewise-linear maps need an interval space")
-        if not breakpoints:
+        if not (pairs := _rows(breakpoints, "breakpoints must be a list of (x, y) pairs", 2)):
             raise DomainError("need at least one breakpoint")
-        xs, ys = _reals(([x for x, _ in breakpoints], [y for _, y in breakpoints]), "breakpoint")
+        xs, ys = _reals(tuple(zip(*pairs)), "breakpoint")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("breakpoint abscissae must be strictly increasing")
 

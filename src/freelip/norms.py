@@ -16,6 +16,8 @@ interval) or the star around 0 (a sequence space); its plan is the edge flow,
 through intermediate support points.  It shares no code with the flow route,
 so the two cross-check each other; ``norm_result`` dispatches to either.  A
 total mass, norm or distance that overflows a float raises ``DomainError``.
+``audit_norm`` checks any result on exact rationals, one margin per check, each
+over its own scale; a result holds when every margin is at most AUDIT_TOL.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add
 
 from .spaces import DomainError
@@ -31,6 +33,7 @@ from .vectors import FreeVector, Functional, point_to_json
 
 MASS_TOL = 1e-12
 EXACT_SUPPORT_LIMIT = 64
+AUDIT_TOL = 1e-12
 
 
 class FlowConvergenceError(RuntimeError):
@@ -80,6 +83,28 @@ def witness_functional(result: NormResult) -> Functional:
         return min(map(add, values, space.distances(z, points)))
 
     return Functional(space=space, fn=fn, lip_bound=1.0, name="transport-witness")
+
+
+def audit_norm(result: NormResult) -> dict[str, float]:
+    """The worst margin of each certificate check, by name; the witness must hold every charged point."""
+    from fractions import Fraction as Q  # here, so that ``import freelip`` does not load it
+    space, value = result.vector.space, Q(result.value)
+    phi = dict(witness := [(p, Q(v)) for p, v in result.witness])  # a point listed twice: a pair at distance 0
+    plan = [(s, t, Q(m), Q(c), Q(space.distance(s, t))) for s, t, m, c in result.plan]
+    charge = {p: Q(c) for p, c in result.vector.terms}
+    charge[space.basepoint] = -sum(charge.values())
+    nodes = {*charge, *(q for s, t, *_ in plan for q in (s, t))}  # each plan endpoint, on the witness or not
+    net = [sum(m * ((s == p) - (t == p)) for s, t, m, *_ in plan) - charge.get(p, 0) for p in nodes]  # out-in-charge
+    lip = [(abs(v - w), Q(space.distance(y, z))) for (y, v), (z, w) in combinations(witness, 2)]
+    return {  # each margin over its own scale, a scale of 0 read as 1
+        "conservation": float(max(map(abs, net)) / (max(map(abs, charge.values())) or 1)),
+        "positive_masses": float(not all(m > 0 for _, _, m, _, _ in plan)),
+        "unit_costs": float(max((abs(c - d) / (d or 1) for *_, c, d in plan), default=0)),
+        "basepoint": float(abs(phi[space.basepoint]) / (max((d for _, d in lip), default=0) or 1)),
+        "witness_lipschitz": float(max(((g - d) / (d or 1) for g, d in lip), default=0)),
+        "plan_cost": float(abs(sum(m * c for _, _, m, c, _ in plan) - value) / (value or 1)),
+        "pairing": float(abs(sum(c * phi[p] for p, c in charge.items()) - value) / (value or 1)),
+    }
 
 
 def _finite(value, what="norm"):

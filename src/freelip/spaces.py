@@ -116,7 +116,7 @@ class FiniteSpace:
     kind = "finite"
 
     def __post_init__(self):
-        matrix = _reals(self.matrix, "matrix entry")
+        matrix = _reals(_rows(self.matrix, "distance matrix must be a list of rows"), "matrix entry")
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise DomainError("distance matrix must be square")
@@ -125,8 +125,8 @@ class FiniteSpace:
             raise DomainError(f"basepoint {_show(basepoint)} outside 0..{n-1}")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "basepoint", basepoint)
-        if self.labels is not None and len(self.labels) != n:
-            raise DomainError("labels must align with the matrix")
+        if self.labels is not None:  # one row of n labels
+            object.__setattr__(self, "labels", _rows([self.labels], "labels must be a list, one per point", n)[0])
         validate_finite_metric(matrix)
 
     @property
@@ -166,12 +166,18 @@ class AlphaSpace:
     basepoint = 0
 
     def __init__(self, alpha: Iterable[float]):
+        def weight(v):  # array('d') would read a bool as a number
+            if isinstance(v, bool):
+                raise TypeError("must be real number, not bool")
+            return v
         # one buffer of doubles indexed by point, with 0.0 at the basepoint:
         # distance reads plain floats from it without a check (0.0 + alpha_n
         # is alpha_n bit for bit); an array('d') argument is copied as memory
+        if not isinstance(alpha, Iterable):
+            raise DomainError("alpha weights must be a list")
         w = array("d", [0.0])
         try:
-            w.extend(alpha if isinstance(alpha, array) and alpha.typecode == "d" else iter(alpha))
+            w.extend(alpha if isinstance(alpha, array) and alpha.typecode == "d" else map(weight, alpha))
         except (TypeError, OverflowError) as exc:  # extend keeps the weights read before the bad one
             raise DomainError(f"alpha_{len(w)} is not a real number ({exc})") from None
         if len(w) == 1:
@@ -299,7 +305,8 @@ class LatticeBox:
     kind = "lattice"
 
     def __post_init__(self):
-        bounds = tuple(tuple(_coerce_number(v, integral=True, what="bound") for v in axis) for axis in self.bounds)
+        axes = _rows(self.bounds, "lattice bounds must be a list of [lo, hi] pairs", 2)
+        bounds = tuple(tuple(_coerce_number(v, integral=True, what="bound") for v in axis) for axis in axes)
         if not bounds:
             raise DomainError("lattice box needs at least one axis")
         for ax, (lo, hi) in enumerate(bounds):
@@ -395,9 +402,19 @@ def _coerce_number(v, integral: bool, what: str = "point"):
         raise DomainError(f"{what} {_show(v)} is too large for a float") from exc
 
 
+def _rows(rows, message: str, width: int | None = None) -> tuple[tuple, ...]:
+    """``rows`` read once, as tuples (each ``width`` long if given), else DomainError(message)."""
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:  # rows, or a row, that is not iterable
+        raise DomainError(message) from None
+    if width is not None and any(len(row) != width for row in rows):
+        raise DomainError(message)
+    return rows
+
+
 def _reals(rows, what: str) -> tuple[tuple[float, ...], ...]:
-    """``rows`` of numbers read by ``_coerce_number``, as tuples; floats with a finite sum pass at C speed."""
-    rows = tuple(map(tuple, rows))
+    """Tuples of numbers read by ``_coerce_number``; floats with a finite sum pass at C speed."""
     if set(map(type, itertools.chain.from_iterable(rows))) <= {float} and math.isfinite(sum(map(sum, rows))):
         return rows
     return tuple(tuple(_coerce_number(v, integral=False, what=what) for v in row) for row in rows)
@@ -430,11 +447,7 @@ def _count(v, what: str, least: int = 1) -> int:
 
 
 def _endpoint_to_json(x: float):
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return x
+    return "inf" if x == math.inf else "-inf" if x == -math.inf else x
 
 
 def _endpoint_from_json(v):
@@ -467,19 +480,17 @@ def space_from_json(obj: dict):
     try:
         if kind == "finite":
             labels = obj.get("labels")
-            if labels is not None:
-                labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
+            if isinstance(labels, list):  # anything else is the constructor's to refuse
+                labels = [tuple(l) if isinstance(l, list) else l for l in labels]
             return FiniteSpace(obj["matrix"], obj.get("basepoint", 0), labels)
         if kind == "alpha":
-            return AlphaSpace([_coerce_number(a, integral=False, what="alpha weight") for a in obj["alpha"]])
+            return AlphaSpace(obj["alpha"])
         if kind == "interval":
             return IntervalSpace(_endpoint_from_json(obj.get("a", 0.0)), _endpoint_from_json(obj.get("b", "inf")))
         if kind == "lattice":
             return LatticeBox(obj["bounds"])
-    except DomainError:
-        raise
     except KeyError as exc:
         raise DomainError(f"space object missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a constructor should refuse every field by name; this is the net under it
         raise DomainError(f"space object has a malformed field: {exc}") from exc
     raise DomainError(f"unknown space kind {kind!r}")

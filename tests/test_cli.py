@@ -15,6 +15,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from freelip import (
     identity_map,
     make_free_vector,
     map_to_json,
+    norm_flow,
     ramp_map,
     space_to_json,
     vector_to_json,
@@ -592,7 +594,9 @@ def test_selftest_runs_on_numpy_alone(tmp_path):
 
 def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path):
     # numpy is imported only by the finite-metric check, so a fresh process
-    # runs the other three kinds without it; the process is what is tested
+    # runs the other three kinds without it; the process is what is tested.
+    # ``import freelip`` loads fractions neither: only the auditor and the
+    # selftest use it
     vectors = {
         "interval": make_free_vector(IntervalSpace(-2.0, 2.0), [(0.5, 1.0), (-1.5, -2.0)]),
         "alpha": make_free_vector(AlphaSpace([1.0, 2.0, 3.0]), [(1, 1.0), (3, -0.5)]),
@@ -603,6 +607,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
         (tmp_path / f"{kind}.json").write_text(json.dumps(vector_to_json(mu)))
     code = (
         "import sys\n"
+        "import freelip\n"
+        "print('package', 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
         "from freelip.cli import main\n"
         "print('import', 'numpy' in sys.modules)\n"
         f"for kind in {list(vectors)!r}:\n"
@@ -612,7 +618,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     lines = [line for line in res.stdout.splitlines() if not line.startswith("norm ")]
-    assert lines == ["import False", "interval 0 False", "alpha 0 False", "lattice 0 False", "finite 0 True"]
+    assert lines == ["package False False", "import False", "interval 0 False", "alpha 0 False", "lattice 0 False",
+                     "finite 0 True"]
 
 
 def test_selftest_summary_shape(tmp_path):
@@ -647,6 +654,20 @@ def test_selftest_counts_a_nan_as_a_failure(monkeypatch):
     sweep = next(s for s in summary["sweeps"] if s["name"] == "backend-agreement")
     assert not summary["ok"]
     assert sweep["failures"] and all(f["kind"] == "line" for f in sweep["failures"])
+
+
+def test_selftest_counts_a_moved_witness_value_as_a_failure(monkeypatch):
+    def moved(mu, **kwargs):  # the last witness value, a support point's, 1e-3 lower
+        res = norm_flow(mu, **kwargs)
+        (p, v), = res.witness[-1:]
+        return replace(res, witness=res.witness[:-1] + ((p, v - 1e-3),))
+
+    monkeypatch.setattr("freelip.selftest.norm_flow", moved)
+    summary, _ = run_selftest(7, rounds=1)
+    sweep = next(s for s in summary["sweeps"] if s["name"] == "transport-certificates")
+    assert not summary["ok"]
+    checks = {"conservation", "positive_masses", "unit_costs", "basepoint", "witness_lipschitz", "plan_cost", "pairing"}
+    assert sweep["failures"] and all(f["pairing"] > 1e-6 and set(f) <= checks | {"value"} for f in sweep["failures"])
 
 
 # ---------------------------------------------------------------------------

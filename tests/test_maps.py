@@ -639,6 +639,10 @@ MAP_TWINS = {
                                      lambda: AlphaMap(PAIR, lambda n: n)),
     "lattice-rule-on-an-interval": (UNIT, {"kind": "lattice-rule", "matrix": [[1]]},
                                     lambda: LatticeMap(UNIT, lambda p: p)),
+    "breakpoint-not-a-pair": (UNIT, {"kind": "piecewise-linear", "breakpoints": [[0, 0, 1], [1, 1]]},
+                              lambda: PiecewiseLinearMap(UNIT, [(0, 0, 1), (1, 1)])),
+    "breakpoints-not-a-list": (UNIT, {"kind": "piecewise-linear", "breakpoints": 5},
+                               lambda: PiecewiseLinearMap(UNIT, 5)),
 }
 
 
@@ -650,6 +654,17 @@ def test_a_json_map_and_its_python_twin_refuse_a_bad_field_alike(case):
     with pytest.raises(DomainError) as from_python:
         build()
     assert str(from_json.value) == str(from_python.value)
+
+
+def test_breakpoints_are_read_once_from_any_iterable():
+    pairs = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
+    want = PiecewiseLinearMap(UNIT, pairs)
+    got = PiecewiseLinearMap(UNIT, (pair for pair in pairs))
+    assert map_to_json(got) == map_to_json(want)
+    assert [got.apply(x) for x in (0.25, 0.75)] == [want.apply(x) for x in (0.25, 0.75)]
+    with pytest.raises(DomainError) as err:
+        PiecewiseLinearMap(UNIT, (pair for pair in ()))
+    assert str(err.value) == "need at least one breakpoint"
 
 
 @pytest.mark.parametrize("matrix", [[[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]],

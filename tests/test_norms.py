@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from freelip import (
     FiniteSpace,
     IntervalSpace,
     LatticeBox,
+    audit_norm,
     delta,
     dual_gap,
     free_norm,
@@ -35,11 +37,10 @@ from freelip import (
     norm_line,
     norm_result,
     norm_result_to_json,
-    pair,
     restrict_to_points,
     witness_functional,
 )
-from freelip.norms import EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_route, norm_tree
+from freelip.norms import AUDIT_TOL, EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_route, norm_tree
 from conftest import random_finite_space
 
 RELTOL = 1e-9
@@ -229,30 +230,12 @@ def test_certificates_are_feasible_and_tight(rng):
     # balanced pairs on each ray: the edges next to 0 carry no mass and ship nothing
     results.append(norm_tree(make_free_vector(trees[0], [(0.5, 1.0), (1.5, -1.0), (-1.0, 0.75), (-1.5, -0.75)])))
     for res in results:
-        mu, sp = res.vector, res.vector.space
-        # dual witness: 1-Lipschitz on the nodes, vanishes at base, attains value
-        vals = dict(res.witness)
-        assert vals[sp.basepoint] == 0.0
-        nodes = list(vals)
-        for y in nodes:
-            for z in nodes:
-                assert abs(vals[y] - vals[z]) <= sp.distance(y, z) + 1e-9
-        pairing = sum(c * vals[p] for p, c in mu.terms)
-        assert pairing == pytest.approx(res.value, rel=RELTOL, abs=1e-12)
-        # primal plan: conserves mass at every node and costs the value
-        net = {p: 0.0 for p in nodes}
-        for src, dst, m, cost in res.plan:
-            assert m > 0
-            assert cost == sp.distance(src, dst)
-            net[src] += m
-            net[dst] -= m
-        b = {p: 0.0 for p in nodes}
-        b[sp.basepoint] = -mu.total_mass()
-        for p, c in mu.terms:
-            b[p] += c
-        for p in nodes:
-            assert net[p] == pytest.approx(b[p], abs=1e-9)
-        assert res.plan_cost() == pytest.approx(res.value, rel=RELTOL, abs=1e-12)
+        # the plan conserves mass, ships positive masses at the space's distances
+        # and costs the value; the witness is 1-Lipschitz, 0 at the basepoint and
+        # pairs to the value
+        margins = audit_norm(res)
+        assert max(margins.values()) <= AUDIT_TOL, margins
+        assert margins["unit_costs"] == margins["basepoint"] == 0.0
         assert abs(dual_gap(res)) <= 1e-9 * (1.0 + res.value)
 
 
@@ -266,14 +249,14 @@ def test_witness_extends_one_lipschitz_everywhere(kind, seed):
         phi = witness_functional(res)
         # the whole space where it is enumerable; on the interval a grid and the support
         pts = list(sp.points()) if kind != "interval" else [i / 8 for i in range(-16, 17)] + list(mu.support())
-        for y in pts:
-            for z in pts:
-                assert abs(phi(y) - phi(z)) <= sp.distance(y, z) + 1e-9
+        margins = audit_norm(replace(res, witness=tuple(zip(pts, map(phi, pts)))))
+        assert max(margins.values()) <= AUDIT_TOL, margins
+        assert margins["unit_costs"] == 0.0
+        # the extension's rounding can leave a few ulps at the basepoint
         assert phi(sp.basepoint) == pytest.approx(0.0, abs=1e-12)
         # the extension agrees with the witness where both are defined
-        for p, v in res.witness:
-            assert phi(p) == pytest.approx(v, abs=1e-9)
-        assert pair(phi, mu) == pytest.approx(res.value, rel=RELTOL, abs=1e-9)
+        points, values = zip(*res.witness)
+        assert list(map(phi, points)) == pytest.approx(values, abs=1e-9)
 
 
 def test_zero_vector_norm_and_certificates():
@@ -281,6 +264,92 @@ def test_zero_vector_norm_and_certificates():
     res = norm_flow(make_free_vector(sp, []))
     assert res.value == 0.0
     assert res.plan == ()
+    assert set(audit_norm(res).values()) == {0.0}
+
+
+# ---------------------------------------------------------------------------
+# the certificate auditor
+
+AUDIT_CHECKS = ["conservation", "positive_masses", "unit_costs", "basepoint", "witness_lipschitz", "plan_cost",
+                "pairing"]
+
+
+def _edit_plan(res, i, **edit):
+    """``res`` with plan entry ``i`` changed: any of src, dst, mass, cost."""
+    entry = dict(zip(("src", "dst", "mass", "cost"), res.plan[i])) | edit
+    return replace(res, plan=res.plan[:i] + (tuple(entry.values()),) + res.plan[i + 1:])
+
+
+def _edit_witness(res, p, shift):
+    return replace(res, witness=tuple((q, v + shift if q == p else v) for q, v in res.witness))
+
+
+def _moved_mass(res):
+    """The first entry's mass shipped to another witness point, at that pair's distance."""
+    src, dst, _, _ = res.plan[0]
+    other = next(q for q, _ in res.witness if q not in (src, dst))
+    return _edit_plan(res, 0, dst=other, cost=res.vector.space.distance(src, other))
+
+
+def _rerouted_mass(res):
+    """The first entry s -> t split into s -> x and y -> t, with x and y two points off the witness."""
+    src, dst, mass, _ = res.plan[0]
+    space, (x, y) = res.vector.space, OFF_WITNESS[res.vector.space.kind]
+    legs = ((src, x, mass, space.distance(src, x)), (y, dst, mass, space.distance(y, dst)))
+    return replace(res, plan=legs + res.plan[1:])
+
+
+# each hand edit of a passing result, and the check it must fail
+HAND_EDITS = {
+    "witness-value-moved": ("pairing", lambda res: _edit_witness(res, res.vector.terms[0][0], 1e-3)),
+    "mass-moved-to-another-pair": ("conservation", _moved_mass),
+    "unit-cost-scaled": ("unit_costs", lambda res: _edit_plan(res, 0, cost=res.plan[0][3] * (1 + 1e-6))),
+    "basepoint-witness-moved": ("basepoint", lambda res: _edit_witness(res, res.vector.space.basepoint, 1e-3)),
+    "plan-entry-negated": ("positive_masses", lambda res: _edit_plan(res, 0, mass=-res.plan[0][2])),
+    "mass-rerouted-off-the-witness": ("conservation", _rerouted_mass),
+    # listed first, so that a dict of the witness would keep only the true value
+    "witness-point-listed-twice": ("witness_lipschitz",
+                                   lambda res: replace(res, witness=((res.witness[1][0], 1e-3),) + res.witness)),
+}
+# two points of each kind's space that the edited result's witness does not hold; on the interval
+# they split the first entry, 0.5 -> 0.0, into legs of the same total cost
+OFF_WITNESS = {"finite": (5, 6), "alpha": (5, 6), "interval": (0.75, 0.25), "lattice": ((2, 2), (-2, 2))}
+# the support of the edited result's vector on each kind
+SUPPORTS = {"finite": [1, 2, 3], "alpha": [1, 2, 3], "interval": [0.5, -1.5, 1.25], "lattice": [(1, 0), (0, 2), (-1, -1)]}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_EDITS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_hand_edited_certificate_fails_the_check_it_breaks(kind, case):
+    space = random_space(random.Random(7), kind)
+    res = norm_result(make_free_vector(space, list(zip(SUPPORTS[kind], [1.0, -2.5, 0.75]))))
+    assert max(audit_norm(res).values()) <= AUDIT_TOL
+    target, edit = HAND_EDITS[case]
+    margins = audit_norm(edit(res))
+    assert list(margins) == AUDIT_CHECKS
+    assert margins[target] > AUDIT_TOL, margins
+
+
+def test_a_mass_rerouted_off_the_witness_fails_conservation_alone():
+    res = norm_result(make_free_vector(IntervalSpace(-2.0, 2.0), list(zip(SUPPORTS["interval"], [1.0, -2.5, 0.75]))))
+    assert res.plan[0][:2] == (0.5, 0.0)  # the entry the interval's OFF_WITNESS points split
+    margins = audit_norm(_rerouted_mass(res))
+    assert margins["conservation"] > AUDIT_TOL
+    assert max(m for check, m in margins.items() if check != "conservation") <= AUDIT_TOL, margins
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(KINDS), st.sampled_from([1e-300, 1e-3, 1.0, 1e300]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_route_passes_the_audit_at_every_scale(kind, scale, seed):
+    rng = random.Random(seed)
+    sp = random_space(rng, kind)
+    mu = linear_combine([(scale, random_vector_on(rng, sp, rng.randint(1, 5)))])
+    trees = [norm_tree(mu)] if kind in ("alpha", "interval") else []
+    for res in [norm_flow(mu), norm_flow(mu, exact=True)] + trees:
+        margins = audit_norm(res)
+        assert max(margins.values()) <= AUDIT_TOL, (res.backend, res.exact, margins)
+        assert margins["unit_costs"] == margins["basepoint"] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "FiniteMap", "FiniteSpace", "FlowConvergenceError", "FreeVector", "Functional", "GALLERY",
     "IntervalAnalysis", "IntervalSpace", "LatticeBox", "LatticeMap", "LipEstimate", "NormResult",
     "PiecewiseLinearMap", "PowerCheckEntry", "PowerCheckReport", "PrefixExhausted", "RECURRENT",
-    "RigidityCertificate", "SideAnalysis", "UNDECIDED", "backward_shift_experiment",
+    "RigidityCertificate", "SideAnalysis", "UNDECIDED", "audit_norm", "backward_shift_experiment",
     "backward_shift_map", "backward_shift_space", "block_cycle_experiment", "block_cycle_map",
     "block_cycle_space", "circle_rotation_experiment", "circle_rotation_space",
     "classification_to_json", "classify_orbit", "coerce_point", "compose", "delta",

@@ -182,11 +182,18 @@ def test_alpha_space_rejects_nonpositive_weights():
     (np.array([math.inf]), "alpha_1 = inf is not a positive real"),
     (["a"], "alpha_1 is not a real number (must be real number, not str)"),
     ([1.0, 10**400], "alpha_2 is not a real number (int too large to convert to float)"),
-], ids=["negative", "nan-from-a-generator", "inf-in-an-ndarray", "string", "huge-int"])
+    ([True, 2.0], "alpha_1 is not a real number (must be real number, not bool)"),
+    ((w for w in [2.0, False]), "alpha_2 is not a real number (must be real number, not bool)"),
+], ids=["negative", "nan-from-a-generator", "inf-in-an-ndarray", "string", "huge-int", "bool", "bool-from-a-generator"])
 def test_a_bad_alpha_weight_is_named_as_a_plain_float(weights, message):
     with pytest.raises(DomainError) as err:
         AlphaSpace(weights)
     assert str(err.value) == message
+
+
+def test_alpha_weights_that_are_not_a_list_are_refused_as_such():
+    with pytest.raises(DomainError, match=r"^alpha weights must be a list$"):
+        AlphaSpace(5)
 
 
 def test_alpha_weights_whose_sum_overflows_are_still_valid():
@@ -535,6 +542,9 @@ SPACE_TWINS = {
     "interval-endpoint": ({"kind": "interval", "a": "-1.5"}, lambda: IntervalSpace("-1.5", math.inf)),
     "interval-nan": ({"kind": "interval", "b": math.nan}, lambda: IntervalSpace(0.0, math.nan)),
     "lattice-bound": ({"kind": "lattice", "bounds": [[-2.7, 3]]}, lambda: LatticeBox(((-2.7, 3),))),
+    "alpha-weight-bool": ({"kind": "alpha", "alpha": [True, 2.0]}, lambda: AlphaSpace([True, 2.0])),
+    "alpha-weight-string": ({"kind": "alpha", "alpha": [1.0, "a"]}, lambda: AlphaSpace([1.0, "a"])),
+    "alpha-not-a-list": ({"kind": "alpha", "alpha": 5}, lambda: AlphaSpace(5)),
 }
 
 
@@ -566,3 +576,42 @@ def test_an_int_too_long_to_print_is_named_by_its_size(build, message):
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value) == message
+
+
+TWO = ((0.0, 1.0), (1.0, 0.0))
+TWO_JSON = [list(row) for row in TWO]
+
+# a space of the wrong shape: its JSON form, the Python call that holds the same
+# field, and the one message both give
+BAD_SHAPES = {
+    "finite-matrix-not-a-list": ({"kind": "finite", "matrix": 5}, lambda: FiniteSpace(5),
+                                 "distance matrix must be a list of rows"),
+    "finite-row-not-a-list": ({"kind": "finite", "matrix": [1, 2]}, lambda: FiniteSpace((1, 2)),
+                              "distance matrix must be a list of rows"),
+    "finite-not-square": ({"kind": "finite", "matrix": [[0, 1], [1]]}, lambda: FiniteSpace(((0, 1), (1,))),
+                          "distance matrix must be square"),
+    "finite-labels-not-a-list": ({"kind": "finite", "matrix": TWO_JSON, "labels": 5}, lambda: FiniteSpace(TWO, labels=5),
+                                 "labels must be a list, one per point"),
+    "finite-labels-too-few": ({"kind": "finite", "matrix": TWO_JSON, "labels": ["a"]},
+                              lambda: FiniteSpace(TWO, labels=("a",)), "labels must be a list, one per point"),
+    "lattice-bounds-not-a-list": ({"kind": "lattice", "bounds": 5}, lambda: LatticeBox(5),
+                                  "lattice bounds must be a list of [lo, hi] pairs"),
+    "lattice-axis-not-a-list": ({"kind": "lattice", "bounds": [5]}, lambda: LatticeBox((5,)),
+                                "lattice bounds must be a list of [lo, hi] pairs"),
+    "lattice-axis-of-three": ({"kind": "lattice", "bounds": [[0, 1, 2]]}, lambda: LatticeBox(((0, 1, 2),)),
+                              "lattice bounds must be a list of [lo, hi] pairs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_a_space_of_the_wrong_shape_is_refused_alike_from_python_and_json(case):
+    obj, build, message = BAD_SHAPES[case]
+    for make in (build, lambda: space_from_json(obj)):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert type(err.value) is DomainError and str(err.value) == message
+
+
+def test_labels_are_stored_as_a_tuple():
+    assert FiniteSpace(TWO, labels=["a", "b"]).labels == ("a", "b")
+    assert space_from_json({"kind": "finite", "matrix": TWO_JSON, "labels": [[0, 1], [2, 3]]}).labels == ((0, 1), (2, 3))
