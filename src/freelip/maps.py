@@ -257,8 +257,7 @@ def compose(f, g):
     raise DomainError("mixed map presentations cannot be composed")
 
 
-def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
-                budget: int = BREAKPOINT_BUDGET) -> PiecewiseLinearMap:
+def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap) -> PiecewiseLinearMap:
     space = f.space
     knots = set(g.xs)
     for bx in f.xs:
@@ -269,10 +268,8 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
     if math.isfinite(space.b):
         knots.add(space.b)
     knots = sorted(k for k in knots if space.a <= k <= space.b)
-    if len(knots) > budget:
-        raise DomainError(
-            f"composition needs {len(knots)} breakpoints, over the budget {budget}"
-        )
+    if len(knots) > BREAKPOINT_BUDGET:
+        raise DomainError(f"composition needs {len(knots)} breakpoints, over the budget {BREAKPOINT_BUDGET}")
     bps = [(x, f.eval(g.eval(x))) for x in knots]
 
     def tail(s, same, other):
@@ -285,7 +282,7 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap,
     return PiecewiseLinearMap(space, bps, left_slope=ls, right_slope=rs)
 
 
-def iterate_map(f, n: int, budget: int = BREAKPOINT_BUDGET):
+def iterate_map(f, n: int):
     """The n-th iterate as a map object (n >= 1); finite tables and
     piecewise-linear presentations are flattened, rules stay lazy."""
     _count(n, "iterate count n")
@@ -295,7 +292,7 @@ def iterate_map(f, n: int, budget: int = BREAKPOINT_BUDGET):
         return FiniteMap(f.space, _table_power(f.table, n))
     out = f
     for _ in range(n - 1):
-        out = _compose_pl(f, out, budget=budget)
+        out = _compose_pl(f, out)
     return out
 
 

@@ -10,8 +10,8 @@ deletion, ties in node order) and at most one augmentation per demand it
 reached; the inf-convolution of its potentials is a 1-Lipschitz dual witness.
 Float mode ignores charges within MASS_TOL times the largest |charge|, the
 same rule at every scale.  Exact mode scales masses and costs by powers of two
-to exact ints, which give the same results as rationals.  Costs come from the
-space's ``cost_matrix``.  ``norm_tree`` sums over the path through 0 (an
+to exact ints, which give the same results as rationals.  Costs come from
+``spaces.cost_matrix``.  ``norm_tree`` sums over the path through 0 (an
 interval) or the star around 0 (a sequence space); its plan is the edge flow,
 through intermediate support points.  It shares no code with the flow route,
 so the two cross-check each other; ``norm_result`` dispatches to either.  A
@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, combinations
 from operator import add
 
-from .spaces import DomainError
+from .spaces import DomainError, _coerce_number, _show, cost_matrix
 from .vectors import FreeVector, Functional, point_to_json
 
 MASS_TOL = 1e-12
@@ -74,25 +74,34 @@ def dual_gap(result: NormResult) -> float:
 
 def witness_functional(result: NormResult) -> Functional:
     """Extend the witness to the whole space by the tight Lipschitz formula
-    ``phi(z) = min_y (phi(y) + d(z, y))`` over witness nodes."""
+    ``phi(z) = min_y (phi(y) + d(z, y))`` over witness nodes; at a witness
+    node, where the formula is its own value up to rounding, the value itself."""
     space = result.vector.space
-    points = [y for y, _ in result.witness]
-    values = [v for _, v in result.witness]
+    points, values = zip(*result.witness)
+    own = dict(result.witness)
 
     def fn(z):
-        return min(map(add, values, space.distances(z, points)))
+        return own[z] if z in own else min(map(add, values, space.distances(z, points)))
 
     return Functional(space=space, fn=fn, lip_bound=1.0, name="transport-witness")
 
 
 def audit_norm(result: NormResult) -> dict[str, float]:
-    """The worst margin of each certificate check, by name; the witness must hold every charged point."""
+    """The worst margin of each certificate check, by name.  A part that is not a finite
+    real, or a witness without a value at a charged point, is a DomainError."""
     from fractions import Fraction as Q  # here, so that ``import freelip`` does not load it
-    space, value = result.vector.space, Q(result.value)
-    phi = dict(witness := [(p, Q(v)) for p, v in result.witness])  # a point listed twice: a pair at distance 0
-    plan = [(s, t, Q(m), Q(c), Q(space.distance(s, t))) for s, t, m, c in result.plan]
+
+    def num(v, what):
+        return Q(_coerce_number(v, integral=False, what=what))
+
+    space, value = result.vector.space, num(result.value, "norm value")
+    witness = [(p, num(v, "witness value")) for p, v in result.witness]
+    phi = dict(witness)  # a point listed twice: a pair at distance 0
+    plan = [(s, t, num(m, "plan mass"), num(c, "unit cost"), Q(space.distance(s, t))) for s, t, m, c in result.plan]
     charge = {p: Q(c) for p, c in result.vector.terms}
     charge[space.basepoint] = -sum(charge.values())
+    if missing := [p for p in charge if p not in phi]:
+        raise DomainError(f"the witness has no value at the charged point {_show(missing[0])}")
     nodes = {*charge, *(q for s, t, *_ in plan for q in (s, t))}  # each plan endpoint, on the witness or not
     net = [sum(m * ((s == p) - (t == p)) for s, t, m, *_ in plan) - charge.get(p, 0) for p in nodes]  # out-in-charge
     lip = [(abs(v - w), Q(space.distance(y, z))) for (y, v), (z, w) in combinations(witness, 2)]
@@ -264,7 +273,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     if exact and n > EXACT_SUPPORT_LIMIT:
         raise DomainError(f"exact mode supports at most {EXACT_SUPPORT_LIMIT} points, got {n}")
 
-    cost = space.cost_matrix(pts)
+    cost = cost_matrix(space, pts)
     if exact:
         # Re-derive the basepoint charge exactly: masses[0] is a rounded sum,
         # and an unbalanced exact problem cannot ship its last ulp anywhere.

@@ -1,7 +1,7 @@
 """Pointed metric spaces in four concrete presentations.
 
 Every space designates a basepoint and exposes the same small interface:
-``check_point``, ``distance``, ``distances``, ``cost_matrix`` and ``kind``.
+``check_point``, ``distance``, ``distances`` and ``kind``.
 Points are carried as plain payloads -- an index for finite and sequence
 spaces, a float for intervals, an integer tuple for lattice boxes.
 
@@ -13,12 +13,12 @@ raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
 would wrap or fail obscurely.  A space's constructor reads its numbers, once,
 through ``_coerce_number`` (``AlphaSpace`` alone into an ``array('d')``).
 ``distances(p, points)`` is ``[distance(p, q) for q in points]`` bit for bit,
-in one pass; only a lattice box calls ``distance`` per point.
-``cost_matrix(points)`` gives the distances among checked points as a list of
-rows, each entry bit-identical to ``distance``: a row of ``distances`` each,
-or exact integer sums an axis at a time on a lattice box.  numpy is imported
-only by the triangle check of ``validate_finite_metric`` and by
-``AlphaSpace.alpha_prefix``.
+in one pass; a lattice box sums exact ints an axis at a time.
+``cost_matrix(space, points)`` is the one cost table: a ``distances`` row per
+point, refused when an entry overflows a float.  ``validate_finite_metric``
+allows a triangle slack of ``TRIANGLE_TOL * (1 + d_ik + d_kj)``, so that
+rounding alone refuses no metric at any scale.  numpy is imported only by
+that check and by ``AlphaSpace.alpha_prefix``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ TRIANGLE_TOL = 1e-12
 def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
     """Check symmetry, zero diagonal, positivity and all triangle inequalities.
 
-    The triangle check allows an absolute slack of ``TRIANGLE_TOL``.  Raises
+    The triangle check lets d_ij exceed d_ik + d_kj by ``TRIANGLE_TOL * (1 +
+    d_ik + d_kj)``, so a matrix and its multiples pass or fail alike.  Raises
     ``DomainError`` on the first violation, naming its kind and the offending
     entries, in the order shape, non-finite, diagonal, symmetry, negative,
     zero-off-diagonal, triangle.
@@ -81,19 +82,23 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
         i, j = at
         fail("zero-off-diagonal", f"d[{i}][{j}] = 0 with {i} != {j}")
     step = max(1, 2**14 // max(n * n, 1))  # pivots per block of about 2**14 sums
+    e = (d - TRIANGLE_TOL) / (1.0 + TRIANGLE_TOL)  # the slack solved for d_ik + d_kj: one sum, one compare
     with np.errstate(over="ignore"):  # a sum past the float range is inf and flags nothing
         for k0 in range(0, n, step):
-            if at := first(d[None] - (d.T[k0:k0 + step, :, None] + d[k0:k0 + step, None, :]) > TRIANGLE_TOL):
+            if at := first(e[None] > d.T[k0:k0 + step, :, None] + d[k0:k0 + step, None, :]):
                 k, i, j = at[0] + k0, at[1], at[2]
                 fail("triangle", f"d[{i}][{j}] = {float(d[i, j])!r} > "
                                  f"d[{i}][{k}] + d[{k}][{j}] = {float(d[i, k] + d[k, j])!r}")
 
 
-def _finite_rows(rows: list[list[float]], points) -> list[list[float]]:
-    """``rows`` of distances, or a DomainError naming the first one past the float range."""
-    if max(map(max, rows), default=0.0) == math.inf:
-        i, j = next((i, row.index(math.inf)) for i, row in enumerate(rows) if math.inf in row)
-        raise DomainError(f"distance between {points[i]!r} and {points[j]!r} overflows a float")
+def cost_matrix(space, points) -> list[list[float]]:
+    """The distances among checked ``points``, a ``space.distances`` row per point,
+    or a DomainError naming the first pair whose distance is past the float range."""
+    rows = [space.distances(p, points) for p in points]
+    if not math.isfinite(sum(map(sum, rows))):  # a sum at C speed; only an overflow scans the rows
+        for p, row in zip(points, rows):
+            if math.inf in row:
+                raise DomainError(f"distance between {p!r} and {points[row.index(math.inf)]!r} overflows a float")
     return rows
 
 
@@ -147,9 +152,6 @@ class FiniteSpace:
     def distances(self, p, points) -> list[float]:
         row = self.matrix[p]
         return [row[q] for q in points]
-
-    def cost_matrix(self, points) -> list[list[float]]:
-        return [self.distances(p, points) for p in points]
 
 
 class AlphaSpace:
@@ -236,9 +238,6 @@ class AlphaSpace:
         a = w[p]
         return [0.0 if p == q else a + w[q] for q in points]
 
-    def cost_matrix(self, points) -> list[list[float]]:
-        return _finite_rows([self.distances(p, points) for p in points], points)
-
     def __eq__(self, other):
         return isinstance(other, AlphaSpace) and self._weights == other._weights
 
@@ -292,9 +291,6 @@ class IntervalSpace:
     def distances(self, p, points) -> list[float]:
         return [abs(p - q) for q in points]
 
-    def cost_matrix(self, points) -> list[list[float]]:
-        return _finite_rows([self.distances(x, points) for x in points], points)
-
 
 @dataclass(frozen=True)
 class LatticeBox:
@@ -338,15 +334,12 @@ class LatticeBox:
         return float(sum(map(abs, map(operator.sub, p, q))))
 
     def distances(self, p, points) -> list[float]:
-        return [self.distance(p, q) for q in points]
-
-    def cost_matrix(self, points) -> list[list[float]]:
         # exact integer sums, one axis at a time, rounded to float once as in ``distance``
-        n = len(points)
-        total = itertools.repeat([0] * n, n)
-        for col in zip(*points):
-            total = [list(map(operator.add, row, [abs(x - y) for y in col])) for row, x in zip(total, col)]
-        return [list(map(float, row)) for row in total]
+        cols = zip(*points)
+        total = [abs(p[0] - y) for y in next(cols, ())]
+        for x, col in zip(p[1:], cols):
+            total = [t + abs(x - y) for t, y in zip(total, col)]
+        return list(map(float, total))
 
     def points(self):
         """Enumerate the whole box (row-major); intended for small boxes."""
@@ -380,7 +373,7 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
         raise DomainError("cannot restrict to an empty point list")
     base = space.basepoint
     ordered = [base] + sorted({space.check_point(p) for p in points} - {base})
-    return FiniteSpace(matrix=space.cost_matrix(ordered), basepoint=0, labels=tuple(ordered))
+    return FiniteSpace(matrix=cost_matrix(space, ordered), basepoint=0, labels=tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from freelip import (
     restrict_to_points,
     space_from_json,
 )
+from freelip import maps
 from conftest import random_finite_space
 
 UNIT = IntervalSpace(0.0, 1.0)
@@ -361,10 +362,11 @@ def test_iterate_rejects_negative_power():
         iterate_map(tent_map(), -1)
 
 
-def test_compose_budget_guard():
+def test_compose_budget_guard(monkeypatch):
     # tent-map iterates double their piece count every round; the budget stops it
-    with pytest.raises(DomainError):
-        iterate_map(tent_map(), 40, budget=1_000)
+    monkeypatch.setattr(maps, "BREAKPOINT_BUDGET", 1_000)
+    with pytest.raises(DomainError, match="over the budget 1000$"):
+        iterate_map(tent_map(), 40)
 
 
 # ---------------------------------------------------------------------------

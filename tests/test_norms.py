@@ -41,6 +41,7 @@ from freelip import (
     witness_functional,
 )
 from freelip.norms import AUDIT_TOL, EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_route, norm_tree
+from freelip.spaces import cost_matrix
 from conftest import random_finite_space
 
 RELTOL = 1e-9
@@ -251,12 +252,27 @@ def test_witness_extends_one_lipschitz_everywhere(kind, seed):
         pts = list(sp.points()) if kind != "interval" else [i / 8 for i in range(-16, 17)] + list(mu.support())
         margins = audit_norm(replace(res, witness=tuple(zip(pts, map(phi, pts)))))
         assert max(margins.values()) <= AUDIT_TOL, margins
-        assert margins["unit_costs"] == 0.0
-        # the extension's rounding can leave a few ulps at the basepoint
-        assert phi(sp.basepoint) == pytest.approx(0.0, abs=1e-12)
-        # the extension agrees with the witness where both are defined
-        points, values = zip(*res.witness)
-        assert list(map(phi, points)) == pytest.approx(values, abs=1e-9)
+        assert margins["unit_costs"] == margins["basepoint"] == 0.0
+        assert phi(sp.basepoint) == 0.0
+        # the extension is the witness where both are defined
+        assert all(phi(y) == v for y, v in res.witness)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100])
+@pytest.mark.parametrize("kind", ["finite", "alpha"])
+def test_the_witness_extension_is_the_witness_at_every_scale(kind, s):
+    # the inf-convolution lands a few ulps off the witness's own values, which
+    # at the basepoint broke the functional's vanishing check at large scale
+    rng = random.Random(5)
+    for _ in range(60):
+        if kind == "alpha":
+            sp = AlphaSpace([rng.uniform(0.1, 5.0) * s for _ in range(8)])
+        else:
+            sp = FiniteSpace([[x * s for x in row] for row in random_finite_space(rng, 8).matrix])
+        res = norm_flow(make_free_vector(sp, [(p, rng.uniform(-3, 3)) for p in rng.sample(range(1, 8), 4)]))
+        phi = witness_functional(res)
+        assert phi(sp.basepoint) == 0.0
+        assert all(phi(y) == v for y, v in res.witness)
 
 
 def test_zero_vector_norm_and_certificates():
@@ -336,6 +352,19 @@ def test_a_mass_rerouted_off_the_witness_fails_conservation_alone():
     margins = audit_norm(_rerouted_mass(res))
     assert margins["conservation"] > AUDIT_TOL
     assert max(m for check, m in margins.items() if check != "conservation") <= AUDIT_TOL, margins
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda res: _edit_witness(res, 0.5, math.nan), "witness value nan is not a finite number"),
+    (lambda res: _edit_plan(res, 0, mass=math.inf), "plan mass inf is not a finite number"),
+    (lambda res: replace(res, witness=tuple(e for e in res.witness if e[0] != -1.5)),
+     "the witness has no value at the charged point -1.5"),
+], ids=["nan-witness-value", "infinite-mass", "charged-point-off-the-witness"])
+def test_a_malformed_result_is_refused_in_one_line(edit, message):
+    res = norm_result(make_free_vector(IntervalSpace(-2.0, 2.0), list(zip(SUPPORTS["interval"], [1.0, -2.5, 0.75]))))
+    with pytest.raises(DomainError) as err:
+        audit_norm(edit(res))
+    assert str(err.value) == message
 
 
 @settings(deadline=None, max_examples=40)
@@ -470,7 +499,7 @@ def test_exact_mode_is_exact_on_rational_data():
 def fraction_norm(mu):
     """Exact mode on Fraction masses and costs: the reference for its int route."""
     pts = [mu.space.basepoint] + list(mu.support())
-    cost = mu.space.cost_matrix(pts)
+    cost = cost_matrix(mu.space, pts)
     b = [Fraction(c) for _, c in mu.terms]
     b.insert(0, -sum(b, Fraction(0)))
     flow, psi, total = _solve_transport(b, [[Fraction(c) for c in row] for row in cost], Fraction(0))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from array import array
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from freelip import (
     space_to_json,
     validate_finite_metric,
 )
-from conftest import random_finite_space
+from freelip.spaces import cost_matrix
+from conftest import random_finite_space, random_grid_points
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,8 @@ def _first_triangle_violation_per_pivot(matrix):
     """The reference: one pivot at a time, the first violating (i, j) in row-major order."""
     d = np.asarray(matrix, dtype=float)
     for k in range(len(d)):
-        at = np.argwhere(d - (d[:, [k]] + d[[k], :]) > 1e-12)
+        through = d[:, [k]] + d[[k], :]
+        at = np.argwhere(d - through > 1e-12 * (1 + through))
         if len(at):
             i, j = (int(v) for v in at[0])
             return (f"not a metric (triangle): d[{i}][{j}] = {float(d[i, j])!r} > "
@@ -104,6 +107,24 @@ def test_a_metric_whose_triangle_sums_overflow_builds_without_a_warning():
     assert space.distance(1, 2) == far
     sub = restrict_to_points(AlphaSpace([far, far]), [1])
     assert sub.matrix == ((0.0, far), (far, 0.0))
+
+
+SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e100]
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_a_metric_builds_at_every_scale(s):
+    # the triangle slack grows with the distances, as their rounding does; an
+    # absolute slack refused many of these sets from s = 1e3 on
+    rng = random.Random(3)
+    line = IntervalSpace(-2 * s, 2 * s)
+    for _ in range(50):
+        pts = [rng.uniform(-2 * s, 2 * s) for _ in range(8)]
+        assert restrict_to_points(line, pts).labels == (0.0, *sorted(pts))
+    for seed in range(10):
+        coords = random_grid_points(random.Random(seed), 24)
+        euclid = [[math.hypot(p[0] - q[0], p[1] - q[1]) * s for q in coords] for p in coords]
+        assert FiniteSpace(euclid).size == 24
 
 
 def test_finite_space_rejects_bad_matrix():
@@ -369,7 +390,7 @@ def test_cost_matrix_is_distance_bit_for_bit(rng, kind):
                          [(0,), (2**62,), (-(2**62),), (2**62 - 1,), (2**62,), (-(2**53) - 1,)]),
     }
     space, pts = spaces[kind]
-    got = space.cost_matrix([space.check_point(p) for p in pts])
+    got = cost_matrix(space, [space.check_point(p) for p in pts])
     want = [[space.distance(p, q) for q in pts] for p in pts]
     assert [[(type(x), x.hex()) for x in row] for row in got] == [[(type(x), x.hex()) for x in row] for row in want]
 
@@ -408,12 +429,12 @@ def test_cost_matrix_refuses_a_distance_past_the_float_range():
     # a float sum or difference past the range is a silent inf; the refusal names the two points
     whole = IntervalSpace(-math.inf, math.inf)
     with pytest.raises(DomainError, match="between -1e[+]308 and 1e[+]308 overflows a float"):
-        whole.cost_matrix([0.0, -1e308, 1e308])
+        cost_matrix(whole, [0.0, -1e308, 1e308])
     heavy = AlphaSpace([1e308, 1e308])
     with pytest.raises(DomainError, match="between 1 and 2 overflows a float"):
-        heavy.cost_matrix([0, 1, 2])
+        cost_matrix(heavy, [0, 1, 2])
     # a diagonal entry alpha_n + alpha_n overflows too, but it is zeroed first
-    assert heavy.cost_matrix([0, 1]) == [[0.0, 1e308], [1e308, 0.0]]
+    assert cost_matrix(heavy, [0, 1]) == [[0.0, 1e308], [1e308, 0.0]]
 
 
 def test_restrict_interval_points():
