@@ -139,19 +139,23 @@ class BlockScheme:
 
 
 def _tempered_weights(blocks: int) -> tuple[BlockScheme, AlphaSpace]:
-    """The tempered scheme and its sequence space, the weights of each block
-    computed in place in one buffer that the space then copies as memory."""
+    """The tempered scheme and its sequence space.  The weights fill one buffer,
+    0.0 at the basepoint and then each block computed in place a slice at a time,
+    that the space adopts as its own: the build holds about one copy of them."""
     import numpy as np  # a million powers; Python takes seconds
     scheme = BlockScheme.tempered(blocks)
     scheme.validate_tempered()
     ks, ss = scheme.ks, scheme.ss
-    weights = array("d", [0.0]) * ss[-1]
+    weights = array("d", [0.0]) * (ss[-1] + 1)
     view = np.frombuffer(weights, dtype=np.float64)  # writable: an array('d') exports a writable buffer
     for m in range(scheme.blocks):
-        block = view[ss[m]:ss[m + 1]]
-        np.divide(np.arange(1, ks[m + 1] + 1, dtype=np.float64), ks[m + 1], out=block)
-        np.power(float(m + 1), block, out=block)
-    return scheme, AlphaSpace(weights)
+        k = ks[m + 1]
+        for i in range(0, k, 1 << 16):  # no temporary longer than a slice
+            j = min(i + (1 << 16), k)
+            block = view[ss[m] + 1 + i:ss[m] + 1 + j]
+            np.divide(np.arange(i + 1, j + 1, dtype=np.float64), k, out=block)
+            np.power(float(m + 1), block, out=block)
+    return scheme, AlphaSpace._adopt(weights)
 
 
 def tempered_alpha_space(blocks: int = 12) -> tuple[AlphaSpace, ExperimentReport]:

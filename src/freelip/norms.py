@@ -87,17 +87,20 @@ def witness_functional(result: NormResult) -> Functional:
 
 
 def audit_norm(result: NormResult) -> dict[str, float]:
-    """The worst margin of each certificate check, by name.  A part that is not a finite
-    real, or a witness without a value at a charged point, is a DomainError."""
+    """The worst margin of each certificate check, by name.  A point not in the space,
+    a part that is not a finite real, or a witness without a value at a charged
+    point, is a DomainError."""
     from fractions import Fraction as Q  # here, so that ``import freelip`` does not load it
 
     def num(v, what):
         return Q(_coerce_number(v, integral=False, what=what))
 
     space, value = result.vector.space, num(result.value, "norm value")
-    witness = [(p, num(v, "witness value")) for p, v in result.witness]
+    pt = space.check_point
+    witness = [(pt(p), num(v, "witness value")) for p, v in result.witness]
     phi = dict(witness)  # a point listed twice: a pair at distance 0
-    plan = [(s, t, num(m, "plan mass"), num(c, "unit cost"), Q(space.distance(s, t))) for s, t, m, c in result.plan]
+    plan = [(pt(s), pt(t), num(m, "plan mass"), num(c, "unit cost")) for s, t, m, c in result.plan]
+    plan = [(s, t, m, c, Q(space.distance(s, t))) for s, t, m, c in plan]
     charge = {p: Q(c) for p, c in result.vector.terms}
     charge[space.basepoint] = -sum(charge.values())
     if missing := [p for p in charge if p not in phi]:

@@ -11,14 +11,17 @@ float or an int tuple), which is hashable, sortable and compares by value, or
 raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
 ``distance`` takes checked points and does not check them again; a bad index
 would wrap or fail obscurely.  A space's constructor reads its numbers, once,
-through ``_coerce_number`` (``AlphaSpace`` alone into an ``array('d')``).
+through ``_coerce_number``.  ``AlphaSpace`` keeps its weights in one
+``array('d')`` and takes them in two ways: ``AlphaSpace(alpha)`` copies and
+checks any iterable without numpy, and ``AlphaSpace._adopt`` owns a buffer
+built for it (the tempered gallery weights) and checks it once with numpy.
 ``distances(p, points)`` is ``[distance(p, q) for q in points]`` bit for bit,
 in one pass; a lattice box sums exact ints an axis at a time.
 ``cost_matrix(space, points)`` is the one cost table: a ``distances`` row per
 point, refused when an entry overflows a float.  ``validate_finite_metric``
 allows a triangle slack of ``TRIANGLE_TOL * (1 + d_ik + d_kj)``, so that
 rounding alone refuses no metric at any scale.  numpy is imported only by
-that check and by ``AlphaSpace.alpha_prefix``.
+that check, by ``AlphaSpace._adopt`` and by ``AlphaSpace.alpha_prefix``.
 """
 
 from __future__ import annotations
@@ -174,7 +177,8 @@ class AlphaSpace:
             return v
         # one buffer of doubles indexed by point, with 0.0 at the basepoint:
         # distance reads plain floats from it without a check (0.0 + alpha_n
-        # is alpha_n bit for bit); an array('d') argument is copied as memory
+        # is alpha_n bit for bit).  The weights are copied, an array('d') as
+        # memory, so no caller's buffer aliases a space, and checked without numpy
         if not isinstance(alpha, Iterable):
             raise DomainError("alpha weights must be a list")
         w = array("d", [0.0])
@@ -182,12 +186,29 @@ class AlphaSpace:
             w.extend(alpha if isinstance(alpha, array) and alpha.typecode == "d" else map(weight, alpha))
         except (TypeError, OverflowError) as exc:  # extend keeps the weights read before the bad one
             raise DomainError(f"alpha_{len(w)} is not a real number ({exc})") from None
+        # min and sum run at C speed over a long prefix
+        self._keep(w, len(w) > 1 and min(itertools.islice(w, 1, None)) > 0.0 and math.isfinite(sum(w)))
+
+    @classmethod
+    def _adopt(cls, weights: array) -> "AlphaSpace":
+        """A space that owns ``weights``, an array('d') of 0.0 then alpha_1..alpha_N,
+        without copying it; checked with numpy, which its one caller has loaded."""
+        import numpy as np
+        if not weights or weights[0] != 0.0:
+            raise DomainError("alpha weights must lead with 0.0 at the basepoint")
+        a = np.frombuffer(weights, dtype=np.float64, offset=weights.itemsize)
+        space = cls.__new__(cls)
+        space._keep(weights, len(a) > 0 and a.min() > 0.0 and math.isfinite(a.sum()))
+        return space
+
+    def _keep(self, w: array, fine: bool) -> None:
+        """Keep ``w`` as the weights; unless ``fine``, a loop names the first weight
+        that is not a positive real (a sum past the float range alone is fine)."""
         if len(w) == 1:
             raise DomainError("alpha prefix must be nonempty")
-        # min and sum run at C speed over a long prefix; the loop only names the culprit
-        if not (min(itertools.islice(w, 1, None)) > 0.0 and math.isfinite(sum(w))):
+        if not fine:
             bad = next((n for n in range(1, len(w)) if not 0.0 < w[n] < math.inf), None)
-            if bad is not None:  # else only the sum overflowed
+            if bad is not None:
                 raise DomainError(f"alpha_{bad} = {w[bad]!r} is not a positive real")
         self._weights = w
 
@@ -335,10 +356,10 @@ class LatticeBox:
 
     def distances(self, p, points) -> list[float]:
         # exact integer sums, one axis at a time, rounded to float once as in ``distance``
-        cols = zip(*points)
-        total = [abs(p[0] - y) for y in next(cols, ())]
-        for x, col in zip(p[1:], cols):
-            total = [t + abs(x - y) for t, y in zip(total, col)]
+        total = [abs(p[0] - q[0]) for q in points]
+        for a in range(1, len(p)):
+            x = p[a]
+            total = [t + abs(x - q[a]) for t, q in zip(total, points)]
         return list(map(float, total))
 
     def points(self):

@@ -594,9 +594,9 @@ def test_selftest_runs_on_numpy_alone(tmp_path):
 
 def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path):
     # numpy is imported only by the finite-metric check, so a fresh process
-    # runs the other three kinds without it; the process is what is tested.
-    # ``import freelip`` loads fractions neither: only the auditor and the
-    # selftest use it
+    # runs the other three kinds without it, a sequence space built from an
+    # array('d') too; the process is what is tested.  ``import freelip`` loads
+    # fractions neither: only the auditor and the selftest use it
     vectors = {
         "interval": make_free_vector(IntervalSpace(-2.0, 2.0), [(0.5, 1.0), (-1.5, -2.0)]),
         "alpha": make_free_vector(AlphaSpace([1.0, 2.0, 3.0]), [(1, 1.0), (3, -0.5)]),
@@ -611,6 +611,10 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
         "print('package', 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
         "from freelip.cli import main\n"
         "print('import', 'numpy' in sys.modules)\n"
+        "from array import array\n"
+        "from freelip import AlphaSpace, make_free_vector, norm_result\n"
+        "mu = make_free_vector(AlphaSpace(array('d', [1.0, 2.0, 3.0])), [(1, 1.0), (3, -0.5)])\n"
+        "print('alpha-array', norm_result(mu).value, 'numpy' in sys.modules)\n"
         f"for kind in {list(vectors)!r}:\n"
         f"    status = main(['norm', '--vector', {str(tmp_path)!r} + '/' + kind + '.json', '--outdir', {str(tmp_path)!r}])\n"
         "    print(kind, status, 'numpy' in sys.modules)\n"
@@ -618,8 +622,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     lines = [line for line in res.stdout.splitlines() if not line.startswith("norm ")]
-    assert lines == ["package False False", "import False", "interval 0 False", "alpha 0 False", "lattice 0 False",
-                     "finite 0 True"]
+    assert lines == ["package False False", "import False", "alpha-array 2.5 False", "interval 0 False", "alpha 0 False",
+                     "lattice 0 False", "finite 0 True"]
 
 
 def test_selftest_summary_shape(tmp_path):

@@ -367,6 +367,19 @@ def test_a_malformed_result_is_refused_in_one_line(edit, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda res: _edit_plan(res, 0, dst=99), "point 99 not in finite space of size 3"),
+    (lambda res: _edit_plan(res, 0, src="x"), "point 'x' not in finite space of size 3"),
+    (lambda res: replace(res, witness=res.witness + ((-1, 0.0),)), "point -1 not in finite space of size 3"),
+], ids=["plan-endpoint-past-the-space", "plan-endpoint-not-a-point", "negative-witness-point"])
+def test_a_result_point_outside_the_space_is_refused_in_one_line(edit, message):
+    # read as it stands, 99 and 'x' index the matrix and -1 wraps to point 2
+    res = norm_result(make_free_vector(FiniteSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]]), [(1, 1.0)]))
+    with pytest.raises(DomainError) as err:
+        audit_norm(edit(res))
+    assert str(err.value) == message
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(KINDS), st.sampled_from([1e-300, 1e-3, 1.0, 1e300]),
        st.integers(min_value=0, max_value=2**32 - 1))

@@ -229,6 +229,33 @@ def test_alpha_weights_read_from_any_iterable_of_reals():
         assert AlphaSpace(weights) == want
 
 
+@pytest.mark.parametrize("weights", [[], [1.0, 0.0], [1.0, -1.0], [2.0, math.nan], [math.inf, 1.0]],
+                         ids=["empty", "zero", "negative", "nan", "inf"])
+def test_an_adopted_buffer_is_refused_with_the_public_message(weights):
+    with pytest.raises(DomainError) as public:
+        AlphaSpace(weights)
+    with pytest.raises(DomainError) as adopted:
+        AlphaSpace._adopt(array("d", [0.0, *weights]))
+    assert str(adopted.value) == str(public.value)
+
+
+@pytest.mark.parametrize("buffer", [array("d"), array("d", [1.0, 2.0]), array("d", [math.nan, 2.0])],
+                         ids=["empty", "one", "nan"])
+def test_an_adopted_buffer_must_lead_with_the_basepoint_zero(buffer):
+    with pytest.raises(DomainError, match=r"^alpha weights must lead with 0.0 at the basepoint$"):
+        AlphaSpace._adopt(buffer)
+
+
+def test_an_adopted_buffer_is_owned_and_a_passed_one_copied():
+    buffer = array("d", [0.0, 0.5, 2.0])
+    owner = AlphaSpace._adopt(buffer)
+    assert owner._weights is buffer and owner == AlphaSpace([0.5, 2.0])
+    arr = array("d", [0.5, 2.0])
+    space = AlphaSpace(arr)
+    arr[0] = 99.0
+    assert space.alpha(1) == 0.5
+
+
 def test_alpha_prefix_array_is_readonly():
     sp = AlphaSpace([1.0, 2.0, 3.0])
     arr = sp.alpha_prefix()
