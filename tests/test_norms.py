@@ -586,6 +586,45 @@ def test_solver_certificates_are_pinned_bit_for_bit():
     assert digest.hexdigest() == PINNED_CERTIFICATES_SHA256
 
 
+def wide_pinned_vectors():
+    """80 seeded vectors of 48 to 64 terms over the four kinds, on the tie-heavy
+    data of ``pinned_vectors``: the support sizes the solver is timed at."""
+    rng = random.Random(20261019)
+    boxes = (((-4, 4), (-4, 4)), ((-2, 2), (-2, 2), (-2, 2)), ((-40, 40),))
+    grid = [j / 100 for j in range(-200, 201) if j]
+    for i in range(80):
+        kind, k = KINDS[i % 4], rng.randint(48, 64)
+        if kind == "finite":
+            sp = random_finite_space(rng, k + rng.randint(1, 8))
+        elif kind == "alpha":
+            sp = AlphaSpace([rng.choice((0.5, 1.0, 1.5, 3.0)) for _ in range(k + rng.randint(0, 8))])
+        elif kind == "lattice":
+            sp = LatticeBox(rng.choice(boxes))
+        else:
+            sp = IntervalSpace(-2.0, 2.0)
+        pts = rng.sample(grid if kind == "interval" else [p for p in sp.points() if p != sp.basepoint], k)
+        scale = rng.choice((1e-300, 1e-13, 1.0, 1e6, 1e300))
+        yield make_free_vector(sp, [(p, rng.randint(-64, 64) / 16 * scale) for p in pts])
+
+
+# The same digest over every wide pinned vector in float mode, and in exact
+# mode where its support fits (at most 63 points besides the basepoint).
+PINNED_WIDE_CERTIFICATES_SHA256 = "3be36b61773b4f07b3b789c1c9921dd9f7ef9676d54a3ab7b1309ad620065e2b"
+
+
+def test_solver_certificates_are_pinned_bit_for_bit_at_wide_supports():
+    digest, exact_runs = hashlib.sha256(), 0
+    for mu in wide_pinned_vectors():
+        for exact in (False, True):
+            if exact and len(mu.terms) >= EXACT_SUPPORT_LIMIT:
+                continue
+            exact_runs += exact
+            res = norm_flow(mu, exact=exact)
+            digest.update(repr(hexed(res.value, res.witness, res.plan)).encode())
+    assert exact_runs >= 70
+    assert digest.hexdigest() == PINNED_WIDE_CERTIFICATES_SHA256
+
+
 def closed_form_vectors():
     """2,000 seeded vectors of 1 to 40 terms, alternately over a sequence
     space and an interval, with coefficients at scales 1e-300 to 1e300."""
