@@ -136,21 +136,26 @@ def _solve_transport(b, C, tol, unit=1):
     Magnanti and Orlin, *Network Flows* (1993), ch. 9.
 
     ``b`` holds ``unit`` times the signed masses (sum ~ 0) and ``C`` the
-    symmetric cost matrix; both may be floats or ints (``tol`` 0 if exact).  A
-    supply s reaches every demand t at cost C[s][t]; a demand t reaches back
-    a supply s at cost -C[s][t] while flow(s, t) > tol.
+    symmetric cost matrix with a zero diagonal (exact mode scales it from its
+    upper triangle, ``_scaled_costs``); both may be floats or ints (``tol`` 0
+    if exact).  A supply s reaches every demand t at cost C[s][t]; a demand t
+    reaches back a supply s at cost -C[s][t] while flow(s, t) > tol.
 
     Each pass runs Dijkstra over the reduced costs from every supply that
     still has mass, on a binary heap of (label, node) pairs with lazy
-    deletion.  Ties pop in node-index order, as a scan of the sorted nodes
-    picks them, so the tree and every result are the scan's.  The pass moves
-    every potential by min(dist, D), D the distance of the farthest reached
-    demand still lacking mass, and augments along the shortest-path tree to
-    each such demand, nearest first.  The move makes every tree arc up to D
-    tight, so each of these paths is a shortest path.  A path waits for the
-    next pass when an earlier path of the pass has drained its root supply or
-    emptied one of its backward arcs; a demand ends one path per pass, so it
-    cannot fill before its turn.  At most 100 + 20n² passes are run.
+    deletion, until it has settled every demand still lacking mass (a
+    counter, decremented as each one fills).  Ties pop in node-index order,
+    as a scan of the sorted nodes picks them, so the tree and every result
+    are the scan's.  The pass moves every potential by min(dist, D), D the
+    distance of the farthest reached demand still lacking mass, and augments
+    along the shortest-path tree to each such demand, nearest first.  The
+    move makes every tree arc up to D tight, so each of these paths is a
+    shortest path.  One walk from the demand to its root collects the path's
+    arcs and the amount: the least of the demand's lack, each backward arc's
+    flow and the root's surplus.  A path waits for the next pass when an
+    earlier path of the pass has drained its root supply or emptied one of its
+    backward arcs; a demand ends one path per pass, so it cannot fill before
+    its turn.  At most 100 + 20n² passes are run.
     Returns (flow dict (s, t) -> mass, witness potentials, total cost).
     """
     n = len(b)
@@ -161,6 +166,7 @@ def _solve_transport(b, C, tol, unit=1):
     surplus = list(b)
     pi = [zero] * n
     into = [{} for _ in range(n)]  # into[t][s] = flow(s, t) > tol
+    lacking = len(demands)  # demands still short of mass
     passes = 0
     cap = 100 + 20 * n * n
 
@@ -180,9 +186,9 @@ def _solve_transport(b, C, tol, unit=1):
             dist[s] = zero
         heap = [(zero, s) for s in sources]  # sorted, so already a heap
         open_demands = list(demands)
-        lacking = sum(1 for t in demands if surplus[t] < -tol)
         reached = []
-        while heap and len(reached) < lacking:
+        left = lacking  # lacking demands not yet settled
+        while heap and left:
             du, u = heappop(heap)
             if du > dist[u]:  # stale: u was settled at its smaller label
                 continue
@@ -201,6 +207,7 @@ def _solve_transport(b, C, tol, unit=1):
                 open_demands.remove(u)
                 if surplus[u] < -tol:
                     reached.append(u)
+                    left -= 1
                 # settled supplies need no skip: their label is at most du
                 # already, so it cannot drop
                 for v in into[u]:
@@ -214,37 +221,48 @@ def _solve_transport(b, C, tol, unit=1):
             raise FlowConvergenceError("supplies remain but no reachable demand", residual())
 
         # nodes beyond D, and those nothing reaches, move by D, which keeps
-        # every reduced cost nonnegative
+        # every reduced cost nonnegative; the conditional is min(dist[v], D)
         far = dist[reached[-1]]
         for v in nodes:
-            pi[v] += min(dist[v], far)
+            d = dist[v]
+            pi[v] += far if far < d else d
 
-        # walk each tree path back to its root supply
+        # walk each tree path back to its root supply once, collecting its
+        # arcs and the least of the demand's lack, each backward arc's flow
+        # and the root's surplus
         for t in reached:
-            path = []
-            v = t
-            while parent[v] >= 0:
-                path.append((parent[v], v))
-                v = parent[v]
-            backward = [(u, w) for u, w in path if side[u] < 0]
-            if surplus[v] <= tol or any(w not in into[u] for u, w in backward):
-                continue
-            amt = min([surplus[v], -surplus[t]] + [into[u][w] for u, w in backward])
-            for u, w in path:
-                if side[u] > 0:
-                    into[w][u] = into[w].get(u, zero) + amt
-                elif into[u][w] - amt > tol:
-                    into[u][w] -= amt
-                else:
-                    del into[u][w]
-            surplus[v] -= amt
-            surplus[t] += amt
+            amt, arcs, w = -surplus[t], [], t
+            while (u := parent[w]) >= 0:
+                if side[u] < 0:  # a backward arc: the flow w -> u shrinks
+                    f = into[u].get(w)
+                    if f is None:  # emptied by an earlier path of this pass
+                        break
+                    if f < amt:
+                        amt = f
+                arcs.append((u, w))
+                w = u
+            else:  # w is the root
+                if surplus[w] <= tol:  # drained by an earlier path of this pass
+                    continue
+                if surplus[w] < amt:
+                    amt = surplus[w]
+                for u, v in arcs:
+                    if side[u] > 0:
+                        into[v][u] = into[v].get(u, zero) + amt
+                    elif (f := into[u][v] - amt) > tol:
+                        into[u][v] = f
+                    else:
+                        del into[u][v]
+                surplus[w] -= amt
+                surplus[t] += amt
+                if surplus[t] >= -tol:
+                    lacking -= 1
 
     # The potentials are dual-feasible on supply-demand pairs only; their
     # inf-convolution from the demands is 1-Lipschitz on every pair and keeps
     # the pairing, since it matches -pi on every supply that ships.
     flow = {(s, t): m for t in demands for s, m in into[t].items()}
-    psi = [min(C[x][j] - pi[j] for j in demands) for x in range(n)]
+    psi = [min([C[x][j] - pi[j] for j in demands]) for x in range(n)]
     cost = sum((f * C[i][j] for (i, j), f in flow.items()), zero)
     return flow, psi, cost
 
@@ -257,13 +275,24 @@ def _scaled_ints(rows):
     return [[p << (top - d.bit_length()) for p, d in row] for row in ratios], k
 
 
+def _scaled_costs(cost):
+    """``_scaled_ints(cost)`` of a symmetric table with a zero diagonal, scaled
+    from its upper triangle and mirrored: the same ints and the same k."""
+    upper, k = _scaled_ints([row[i + 1:] for i, row in enumerate(cost)])
+    rows = []
+    for i, right in enumerate(upper):
+        rows.append([row[i] for row in rows] + [0] + right)
+    return rows, k
+
+
 def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     """Free-space norm by balanced optimal transport, with certificates.
 
-    With ``exact=True`` (supports up to 64 points) the solver runs on exact
-    ints, the masses and the costs each scaled by a power of two.  It compares
-    only values of one scale, so it branches as rationals would, and int true
-    division rounds each reported float from the rational optimum.
+    With ``exact=True`` (supports of up to 63 points besides the basepoint;
+    EXACT_SUPPORT_LIMIT counts it) the solver runs on exact ints, the masses
+    and the costs each scaled by a power of two.  It compares only values of
+    one scale, so it branches as rationals would, and int true division rounds
+    each reported float from the rational optimum.
     """
     space = mu.space
     base = space.basepoint
@@ -274,7 +303,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     masses = [-_finite(mu.total_mass(), "total mass")] + [c for _, c in mu.terms]
     n = len(pts)
     if exact and n > EXACT_SUPPORT_LIMIT:
-        raise DomainError(f"exact mode supports at most {EXACT_SUPPORT_LIMIT} points, got {n}")
+        raise DomainError(f"exact mode supports at most {EXACT_SUPPORT_LIMIT - 1} support points, got {n - 1}")
 
     cost = cost_matrix(space, pts)
     if exact:
@@ -282,7 +311,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
         # and an unbalanced exact problem cannot ship its last ulp anywhere.
         (b,), mass_unit = _scaled_ints([masses[1:]])
         b.insert(0, -sum(b))
-        C, cost_unit = _scaled_ints(cost)
+        C, cost_unit = _scaled_costs(cost)
         tol = 0
     else:
         b, C = masses, cost

@@ -40,7 +40,16 @@ from freelip import (
     restrict_to_points,
     witness_functional,
 )
-from freelip.norms import AUDIT_TOL, EXACT_SUPPORT_LIMIT, FlowConvergenceError, _solve_transport, norm_route, norm_tree
+from freelip.norms import (
+    AUDIT_TOL,
+    EXACT_SUPPORT_LIMIT,
+    FlowConvergenceError,
+    _scaled_costs,
+    _scaled_ints,
+    _solve_transport,
+    norm_route,
+    norm_tree,
+)
 from freelip.spaces import cost_matrix
 from conftest import random_finite_space
 
@@ -549,6 +558,24 @@ def test_exact_mode_matches_the_fraction_route_on_wide_exponents():
     assert_matches_fraction_route(make_free_vector(sp, zip(points, masses)))
 
 
+@pytest.mark.parametrize("kind", KINDS + ("wide",))
+def test_the_upper_triangle_scales_a_cost_table_as_the_whole_table(kind):
+    # "wide": interval costs from 2^-500 to 1e150, whose ints run to about a
+    # thousand bits
+    rng = random.Random(f"triangle {kind}")
+    if kind == "wide":
+        sp = IntervalSpace(-math.inf, math.inf)
+        pts = [0.0, -1e150, -3.5, 1e-150, 2.0**-500, 7e100, 1e150]
+    else:
+        sp = random_space(rng, kind)
+        pts = [sp.basepoint] + list(random_vector_on(rng, sp, 7).support())
+    cost = cost_matrix(sp, pts)
+    rows, k = _scaled_costs(cost)
+    assert (rows, k) == _scaled_ints(cost)
+    assert len(rows) == len(pts) >= 7
+    assert all(type(c) is int and c == Fraction(x) * k for row, xs in zip(rows, cost) for c, x in zip(row, xs))
+
+
 def pinned_vectors():
     """300 seeded vectors of 1 to 40 terms over the four kinds, on tie-heavy
     data: alpha weights with repeats, interval points on a 0.01 grid, lattice
@@ -666,7 +693,7 @@ def test_exact_mode_solves_the_widest_support_it_allows(rng):
     assert len(exact.witness) == EXACT_SUPPORT_LIMIT
     assert exact.value == pytest.approx(norm_flow(mu).value, rel=1e-12)
     assert dual_gap(exact) == pytest.approx(0.0, abs=1e-9 * exact.value)
-    with pytest.raises(DomainError, match="at most 64 points, got 65"):
+    with pytest.raises(DomainError, match="at most 63 support points, got 64"):
         norm_flow(random_vector(rng, sp, EXACT_SUPPORT_LIMIT), exact=True)
 
 
