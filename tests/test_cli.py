@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -37,6 +38,8 @@ from freelip import (
 )
 from freelip.cli import VERBS, _write_profile_csv, build_parser, main, verb_parser
 from freelip.selftest import run_selftest
+
+from conftest import random_finite_space
 
 
 def run_cli(*argv, env=None, cwd=None):
@@ -232,6 +235,37 @@ def test_orbit_reports_the_route_taken(tmp_path, doubling_bundle, vector_file, k
     res = run_cli("orbit", "--map", map_file, "--vector", vec, "--steps", "3", "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     assert json.loads((out / "orbit.json").read_text())["backend"] == route
+
+
+def _desk_orbit_files(d, seed):
+    """A seeded 10-point Euclidean table with its basepoint fixed, and a vector
+    of small-fraction coefficients on every other point: a desk-scale orbit input."""
+    rng = random.Random(seed)
+    space = random_finite_space(rng, 10)
+    f = FiniteMap(space, tuple(0 if i == 0 else rng.randrange(10) for i in space.points()))
+    mu = make_free_vector(space, [(p, rng.randint(-8, 8) / rng.randint(1, 9)) for p in range(1, 10)])
+    return _write(d / f"map-{seed}.json", _bundle(f)), _write(d / f"vector-{seed}.json", vector_to_json(mu))
+
+
+# SHA-256 over the orbit.json and orbit.csv bytes of five seeded desk tables
+# (seeds 2501-2505), recorded with the step-by-step profile that pushed and
+# solved at every step up to the horizon.
+ORBIT_SHA256 = {
+    12: "94f72d2ccf31541e00180ca680e397ec64f0cf095ef3c3837e634d96aa9a429e",
+    10_000: "009529c738bc5f928ca31419be783ee8aa422076b5a592d58066b61041b47918",
+}
+
+
+@pytest.mark.parametrize("steps", sorted(ORBIT_SHA256))
+def test_orbit_reports_match_recorded_digests(tmp_path, capsys, steps):
+    digest = hashlib.sha256()
+    for seed in range(2501, 2506):
+        map_file, vec = _desk_orbit_files(tmp_path, seed)
+        out = tmp_path / f"out-{seed}"
+        assert main(["orbit", "--map", map_file, "--vector", vec, "--steps", str(steps), "--outdir", str(out)]) == 0
+        digest.update((out / "orbit.json").read_bytes() + (out / "orbit.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert digest.hexdigest() == ORBIT_SHA256[steps]
 
 
 def test_interval_analyze_reports_case(tmp_path, doubling_bundle):
