@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Verbs: norm, orbit, classify, rigidity, interval-analyze, gallery, selftest,
-each an entry of ``VERBS``.  A verb call builds that verb's parser alone; the
-full parser, ``build_parser``, is built only for top-level help and errors.
+each an entry of ``VERBS``.  A verb call builds that verb's parser alone, once
+per process; the full parser, ``build_parser``, is built only for top-level
+help and errors.
 Every verb is a thin adapter over the library: it loads JSON inputs, calls
 one operation, writes a JSON report (plus a CSV profile where that makes
 sense) and prints a one-line summary.  Reports carry no timestamps, so a
@@ -17,7 +18,9 @@ report, the selftest's included, is written by ``_write_json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import marshal
 import os
 import sys
 from dataclasses import fields
@@ -75,14 +78,13 @@ def _write_profile_csv(path: Path, values) -> None:
 
 
 def _load_map(map_path: str, space_path: str | None):
+    """The map, and the space JSON it was built over."""
     obj = _read_json(map_path)
-    if isinstance(obj, dict) and "map" in obj and "space" in obj:
-        space = space_from_json(obj["space"])
-        return map_from_json(obj["map"], space)
-    if space_path is None:
-        raise InputError(f"{map_path} has no embedded space; pass --space as well")
-    space = space_from_json(_read_json(space_path))
-    return map_from_json(obj, space)
+    if not (isinstance(obj, dict) and "map" in obj and "space" in obj):
+        if space_path is None:
+            raise InputError(f"{map_path} has no embedded space; pass --space as well")
+        obj = {"map": obj, "space": _read_json(space_path)}
+    return map_from_json(obj["map"], space_from_json(obj["space"])), obj["space"]
 
 
 def _load_params(path: str | None) -> ClassificationParams:
@@ -120,8 +122,11 @@ def _cmd_norm(args, outdir: Path) -> int:
 
 
 def _cmd_orbit(args, outdir: Path) -> int:
-    f = _load_map(args.map, args.space)
-    mu = vector_from_json(_read_json(args.vector))
+    f, space_obj = _load_map(args.map, args.space)
+    obj = _read_json(args.vector)
+    # one space for the same space JSON: marshal's version-2 bytes type each value (true is not 1), with no back-refs
+    same = isinstance(obj, dict) and marshal.dumps(obj.get("space"), 2) == marshal.dumps(space_obj, 2)
+    mu = vector_from_json(obj, f.space if same else None)
     profile = orbit_norm_profile(f, mu, args.steps, backend=args.backend)
     report = {"steps": args.steps, "backend": norm_route(mu.space, args.backend),
               "profile": [float(v) for v in profile]}
@@ -132,7 +137,7 @@ def _cmd_orbit(args, outdir: Path) -> int:
 
 
 def _cmd_classify(args, outdir: Path) -> int:
-    f = _load_map(args.map, args.space)
+    f, _ = _load_map(args.map, args.space)
     params = _load_params(args.params)
     x = coerce_point(f.space, _parse_flag("--point", args.point, json.loads))
     report = classify_orbit(f, x, params, power=args.power)
@@ -143,7 +148,7 @@ def _cmd_classify(args, outdir: Path) -> int:
 
 
 def _cmd_rigidity(args, outdir: Path) -> int:
-    f = _load_map(args.map, args.space)
+    f, _ = _load_map(args.map, args.space)
     times = _parse_flag("--times", args.times, lambda s: tuple(int(t) for t in s.split(",")))
     if args.sample is not None:
         raw = _parse_flag("--sample", args.sample, json.loads)
@@ -166,7 +171,7 @@ def _cmd_rigidity(args, outdir: Path) -> int:
 
 
 def _cmd_interval_analyze(args, outdir: Path) -> int:
-    f = _load_map(args.map, args.space)
+    f, _ = _load_map(args.map, args.space)
     analysis = interval_analyze(f, depth=args.depth)
     _write_json(outdir / "interval-analysis.json", interval_analysis_to_json(analysis))
     print(f"case {analysis.case} -> {outdir / 'interval-analysis.json'}")
@@ -245,6 +250,9 @@ def verb_parser(verb: str, parser: argparse.ArgumentParser | None = None) -> arg
     return parser
 
 
+_verb_parser_once = functools.cache(verb_parser)  # main's parsers: one per verb and process
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every verb as a subcommand: the parser for help and for a call that names no verb."""
     parser = argparse.ArgumentParser(
@@ -259,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in VERBS:  # a verb call builds only that verb's parser
-        args = verb_parser(argv[0]).parse_args(argv[1:])
+    if argv and argv[0] in VERBS:  # a verb call builds only that verb's parser, on its first call
+        args = _verb_parser_once(argv[0]).parse_args(argv[1:])
     else:
         args = build_parser().parse_args(argv)
     outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")

@@ -228,12 +228,17 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
 
 
 def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -> list[float]:
-    """Norms of the pushed-forward vector at steps 0..horizon."""
+    """Norms of the pushed-forward vector at steps 0..horizon.
+
+    The walk stops at the first exact return f̂ⁿμ = f̂ᵐμ (equal canonical terms,
+    m < n), which push and solve alike, and repeats steps m..n-1 to the horizon.
+    A finite table returns within its longest tail plus the lcm of its cycles."""
     _count(horizon, "horizon", least=0)
-    values = [free_norm(mu, backend=backend)]
-    cur = mu
-    for _ in range(horizon):
+    values, seen, cur = [free_norm(mu, backend=backend)], {mu.terms: 0}, mu
+    for n in range(1, horizon + 1):
         cur = push_forward(f, cur)
+        if (m := seen.setdefault(cur.terms, n)) < n:  # steps m..n-1 repeat from here on
+            return values + [values[m + (k - m) % (n - m)] for k in range(n, horizon + 1)]
         values.append(free_norm(cur, backend=backend))
     return values
 

@@ -3,13 +3,16 @@
 Every invocation uses ``python -m freelip.cli`` so the tests exercise exactly
 what the installed ``freelip`` script runs, including exit codes and the
 promise that fixed inputs produce byte-identical reports.  The tests of the
-argument surface also build the parsers and call ``main`` in process.
+argument surface, the orbit verb's digests and space count also build the
+parsers and call ``main`` in process, and one session of verbs in one process
+is compared with the same verbs run as separate processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -266,6 +269,66 @@ def test_orbit_reports_match_recorded_digests(tmp_path, capsys, steps):
         digest.update((out / "orbit.json").read_bytes() + (out / "orbit.csv").read_bytes())
     assert capsys.readouterr().err == ""
     assert digest.hexdigest() == ORBIT_SHA256[steps]
+
+
+def _count_space_builds(monkeypatch):
+    """Every space_from_json call the CLI makes, through its module and through vectors'."""
+    import freelip.cli
+    import freelip.vectors
+
+    calls = []
+
+    def counting(obj):
+        calls.append(obj)
+        return freelip.spaces.space_from_json(obj)
+
+    monkeypatch.setattr(freelip.cli, "space_from_json", counting)
+    monkeypatch.setattr(freelip.vectors, "space_from_json", counting)
+    return calls
+
+
+def test_orbit_builds_one_space_when_the_vector_embeds_the_maps(tmp_path, monkeypatch, capsys):
+    map_file, vec = _desk_orbit_files(tmp_path, 2501)
+    bundle = json.loads((tmp_path / "map-2501.json").read_text())
+    bare = _write(tmp_path / "bare.json", bundle["map"])
+    space_file = _write(tmp_path / "space.json", bundle["space"])
+    calls = _count_space_builds(monkeypatch)
+    reports = []
+    for k, argv in enumerate((["--map", map_file], ["--map", bare, "--space", space_file]), start=1):
+        out = tmp_path / f"out-{k}"
+        assert main(["orbit", *argv, "--vector", vec, "--steps", "12", "--outdir", str(out)]) == 0
+        assert len(calls) == k and calls[-1] == bundle["space"]
+        reports.append((out / "orbit.json").read_bytes() + (out / "orbit.csv").read_bytes())
+    assert reports[0] == reports[1]
+    # the same space written with other number types is built twice, and reads alike
+    vector = json.loads((tmp_path / "vector-2501.json").read_text())
+    vector["space"]["matrix"] = [[float(d) if d else 0 for d in row] for row in vector["space"]["matrix"]]
+    retyped = _write(tmp_path / "retyped.json", vector)
+    out = tmp_path / "out-retyped"
+    assert main(["orbit", "--map", map_file, "--vector", retyped, "--steps", "12", "--outdir", str(out)]) == 0
+    assert len(calls) == 4
+    assert (out / "orbit.json").read_bytes() + (out / "orbit.csv").read_bytes() == reports[0]
+    assert capsys.readouterr().err == ""
+
+
+def test_orbit_over_another_space_is_refused(tmp_path, monkeypatch, capsys):
+    map_file = _finite_map_file(tmp_path)
+    with open(map_file) as fh:
+        map_space = json.load(fh)["space"]
+    cases = {  # vector space -> the one error line
+        "other": ({"kind": "finite", "matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]},
+                  "error: map and vector live over different spaces"),
+        # == takes true for 1.0, so an equality test alone would read this over the map's space
+        "bool": ({"kind": "finite", "matrix": [[0.0, True, 2.0], [True, 0.0, True], [2.0, True, 0.0]],
+                  "basepoint": 0}, "error: matrix entry True is not a number"),
+    }
+    calls = _count_space_builds(monkeypatch)
+    for name, (space, line) in cases.items():
+        assert (space == map_space) == (name == "bool")
+        vec = _write(tmp_path / f"{name}.json", {"space": space, "terms": [[1, 1.0]]})
+        assert main(["orbit", "--map", map_file, "--vector", vec, "--steps", "3", "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == line + "\n"
+    assert len(calls) == 4
 
 
 def test_interval_analyze_reports_case(tmp_path, doubling_bundle):
@@ -758,6 +821,65 @@ def test_a_verb_call_never_builds_the_full_parser(tmp_path, monkeypatch, doublin
     assert list(calls) == SEVEN_VERBS
     for verb, argv in calls.items():
         assert main([verb, *argv, "--outdir", str(tmp_path / verb)]) == 0, verb
+
+
+def test_a_second_verb_call_builds_no_parser(tmp_path, monkeypatch, capsys, doubling_bundle, vector_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setattr("freelip.cli._verb_parser_once", functools.cache(verb_parser))  # an empty cache
+    calls = {
+        "norm": ["--vector", str(vector_file)],
+        "orbit": ["--map", str(doubling_bundle), "--vector", str(vector_file), "--steps", "2"],
+        "classify": ["--map", str(doubling_bundle), "--point", "0.25"],
+    }
+    for verb, argv in calls.items():
+        for parsers in ([f"freelip {verb}"], []):
+            assert main([verb, *argv, "--outdir", str(tmp_path / verb)]) == 0, verb
+            assert built == parsers, verb
+            built.clear()
+    assert verb_parser("norm") is not verb_parser("norm")  # the public builder still returns a new parser
+    capsys.readouterr()
+
+
+def test_verbs_back_to_back_in_one_process_write_what_separate_processes_write(
+        tmp_path, monkeypatch, capsys, doubling_bundle, vector_file):
+    # the verb parsers are module state, built once per process: no call may leave anything for the next
+    monkeypatch.setenv("COLUMNS", "80")  # one usage width in process and in the subprocesses
+    out = tmp_path / "out"
+    calls = [
+        ["norm", "--vector", str(vector_file), "--outdir", str(out / "norm")],
+        ["orbit", "--map", str(doubling_bundle), "--vector", str(vector_file), "--steps", "6",
+         "--outdir", str(out / "orbit")],
+        ["classify", "--map", str(doubling_bundle), "--point", "0.25", "--outdir", str(out / "classify")],
+        ["norm", "--vector", str(vector_file), "extra", "--outdir", str(out / "extra")],
+        ["norm", "--vector", str(vector_file), "--backend", "auto", "--outdir", str(out / "norm-again")],
+    ]
+    separate = []
+    for argv in calls:
+        res = run_cli(*argv)
+        separate.append((res.returncode, res.stdout, res.stderr))
+    processes = out.rename(tmp_path / "processes")
+    together = []
+    for argv in calls:  # the same paths, so the same summary lines
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        together.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in separate] == [0, 0, 0, 2, 0]
+    assert together == separate
+    files = sorted(str(p.relative_to(processes)) for p in processes.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert len(files) == 6
+    for name in files:
+        assert (out / name).read_bytes() == (processes / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

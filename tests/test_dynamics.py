@@ -45,6 +45,7 @@ from freelip import (
     fill_map,
     forward_shift_experiment,
     forward_shift_map,
+    free_norm,
     identity_map,
     interval_analysis_to_json,
     interval_analyze,
@@ -60,6 +61,7 @@ from freelip import (
     orbit_norm_profile,
     pair,
     power_equivalence_check,
+    push_forward,
     ramp_map,
     recurrence_gap,
     rigidity_check,
@@ -491,6 +493,100 @@ def test_orbit_norm_profile_starts_at_own_norm():
     for k in (1, 3, 5):
         pushed = iterate_vector(f, mu, k)
         assert prof[k] == pytest.approx(norm_flow(pushed).value, rel=1e-9)
+
+
+def _profile_step_by_step(f, mu, horizon):
+    """The reference profile: one push and one norm at every step up to the horizon."""
+    values, cur = [free_norm(mu)], mu
+    for _ in range(horizon):
+        cur = push_forward(f, cur)
+        values.append(free_norm(cur))
+    return values
+
+
+def _first_return(f, mu, bound=100):
+    """The least n with f̂ⁿμ equal to an earlier f̂ᵐμ, by a search of the orbit so far."""
+    orbit = [mu]
+    for n in range(1, bound + 1):
+        cur = push_forward(f, orbit[-1])
+        if cur in orbit:
+            return n
+        orbit.append(cur)
+    raise AssertionError(f"no return within {bound} steps")
+
+
+def _returning_orbits():
+    """(name, map, vector, first return step or None where only the search knows it)."""
+    rng = random.Random(2525)
+    cases = []
+    for i in range(30):
+        sp = random_finite_space(rng, rng.randrange(2, 12))
+        f = FiniteMap(sp, tuple(0 if p == 0 else rng.randrange(sp.size) for p in sp.points()))
+        points = rng.sample(range(1, sp.size), rng.randrange(1, sp.size))
+        cases.append((f"table-{i}", f, make_free_vector(sp, [(p, rng.randint(-9, 9) / rng.randint(1, 7) or 1.0)
+                                                             for p in points]), None))
+    for q in (2, 3, 5, 7):  # distinct masses on the roots: back exactly after a full turn
+        sp, f = circle_rotation_space(q)
+        cases.append((f"rotation-{q}", f, make_free_vector(sp, [(p, p / 8) for p in range(1, q + 1)]), q))
+    sp, f = circle_rotation_space(5)
+    cases.append(("zero", f, make_free_vector(sp, []), 1))
+    f = doubling_map()  # all six units sit at 1 after six steps, a fixed point
+    cases.append(("dyadic-tail", f, dyadic_tail_vector(f.space, 6), 7))
+    return cases
+
+
+RETURNING_ORBITS = _returning_orbits()
+
+
+@pytest.mark.parametrize("name, f, mu, expected", RETURNING_ORBITS, ids=[c[0] for c in RETURNING_ORBITS])
+def test_the_profile_is_the_step_by_step_profile_bit_for_bit(name, f, mu, expected):
+    r = _first_return(f, mu)
+    assert expected in (None, r)
+    for horizon in sorted({max(r - 1, 0), r, r + 1, 3 * r + 2}):
+        got = orbit_norm_profile(f, mu, horizon)
+        assert list(map(float.hex, got)) == list(map(float.hex, _profile_step_by_step(f, mu, horizon))), horizon
+
+
+def _counted_pushes(monkeypatch):
+    pushes = []
+
+    def counting(f, mu):
+        pushes.append(len(mu))
+        return push_forward(f, mu)
+
+    monkeypatch.setattr("freelip.dynamics.push_forward", counting)
+    return pushes
+
+
+@pytest.mark.parametrize("name, f, mu, expected", RETURNING_ORBITS, ids=[c[0] for c in RETURNING_ORBITS])
+def test_a_long_profile_pushes_no_further_than_the_first_return(monkeypatch, name, f, mu, expected):
+    r = _first_return(f, mu)
+    pushes = _counted_pushes(monkeypatch)
+    got = orbit_norm_profile(f, mu, 10_000)
+    assert len(got) == 10_001 and len(pushes) == r
+    if name in ("rotation-3", "dyadic-tail"):  # the whole profile, against a push at every step
+        assert list(map(float.hex, got)) == list(map(float.hex, _profile_step_by_step(f, mu, 10_000)))
+
+
+@pytest.mark.parametrize("f, mu", [
+    # 3 * 2**1023 is past the float range: the push at step 1023 leaves [0, inf]
+    (PiecewiseLinearMap(IntervalSpace(0.0, math.inf), [(0.0, 0.0)], right_slope=2.0),
+     make_free_vector(IntervalSpace(0.0, math.inf), [(1.0, 1.0), (3.0, -0.5)])),
+    # the push at step 3 runs off the stored prefix of ten weights
+    (forward_shift_map(AlphaSpace([1.0] * 10)), make_free_vector(AlphaSpace([1.0] * 10), [(8, 1.0), (5, 2.0)])),
+])
+def test_an_orbit_that_leaves_its_space_raises_at_the_same_step(monkeypatch, f, mu):
+    cur, steps = mu, 0
+    with pytest.raises(DomainError) as reference:
+        for steps in range(1, 2001):
+            cur = push_forward(f, cur)
+            free_norm(cur)
+    pushes = _counted_pushes(monkeypatch)
+    with pytest.raises(type(reference.value)) as got:
+        orbit_norm_profile(f, mu, 2000)
+    assert (str(got.value), len(pushes)) == (str(reference.value), steps)
+    assert steps in (3, 1023)
+    assert len(orbit_norm_profile(f, mu, steps - 1)) == steps  # no push past the horizon
 
 
 def test_shift_profile_closed_form_matches_pushforward():
