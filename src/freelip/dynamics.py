@@ -9,6 +9,7 @@ signals fall back to "Undecided" instead of guessing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
@@ -98,38 +99,43 @@ class ClassificationReport:
     note: str = ""
 
 
-def _walk(f, x, steps: int, power: int = 1):
-    """The orbit x, f^power(x), ... for at most ``steps`` steps of f^power, and
-    the DomainError that cut it short, or None.  It stops after an exact return
-    (y == x, which is d(x, y) == 0 on canonical points)."""
-    apply, reps = f.apply, range(power)
-    orbit = [x]
-    y = x
-    for _ in range(steps):
+def _walk(step, x, steps: int, power: int = 1, key=None):
+    """The states x, step^power(x), ... of at most ``steps`` steps up to the first repeat,
+    keyed by themselves or by ``key`` (-0.0 and 0.0 are one key): states 0..n-1, the first
+    repeat (m, n) (state n is state m < n) or None, and the DomainError that stopped it or None."""
+    reps, y, states, seen = range(power), x, [x], {x if key is None else key(x): 0}
+    for n in range(1, steps + 1):
         try:
             for _ in reps:
-                y = apply(y)
+                y = step(y)
         except DomainError as exc:
-            return orbit, exc
-        orbit.append(y)
-        if y == x:
-            break
-    return orbit, None
+            return states, None, exc
+        if (m := seen.setdefault(y if key is None else key(y), n)) < n:
+            return states, (m, n), None
+        states.append(y)
+    return states, None, None
+
+
+def _fill(values: list, repeat, length: int) -> list:
+    """Per-state ``values`` of a walk, extended to ``length`` over its period m..n-1."""
+    if repeat is None:
+        return values
+    m, n = repeat
+    return values + (values[m:n] * ((length - n) // (n - m) + 1))[: length - n]
 
 
 def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
     """Minimum of d(x, f^n(x)) over 1 <= n <= horizon, with the first n attaining it.
 
-    Stops early on an exact return (the minimum cannot improve on zero).
-    Iteration errors propagate to the caller.
+    Stops at the first repeated state; iteration errors propagate to the caller.
     """
     _count(horizon, "horizon")
     space = f.space
     x = space.check_point(x)
-    orbit, error = _walk(f, x, horizon)
+    states, repeat, error = _walk(f.apply, x, horizon)
     if error is not None:
         raise error
-    gaps = space.distances(x, orbit[1:])
+    gaps = _fill(space.distances(x, states), repeat, len(states) + 1)[1:]  # later states repeat ones in 1..n
     best = min(gaps)
     return float(best), gaps.index(best) + 1
 
@@ -151,7 +157,9 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
 
     With ``power = k`` the orbit of ``f^k`` is followed for ``horizon // k``
     steps, so the total application budget matches the ``power = 1`` run;
-    a power above the horizon would get no step and is refused.
+    a power above the horizon would get no step and is refused.  The walk
+    stops at the first repeated state f^n(x) = f^m(x) and repeats the period
+    m..n-1 to the horizon; if m = 0 the report ends at step n, with a note.
     """
     params = params or ClassificationParams()
     if _count(power, "power") > params.horizon:
@@ -162,14 +170,15 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     radii = params.resolve_radii(space, x)
     steps_wanted = params.horizon // power
 
-    orbit, error = _walk(f, x, steps_wanted, power)
+    states, repeat, error = _walk(f.apply, x, steps_wanted, power)
+    length = repeat[1] + 1 if repeat and repeat[0] == 0 else steps_wanted + 1  # a return to x ends it
+    dists = _fill(space.distances(space.basepoint, states), repeat, length)
+    gaps = _fill(space.distances(x, states), repeat, length)[1:]
     note = ""
     if error is not None:
-        note = f"orbit left the computable presentation at step {len(orbit)}: {error}"
-    elif len(orbit) <= steps_wanted:
-        note = f"exact return at step {len(orbit) - 1}; the orbit is periodic, iteration stopped early"
-    dists = space.distances(space.basepoint, orbit)
-    gaps = space.distances(x, orbit[1:])
+        note = f"orbit left the computable presentation at step {len(states)}: {error}"
+    elif len(dists) <= steps_wanted:
+        note = f"exact return at step {len(dists) - 1}; the orbit is periodic, iteration stopped early"
     gap = min(gaps, default=math.inf)
     gap_time = gaps.index(gap) + 1 if gaps else 0
 
@@ -234,13 +243,11 @@ def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -
     m < n), which push and solve alike, and repeats steps m..n-1 to the horizon.
     A finite table returns within its longest tail plus the lcm of its cycles."""
     _count(horizon, "horizon", least=0)
-    values, seen, cur = [free_norm(mu, backend=backend)], {mu.terms: 0}, mu
-    for n in range(1, horizon + 1):
-        cur = push_forward(f, cur)
-        if (m := seen.setdefault(cur.terms, n)) < n:  # steps m..n-1 repeat from here on
-            return values + [values[m + (k - m) % (n - m)] for k in range(n, horizon + 1)]
-        values.append(free_norm(cur, backend=backend))
-    return values
+    states, repeat, error = _walk(lambda v: push_forward(f, v), mu, horizon, key=lambda v: v.terms)
+    values = [free_norm(v, backend=backend) for v in states]  # a norm that fails raises first
+    if error is not None:
+        raise error
+    return _fill(values, repeat, horizon + 1)
 
 
 def shift_profile_closed_form(lam, space, k: int) -> float:
@@ -296,9 +303,8 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
     sample = [f.space.check_point(p) for p in sample]
     if not sample:
         raise DomainError("empty sample")
-    if tolerances is None:
-        tolerances = 1e-9
-    if isinstance(tolerances, (int, float)):
+    tolerances = 1e-9 if tolerances is None else tolerances
+    if isinstance(tolerances, numbers.Real):  # numpy scalars too; _coerce_number refuses a bool
         tolerances = (tolerances,) * len(times)
     tols = tuple(_coerce_number(t, integral=False, what="tolerance") for t in tolerances)
     if len(tols) != len(times):

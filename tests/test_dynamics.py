@@ -401,6 +401,107 @@ def test_classify_orbit_matches_the_documented_rule(case):
                 assert got == want, (label, x, params.radii, power)
 
 
+def table_orbits():
+    """(label, map, points): seeded random tables of 2-11 points, from every
+    point.  Most orbits fall into a cycle that does not hold their start."""
+    rng = random.Random(2626)
+    cases = []
+    for i in range(12):
+        sp = random_finite_space(rng, rng.randrange(2, 12))
+        f = FiniteMap(sp, tuple(0 if p == 0 else rng.randrange(sp.size) for p in sp.points()))
+        cases.append((f"table-{i}", f, tuple(sp.points())))
+    return cases
+
+
+def _hexed(fields):
+    """Every float of a report's fields as its float.hex, tuples included."""
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+    return {k: tuple(map(hexed, v)) if isinstance(v, tuple) else hexed(v) for k, v in fields.items()}
+
+
+@pytest.mark.parametrize("case", oracle_orbits() + table_orbits(), ids=lambda case: case[0])
+def test_classify_orbit_and_recurrence_gap_are_the_full_walks_bit_for_bit(case):
+    # the full walk runs to the horizon unless the orbit comes back to x itself;
+    # the reports read the same where the orbit repeats a state before that
+    label, f, points = case
+    for x in map(f.space.check_point, points):
+        for params in (ClassificationParams(horizon=1000, radii=SMALL_LADDER),
+                       ClassificationParams(horizon=1000)):
+            for power in range(1, 6):
+                rep = classify_orbit(f, x, params, power=power)
+                want = reference_classification(f, x, params, power)
+                assert _hexed({k: getattr(rep, k) for k in want}) == _hexed(want), (label, x, params.radii, power)
+                if label.startswith("table-"):  # a table never leaves its space, nor reaches a radius of 256
+                    returned = want["steps"] < params.horizon // power
+                    assert rep.note == (f"exact return at step {want['steps']}; the orbit is periodic, "
+                                        "iteration stopped early" if returned else "")
+                if power > 1:
+                    continue
+                if rep.note.startswith("orbit left the computable presentation"):  # recurrence_gap raises
+                    with pytest.raises(DomainError):
+                        recurrence_gap(f, x, params.horizon)
+                else:
+                    gap, gap_time = recurrence_gap(f, x, params.horizon)
+                    assert (gap.hex(), gap_time) == (want["gap"].hex(), want["gap_time"]), (label, x)
+
+
+class _CountingMap:
+    """A map with a count of its applications; classify_orbit and
+    recurrence_gap read nothing of a map but its space and apply."""
+
+    def __init__(self, f):
+        self.space, self.applications, self._apply = f.space, 0, f.apply
+
+    def apply(self, p):
+        self.applications += 1
+        return self._apply(p)
+
+
+def _first_repeat(f, x, power, bound):
+    """The least n <= bound with f^(power n)(x) equal to an earlier state of the
+    orbit of f^power, by a search of the orbit so far, else None."""
+    orbit = [x]
+    for n in range(1, bound + 1):
+        y = iterate_point(f, orbit[-1], power)
+        if y in orbit:
+            return n
+        orbit.append(y)
+    return None
+
+
+def counted_orbits():
+    box = LatticeBox(((-6, 6), (-6, 6)))
+    _, rotation = circle_rotation_space(7)
+    return table_orbits() + [
+        ("backward-shift", backward_shift_map(backward_shift_space(12)), (1, 5, 12)),
+        ("lattice-projection", map_from_json({"kind": "lattice-rule", "matrix": [[1, 0], [0, 0]]}, box),
+         ((3, 2), (-4, 5), (1, 0), (0, 0))),
+        ("rotation-7", rotation, (0, 1, 3)),
+    ]
+
+
+@pytest.mark.parametrize("case", counted_orbits(), ids=lambda case: case[0])
+def test_an_orbit_is_applied_up_to_its_first_repeat_and_no_further(case):
+    label, f, points = case
+    budgets_met = set()
+    for x in points:
+        for horizon in (6, 40):
+            for power in range(1, 6):
+                steps_wanted = horizon // power
+                n = _first_repeat(f, x, power, steps_wanted)
+                counted = _CountingMap(f)
+                classify_orbit(counted, x, ClassificationParams(horizon=horizon), power=power)
+                assert counted.applications == (steps_wanted if n is None else n) * power, (label, x, horizon, power)
+                budgets_met.add(n is None)
+            n = _first_repeat(f, x, 1, horizon)
+            counted = _CountingMap(f)
+            recurrence_gap(counted, x, horizon)
+            assert counted.applications == (horizon if n is None else n), (label, x, horizon)
+    if not label.startswith("table-"):  # a table may repeat within every budget
+        assert budgets_met == {True, False}
+
+
 def random_pl_orbits(rng):
     """(label, map, points): seeded piecewise-linear maps on a bounded
     interval, on both half-lines and on the whole line, with end slopes up to
@@ -589,6 +690,17 @@ def test_an_orbit_that_leaves_its_space_raises_at_the_same_step(monkeypatch, f, 
     assert len(orbit_norm_profile(f, mu, steps - 1)) == steps  # no push past the horizon
 
 
+def test_a_norm_past_the_float_range_raises_before_a_later_push_leaves_the_space():
+    # the norm of 10 * delta(2**1021) overflows at step 1; the push at step 4 leaves [0, inf]
+    sp = IntervalSpace(0.0, math.inf)
+    f = PiecewiseLinearMap(sp, [(0.0, 0.0)], right_slope=2.0)
+    mu = make_free_vector(sp, [(2.0**1020, 10.0)])
+    with pytest.raises(DomainError, match="not in interval"):
+        iterate_vector(f, mu, 4)
+    with pytest.raises(DomainError, match="^norm inf is not a finite float$"):
+        orbit_norm_profile(f, mu, 10)
+
+
 def test_shift_profile_closed_form_matches_pushforward():
     alpha = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     sp = AlphaSpace(alpha)
@@ -671,6 +783,17 @@ def test_rigidity_refuses_a_bool_tolerance():
     for tolerances in (True, [1e-9, True]):  # once read as 1.0
         with pytest.raises(DomainError, match="tolerance True is not a number"):
             rigidity_check(f, [0.5], [1, 2], bound=2.0, tolerances=tolerances)
+
+
+def test_rigidity_broadcasts_a_numpy_scalar_tolerance():
+    f = doubling_map()
+    for tol in (np.int64(0), np.float32(0.0), np.float64(1e-9)):  # np.int64 once raised a bare TypeError
+        cert = rigidity_check(f, [0.0], [1], bound=2.0, tolerances=tol)
+        assert cert.tolerances == (float(tol),) and cert.passed
+    assert rigidity_check(f, [0.0], [1, 2], bound=4.0, tolerances=np.float32(0.5)).tolerances == (0.5, 0.5)
+    for bad in (np.float64(math.nan), np.float32(math.inf)):
+        with pytest.raises(DomainError, match="^tolerance .* is not a finite number"):
+            rigidity_check(f, [0.0], [1], bound=2.0, tolerances=bad)
 
 
 def test_rigidity_bounds_pushforward_displacement(rng):
