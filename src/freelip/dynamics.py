@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace, _coerce_number, _count
+from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _rows
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
@@ -56,7 +56,7 @@ class ClassificationParams:
         if eps is not None and not _coerce_number(eps, integral=False, what="recurrence tolerance") > 0:
             raise DomainError("recurrence tolerance must be positive")
         if self.radii is not None:
-            rr = tuple(_coerce_number(r, integral=False, what="radius") for r in self.radii)
+            rr = _numbers(self.radii, "radius", "radii must be a list of numbers")
             if not rr or any(r <= 0 for r in rr) or any(a >= b for a, b in zip(rr, rr[1:])):
                 raise DomainError("radii must be positive and strictly increasing")
             object.__setattr__(self, "radii", rr)
@@ -116,12 +116,20 @@ def _walk(step, x, steps: int, power: int = 1, key=None):
     return states, None, None
 
 
-def _fill(values: list, repeat, length: int) -> list:
-    """Per-state ``values`` of a walk, extended to ``length`` over its period m..n-1."""
+def _fill(values, repeat, length: int):
+    """Per-state ``values`` of a walk (a list or a tuple), extended to ``length`` over its period m..n-1."""
     if repeat is None:
         return values
     m, n = repeat
     return values + (values[m:n] * ((length - n) // (n - m) + 1))[: length - n]
+
+
+def _best_gap(gaps: list, repeat) -> tuple[float, int]:
+    """The first least gap d(x, state t) over t >= 1 and its t (inf and 0 if none), from a walk's
+    gaps: states 1..n-1, then x again at step n if m = 0; later steps repeat these states."""
+    later = gaps[1:] + gaps[:1] if repeat and repeat[0] == 0 else gaps[1:]
+    best = min(later, default=math.inf)
+    return best, later.index(best) + 1 if later else 0
 
 
 def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
@@ -135,9 +143,40 @@ def recurrence_gap(f, x, horizon: int) -> tuple[float, int]:
     states, repeat, error = _walk(f.apply, x, horizon)
     if error is not None:
         raise error
-    gaps = _fill(space.distances(x, states), repeat, len(states) + 1)[1:]  # later states repeat ones in 1..n
-    best = min(gaps)
-    return float(best), gaps.index(best) + 1
+    best, step = _best_gap(space.distances(x, states), repeat)
+    return float(best), step
+
+
+def _orbit_verdict(dists: list, gaps: list, repeat, length: int, radii, eps, tail_fraction, full: bool):
+    """The rule of :func:`classify_orbit` on a walk's d(0, state) and d(x, state) for states 0..n-1, its
+    first repeat (m, n) or None and its report's length; steps n.. repeat states m..n-1.  Returns the verdict,
+    whether both signals fired, the gap and its step, the crossing times, and the first maximum and its step."""
+    gap, gap_time = _best_gap(gaps, repeat)
+    # radii increase strictly, so the crossing times do not decrease: one
+    # pass with a pointer to the next radius to cross finds them all
+    crossing: list[int | None] = [None] * len(radii)
+    j, k = 0, len(radii)
+    for n, dv in enumerate(dists):
+        while j < k and dv >= radii[j]:
+            crossing[j] = n
+            j += 1
+        if j == k:
+            break
+    max_distance = max(dists)
+    max_time = dists.index(max_distance)
+
+    recurrent_signal = gap <= eps
+    escape_signal = all(t is not None for t in crossing)
+    if escape_signal:
+        t_all, n = max(crossing), len(dists)  # last radius is crossed last (radii increase)
+        m = repeat[0] if repeat else n  # steps n..length-1 repeat states m.., at most one period of them
+        escape_signal = min(dists[t_all:] + dists[m : m + min(n - m, length - n)]) >= radii[0]
+    bounded_signal = full and max_time < max(1, int(length * (1.0 - tail_fraction)))
+    if recurrent_signal == escape_signal:  # both conflict; with neither, Bounded needs a full, settled run
+        verdict = UNDECIDED if recurrent_signal or not bounded_signal else BOUNDED
+    else:
+        verdict = RECURRENT if recurrent_signal else ESCAPING
+    return verdict, recurrent_signal and escape_signal, gap, gap_time, tuple(crossing), max_distance, max_time
 
 
 def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: int = 1) -> ClassificationReport:
@@ -158,8 +197,10 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     With ``power = k`` the orbit of ``f^k`` is followed for ``horizon // k``
     steps, so the total application budget matches the ``power = 1`` run;
     a power above the horizon would get no step and is refused.  The walk
-    stops at the first repeated state f^n(x) = f^m(x) and repeats the period
-    m..n-1 to the horizon; if m = 0 the report ends at step n, with a note.
+    stops at the first repeated state f^n(x) = f^m(x); later steps repeat the
+    period m..n-1 up to the horizon, or end the report at step n if m = 0,
+    with a note.  The verdict is read off the walked states alone, and only
+    the report's distances are filled over the period.
     """
     params = params or ClassificationParams()
     if _count(power, "power") > params.horizon:
@@ -171,51 +212,18 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
     steps_wanted = params.horizon // power
 
     states, repeat, error = _walk(f.apply, x, steps_wanted, power)
-    length = repeat[1] + 1 if repeat and repeat[0] == 0 else steps_wanted + 1  # a return to x ends it
-    dists = _fill(space.distances(space.basepoint, states), repeat, length)
-    gaps = _fill(space.distances(x, states), repeat, length)[1:]
+    walked = space.distances(space.basepoint, states)
+    dists = _fill(tuple(walked), repeat, repeat[1] + 1 if repeat and repeat[0] == 0 else steps_wanted + 1)
     note = ""
     if error is not None:
         note = f"orbit left the computable presentation at step {len(states)}: {error}"
     elif len(dists) <= steps_wanted:
         note = f"exact return at step {len(dists) - 1}; the orbit is periodic, iteration stopped early"
-    gap = min(gaps, default=math.inf)
-    gap_time = gaps.index(gap) + 1 if gaps else 0
-
-    # radii increase strictly, so the crossing times do not decrease: one
-    # pass with a pointer to the next radius to cross finds them all
-    crossing: list[int | None] = [None] * len(radii)
-    j, k = 0, len(radii)
-    for n, dv in enumerate(dists):
-        while j < k and dv >= radii[j]:
-            crossing[j] = n
-            j += 1
-        if j == k:
-            break
-    max_distance = max(dists)
-    max_time = dists.index(max_distance)
-
-    recurrent_signal = gap <= eps
-    escape_signal = all(t is not None for t in crossing)
-    if escape_signal:
-        t_all = max(crossing)  # last radius is crossed last (radii increase)
-        escape_signal = min(dists[t_all:]) >= radii[0]
-
-    full_run = len(dists) == steps_wanted + 1  # a cut-short orbit is shorter
-    cut = max(1, int(len(dists) * (1.0 - params.tail_fraction)))
-    bounded_signal = full_run and max_time < cut
-
-    if recurrent_signal and escape_signal:
-        verdict = UNDECIDED
+    verdict, conflict, gap, gap_time, crossing, max_distance, max_time = _orbit_verdict(
+        walked, space.distances(x, states), repeat, len(dists), radii, eps, params.tail_fraction,
+        len(dists) == steps_wanted + 1)  # a cut-short orbit is shorter
+    if conflict:
         note = (note + "; " if note else "") + "recurrence and escape signals both fired"
-    elif recurrent_signal:
-        verdict = RECURRENT
-    elif escape_signal:
-        verdict = ESCAPING
-    elif bounded_signal:
-        verdict = BOUNDED
-    else:
-        verdict = UNDECIDED
 
     return ClassificationReport(
         verdict=verdict,
@@ -227,10 +235,10 @@ def classify_orbit(f, x, params: ClassificationParams | None = None, *, power: i
         gap_time=gap_time,
         eps_recurrent=eps,
         radii=radii,
-        crossing_times=tuple(crossing),
+        crossing_times=crossing,
         max_distance=float(max_distance),
         max_distance_time=max_time,
-        distances=tuple(dists),
+        distances=dists,
         tail_fraction=params.tail_fraction,
         note=note,
     )
@@ -295,18 +303,17 @@ def rigidity_check(f, sample, times, bound: float, tolerances=None) -> RigidityC
     default is 1e-9 everywhere.  The certificate always carries the computed
     values, so a failed check still documents how it failed.
     """
-    times = tuple(_coerce_number(n, integral=True, what="time") for n in times)
+    times = _numbers(times, "time", "times must be a list of integers", integral=True)
     if not times or any(n < 1 for n in times) or any(a >= b for a, b in zip(times, times[1:])):
         raise DomainError("times must be strictly increasing and at least 1")
     if not (bound := _coerce_number(bound, integral=False, what="uniform bound")) > 0:
         raise DomainError("the uniform bound must be positive")
-    sample = [f.space.check_point(p) for p in sample]
+    sample = [f.space.check_point(p) for p in _rows([sample], "the sample must be a list of points")[0]]
     if not sample:
         raise DomainError("empty sample")
-    tolerances = 1e-9 if tolerances is None else tolerances
-    if isinstance(tolerances, numbers.Real):  # numpy scalars too; _coerce_number refuses a bool
-        tolerances = (tolerances,) * len(times)
-    tols = tuple(_coerce_number(t, integral=False, what="tolerance") for t in tolerances)
+    if tolerances is None or isinstance(tolerances, numbers.Real):  # numpy scalars too; _coerce_number refuses a bool
+        tolerances = (1e-9 if tolerances is None else tolerances,) * len(times)
+    tols = _numbers(tolerances, "tolerance", "tolerances must be a number or a list of numbers, one per time")
     if len(tols) != len(times):
         raise DomainError("need one tolerance per time")
     if not all(t >= 0 for t in tols):

@@ -427,6 +427,14 @@ def _rows(rows, message: str, width: int | None = None) -> tuple[tuple, ...]:
     return rows
 
 
+def _numbers(values, what: str, message: str, integral: bool = False) -> tuple:
+    """``values`` read once as numbers called ``what``; a str, or a value that cannot be
+    iterated, is refused as a whole with DomainError(message), as ``_rows`` refuses a row."""
+    if isinstance(values, str):
+        raise DomainError(message)
+    return tuple(_coerce_number(v, integral, what) for v in _rows([values], message)[0])
+
+
 def _reals(rows, what: str) -> tuple[tuple[float, ...], ...]:
     """Tuples of numbers read by ``_coerce_number``; floats with a finite sum pass at C speed."""
     if set(map(type, itertools.chain.from_iterable(rows))) <= {float} and math.isfinite(sum(map(sum, rows))):

@@ -67,6 +67,8 @@ from freelip import (
     rigidity_check,
     shift_profile_closed_form,
 )
+from freelip import dynamics
+from freelip.dynamics import _orbit_verdict
 from freelip.selftest import run_selftest
 from conftest import random_finite_space
 
@@ -502,6 +504,105 @@ def test_an_orbit_is_applied_up_to_its_first_repeat_and_no_further(case):
         assert budgets_met == {True, False}
 
 
+def _plain_rule(dists, gaps, radii, eps, tail_fraction, full):
+    """The decision rule of classify_orbit on whole lists, written plainly:
+    ``dists`` for steps 0..L-1, ``gaps`` for steps 1..L-1."""
+    gap = min(gaps, default=math.inf)
+    crossing = tuple(next((t for t, d in enumerate(dists) if d >= r), None) for r in radii)
+    max_distance = max(dists)
+    recurrent = gap <= eps
+    escaping = None not in crossing and min(dists[max(crossing):]) >= radii[0]
+    bounded = full and dists.index(max_distance) < max(1, int(len(dists) * (1.0 - tail_fraction)))
+    if recurrent and escaping:
+        verdict = UNDECIDED
+    elif recurrent or escaping:
+        verdict = RECURRENT if recurrent else ESCAPING
+    else:
+        verdict = BOUNDED if bounded else UNDECIDED
+    return (verdict, recurrent and escaping, gap, gaps.index(gap) + 1 if gaps else 0, crossing,
+            max_distance, dists.index(max_distance))
+
+
+def _filled(values, repeat, length):
+    """``values`` for steps 0..length-1, step t >= n taking the value of the
+    state m + (t - m) mod (n - m) that it repeats."""
+    if repeat is None:
+        return list(values)
+    m, n = repeat
+    return [values[t if t < n else m + (t - m) % (n - m)] for t in range(length)]
+
+
+def _random_walk(rng):
+    """A walk's distances and gaps, its repeat and report length, radii, eps,
+    tail fraction and fullness, drawn from few values so that ties, crossings
+    at equality and drops below the first radius inside the period are common."""
+    pool = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0)
+    draw = lambda: rng.choice(pool) if rng.random() < 0.7 else rng.uniform(0.0, 9.0)
+    n = rng.randint(1, 12)
+    dists, gaps = [draw() for _ in range(n)], [0.0] + [draw() for _ in range(n - 1)]
+    kind = rng.choice(("none", "none", "zero", "period"))
+    if kind == "none" or n == 1 and kind == "period":
+        repeat, length = None, n
+    else:
+        m = 0 if kind == "zero" else rng.randrange(1, n)
+        repeat, length = (m, n), n + rng.choice((1, rng.randint(1, 3 * (n - m) + 2)))
+    radii = tuple(sorted(set(rng.sample((0.5, 1.0, 2.0, 3.0, 4.0, 8.0, rng.uniform(0.1, 9.0)), rng.randint(1, 4)))))
+    return (dists, gaps, repeat, length, radii, rng.choice((1e-9, 0.5, 1.0)),
+            rng.choice((0.1, 0.5, 0.9, rng.uniform(0.01, 0.99))), rng.random() < 0.7)
+
+
+def test_the_verdict_rule_on_a_walk_is_the_plain_rule_on_its_filled_lists():
+    # every step past the walk repeats a walked state, so the rule reads the walk alone
+    rng = random.Random(2727)
+    seen = dict.fromkeys(("no repeat", "m = 0", "ends mid-period", "cut short", "crossed at step 0",
+                          "drop in the period", "tied maxima", "tied gaps"), 0)
+    for _ in range(20_000):
+        dists, gaps, repeat, length, radii, eps, tail, full = walk = _random_walk(rng)
+        whole = _filled(dists, repeat, length)
+        later = _filled(gaps, repeat, length)[1:]
+        assert _hexed(dict(enumerate(_orbit_verdict(*walk)))) == \
+            _hexed(dict(enumerate(_plain_rule(whole, later, radii, eps, tail, full)))), walk
+        n, m = len(dists), repeat[0] if repeat else None
+        crossed = [next((t for t, d in enumerate(whole) if d >= r), None) for r in radii]
+        seen["no repeat"] += repeat is None
+        seen["m = 0"] += m == 0
+        seen["ends mid-period"] += bool(m) and length - n < n - m
+        seen["cut short"] += repeat is None and not full
+        seen["crossed at step 0"] += dists[0] >= radii[0]
+        seen["drop in the period"] += (None not in crossed and min(dists[crossed[-1]:]) >= radii[0]
+                                       and min(whole[crossed[-1]:]) < radii[0])
+        seen["tied maxima"] += whole.count(max(whole)) > 1
+        seen["tied gaps"] += len(later) > 1 and later.count(min(later)) > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_classify_orbit_hands_the_rule_no_list_longer_than_its_walk(monkeypatch):
+    walked, handed, walk_of = [], [], dynamics._walk
+
+    def walk(*args, **kwargs):
+        got = walk_of(*args, **kwargs)
+        walked.append(len(got[0]))
+        return got
+
+    def rule(dists, gaps, *rest):
+        handed.append((len(dists), len(gaps)))
+        return _orbit_verdict(dists, gaps, *rest)
+
+    monkeypatch.setattr(dynamics, "_walk", walk)
+    monkeypatch.setattr(dynamics, "_orbit_verdict", rule)
+    params = ClassificationParams(horizon=10_000)
+    shorter = full = 0
+    for label, f, points in oracle_orbits() + table_orbits():
+        for x in points:
+            for power in range(1, 6):
+                del walked[:], handed[:]
+                steps = classify_orbit(f, x, params, power=power).steps
+                assert len(walked) == 1 and handed == [(walked[0], walked[0])], (label, x, power)
+                shorter += walked[0] < steps + 1
+                full += walked[0] == 10_000 // power + 1
+    assert shorter >= 400 and full >= 20  # most orbits repeat a state; a few walk the whole horizon
+
+
 def random_pl_orbits(rng):
     """(label, map, points): seeded piecewise-linear maps on a bounded
     interval, on both half-lines and on the whole line, with end slopes up to
@@ -794,6 +895,29 @@ def test_rigidity_broadcasts_a_numpy_scalar_tolerance():
     for bad in (np.float64(math.nan), np.float32(math.inf)):
         with pytest.raises(DomainError, match="^tolerance .* is not a finite number"):
             rigidity_check(f, [0.0], [1], bound=2.0, tolerances=bad)
+
+
+# a sequence argument is read whole: one that cannot be iterated, or a str,
+# is refused by name (once a bare TypeError, or a str read letter by letter)
+SEQUENCES = {
+    "tolerances-0d-array": ("tolerances", lambda: rigidity_check(doubling_map(), [0.0], [1], bound=2.0,
+                                                                 tolerances=np.array(0.0))),
+    "tolerances-object": ("tolerances", lambda: rigidity_check(doubling_map(), [0.0], [1], bound=2.0,
+                                                               tolerances=object())),
+    "tolerances-str": ("tolerances", lambda: rigidity_check(doubling_map(), [0.0], [1, 2, 3], bound=2.0,
+                                                            tolerances="abc")),
+    "radii-int": ("radii", lambda: ClassificationParams(radii=5)),
+    "radii-str": ("radii", lambda: ClassificationParams(radii="248")),
+    "times-int": ("times", lambda: rigidity_check(doubling_map(), [0.0], 5, bound=2.0)),
+    "sample-int": ("the sample", lambda: rigidity_check(doubling_map(), 5, [1], bound=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENCES))
+def test_a_sequence_argument_that_is_not_a_list_is_a_domain_error(case):
+    name, call = SEQUENCES[case]
+    with pytest.raises(DomainError, match=f"^{name} must be a "):
+        call()
 
 
 def test_rigidity_bounds_pushforward_displacement(rng):
