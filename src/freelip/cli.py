@@ -23,7 +23,6 @@ import json
 import marshal
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .dynamics import (
@@ -93,9 +92,7 @@ def _load_params(path: str | None) -> ClassificationParams:
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: classification params must be a JSON object")
-    allowed = {field.name for field in fields(ClassificationParams)}
-    unknown = set(obj) - allowed
-    if unknown:
+    if unknown := set(obj) - set(ClassificationParams._fields):
         raise InputError(f"{path}: unknown parameter(s) {sorted(unknown)}")
     try:
         return ClassificationParams(**obj)

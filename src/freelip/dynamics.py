@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _rows
+from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
@@ -34,8 +33,7 @@ PROFILE_TAIL = 32         # distances kept at the end of a classification report
 # classification
 
 
-@dataclass(frozen=True)
-class ClassificationParams:
+class ClassificationParams(_Record):
     """Knobs for :func:`classify_orbit`.
 
     ``radii`` overrides the default ladder ``2**j * d(0, x)`` for
@@ -80,8 +78,7 @@ class ClassificationParams:
         return tuple(base * 2.0 ** j for j in range(1, self.ladder_size + 1))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Record):
     verdict: str
     point: object
     power: int
@@ -278,8 +275,7 @@ def shift_profile_closed_form(lam, space, k: int) -> float:
 # rigidity
 
 
-@dataclass(frozen=True)
-class RigidityCertificate:
+class RigidityCertificate(_Record):
     """Outcome of a uniform-Lipschitz / simultaneous-return check.
 
     ``lip_values[k]`` is the computed constant of the ``times[k]``-th iterate
@@ -376,8 +372,7 @@ CASE_TRAPPED_DRIFT_OVER = "3.2"  # bounded drift component with overshoot
 _CASE_SEVERITY = {CASE_NO_DRIFT: 0, CASE_TRAPPED_DRIFT_IN: 1, CASE_TRAPPED_DRIFT_OVER: 2, CASE_UNBOUNDED_DRIFT: 3}
 
 
-@dataclass(frozen=True)
-class SideAnalysis:
+class SideAnalysis(_Record):
     """Sign analysis of f(x) - x on one side of the basepoint.
 
     All coordinates are on the original axis (the negative side is analyzed
@@ -397,8 +392,7 @@ class SideAnalysis:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class IntervalAnalysis:
+class IntervalAnalysis(_Record):
     case: str
     sides: tuple[SideAnalysis, ...]
     depth: int
@@ -556,8 +550,7 @@ def interval_analyze(f, depth: int = 40) -> IntervalAnalysis:
 # powers share escape behavior
 
 
-@dataclass(frozen=True)
-class PowerCheckEntry:
+class PowerCheckEntry(_Record):
     point: object
     verdict_base: str
     verdict_power: str
@@ -567,8 +560,7 @@ class PowerCheckEntry:
         return (self.verdict_base == ESCAPING) == (self.verdict_power == ESCAPING)
 
 
-@dataclass(frozen=True)
-class PowerCheckReport:
+class PowerCheckReport(_Record):
     power: int
     entries: tuple[PowerCheckEntry, ...]
     disagreements: tuple[object, ...]
@@ -589,7 +581,7 @@ def power_equivalence_check(f, k: int, sample, params: ClassificationParams | No
     params = params or ClassificationParams()
     entries = []
     bad = []
-    for x in sample:
+    for x in _rows([sample], "the sample must be a list of points")[0]:
         r1 = classify_orbit(f, x, params)
         rk = classify_orbit(f, x, params, power=k)
         e = PowerCheckEntry(point=r1.point, verdict_base=r1.verdict, verdict_power=rk.verdict)
@@ -632,7 +624,7 @@ def classification_to_json(report: ClassificationReport) -> dict:
 
 
 def rigidity_to_json(cert: RigidityCertificate) -> dict:
-    return asdict(cert)
+    return _plain(cert)
 
 
 def interval_analysis_to_json(analysis: IntervalAnalysis) -> dict:

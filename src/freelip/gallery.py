@@ -14,7 +14,6 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
 
 from .dynamics import (
     BOUNDED,
@@ -29,19 +28,17 @@ from .dynamics import (
 )
 from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
-from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count
+from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
 from .vectors import FreeVector, make_free_vector, push_forward
 
 
-@dataclass(frozen=True)
-class ExperimentCheck:
+class ExperimentCheck(_Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(_Record):
     name: str
     params: dict
     checks: tuple[ExperimentCheck, ...]
@@ -66,15 +63,14 @@ def _check_cases(name: str, failures) -> ExperimentCheck:
 
 
 def experiment_to_json(report: ExperimentReport) -> dict:
-    return {**asdict(report), "ok": report.ok}
+    return {**_plain(report), "ok": report.ok}
 
 
 # ---------------------------------------------------------------------------
 # block schemes and the two weight sequences built from them
 
 
-@dataclass(frozen=True)
-class BlockScheme:
+class BlockScheme(_Record):
     """Block lengths k_0, k_1, ... with partial sums s_m = k_0 + ... + k_m.
 
     The m-th block of indices is (s_m, s_{m+1}], of length k_{m+1}; s_0 = 0.
@@ -205,7 +201,7 @@ def forward_shift_map(space: AlphaSpace) -> AlphaMap:
 def shift_vector(space: AlphaSpace, lam) -> FreeVector:
     """The vector sum_n lam[n-1] * delta(n) / alpha_n."""
     pairs = []
-    for i, c in enumerate(lam):
+    for i, c in enumerate(_numbers(lam, "coefficient", "lam must be a list of numbers")):
         if c != 0:
             n = i + 1
             pairs.append((n, c / space.alpha(n)))
@@ -508,7 +504,8 @@ def kronecker_return_times(angles, eps: float, bound: int) -> list[int]:
     if not _coerce_number(eps, integral=False, what="tolerance") > 0:
         raise DomainError("tolerance must be positive")
     _count(bound, "bound")
-    halves = [float(a) / 2.0 for a in angles]
+    halves = [(float(a) if isinstance(a, float) else _coerce_number(a, integral=False, what="angle")) / 2.0
+              for a in _rows([angles], "angles must be a list of numbers")[0]]
     if not halves:
         raise DomainError("need at least one angle")
     if not all(math.isfinite(h * bound) for h in halves):

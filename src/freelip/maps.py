@@ -22,7 +22,6 @@ import itertools
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .spaces import (
@@ -35,6 +34,7 @@ from .spaces import (
     _coerce_number,
     _count,
     _reals,
+    _Record,
     _rows,
     _show,
     same_space,
@@ -45,8 +45,7 @@ from .vectors import FreeVector, make_free_vector, push_forward
 BREAKPOINT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class LipEstimate:
+class LipEstimate(_Record):
     value: float
     witness: object  # attaining pair / index / segment
     exact: bool
@@ -57,8 +56,7 @@ class LipEstimate:
 # presentations
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(_Record):
     space: FiniteSpace
     table: tuple[int, ...]
 
@@ -78,17 +76,17 @@ class FiniteMap:
         return self.table[p]
 
 
-@dataclass(frozen=True)
-class AlphaMap:
+class AlphaMap(_Record):
     """Index rule on a sequence space.  The rule must fix 0; an image is
     checked as a point, so one past the materialized prefix raises
     ``PrefixExhausted`` and any other non-point ``DomainError``."""
 
     space: AlphaSpace
     rule: Callable[[int], int]
-    rule_json: dict | None = field(default=None, compare=False)
+    rule_json: dict | None = None
 
     kind = "alpha-rule"
+    _uncompared = ("rule_json",)
 
     def __post_init__(self):
         if not isinstance(self.space, AlphaSpace):
@@ -221,13 +219,13 @@ class PiecewiseLinearMap:
         raise DomainError(f"no preimage of {target} inside ({lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(_Record):
     space: LatticeBox
     rule: Callable[[tuple[int, ...]], tuple[int, ...]]
-    rule_json: dict | None = field(default=None, compare=False)
+    rule_json: dict | None = None
 
     kind = "lattice-rule"
+    _uncompared = ("rule_json",)
 
     def __post_init__(self):
         if not isinstance(self.space, LatticeBox):
@@ -430,6 +428,7 @@ def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
     if points is None:
         pairs = _edges(space)
     else:
+        points = _rows([points], "the points must be a list of points")[0]
         pairs = itertools.combinations(dict.fromkeys(space.check_point(p) for p in points), 2)
     best, wit = 0.0, None
     for x, y in pairs:

@@ -23,12 +23,11 @@ over its own scale; a result holds when every margin is at most AUDIT_TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, combinations
 from operator import add
 
-from .spaces import DomainError, _coerce_number, _show, cost_matrix
+from .spaces import DomainError, _coerce_number, _Record, _show, cost_matrix
 from .vectors import FreeVector, Functional, point_to_json
 
 MASS_TOL = 1e-12
@@ -44,8 +43,7 @@ class FlowConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class NormResult:
+class NormResult(_Record):
     """Norm value plus the certificates that make it auditable: a transport
     plan achieving the value, whose net outflow at each point is the point's
     charge (a tree plan ships through intermediate support points), and a dual
@@ -297,7 +295,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
     space = mu.space
     base = space.basepoint
     if mu.is_zero():
-        return NormResult(0.0, ((base, 0.0),), (), mu, backend="flow", exact=exact)
+        return NormResult(value=0.0, witness=((base, 0.0),), plan=(), vector=mu, backend="flow", exact=exact)
 
     pts = [base] + list(mu.support())
     masses = [-_finite(mu.total_mass(), "total mass")] + [c for _, c in mu.terms]
@@ -329,7 +327,7 @@ def norm_flow(mu: FreeVector, *, exact: bool = False) -> NormResult:
         value = float(total / (mass_unit * cost_unit))
     except OverflowError:  # an int quotient past the float range
         value = math.inf
-    return NormResult(_finite(value), witness, plan, mu, backend="flow", exact=exact)
+    return NormResult(value=_finite(value), witness=witness, plan=plan, vector=mu, backend="flow", exact=exact)
 
 
 # ---------------------------------------------------------------------------

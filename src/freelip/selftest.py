@@ -10,9 +10,6 @@ the checks users are encouraged to run.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import replace
-from fractions import Fraction
 
 from .gallery import gallery_experiments
 from .maps import FiniteMap, lip_constant, operator_norm_estimate
@@ -65,7 +62,7 @@ def _sweep_certificates(rng: random.Random, rounds: int):
         support = rng.sample(pts, k=min(len(pts), rng.randint(2, 6)))
         res = norm_flow(make_free_vector(space, [(p, rng.uniform(-2.0, 2.0)) for p in support]))
         phi = witness_functional(res)  # extended to every point: the Lipschitz check spans the space
-        margins = audit_norm(replace(res, witness=tuple((p, phi(p)) for p in space.points())))
+        margins = audit_norm(res.replace(witness=tuple((p, phi(p)) for p in space.points())))
         entry = {check: m for check, m in margins.items() if not m <= AUDIT_TOL}
         yield {**entry, "value": res.value} if entry else None
 
@@ -98,6 +95,7 @@ def _sweep_operator_norm(rng: random.Random, rounds: int):
 
 
 def _sweep_exact_mode(rng: random.Random, rounds: int):
+    from fractions import Fraction
     for _ in range(rounds):
         space = _random_finite_space(rng, max_points=7)
         pts = [p for p in space.points() if p != space.basepoint]
@@ -128,6 +126,7 @@ def run_selftest(seed: int, rounds: int = 20) -> tuple[dict, list]:
     report) pairs; writes nothing.
     """
     _count(rounds, "rounds")
+    import random  # here, so that the other verbs load neither random nor fractions
     rng = random.Random(seed)
     sweeps = []
     for name, sweep in _SWEEPS:

@@ -22,6 +22,10 @@ point, refused when an entry overflows a float.  ``validate_finite_metric``
 allows a triangle slack of ``TRIANGLE_TOL * (1 + d_ik + d_kj)``, so that
 rounding alone refuses no metric at any scale.  numpy is imported only by
 that check, by ``AlphaSpace._adopt`` and by ``AlphaSpace.alpha_prefix``.
+Every record (these spaces, vectors, maps, results, reports) subclasses
+``_Record``: its fields are its class body's annotated names, defaulting to
+their class values; a missing, unknown or doubled one is a TypeError.  Checked
+by ``__post_init__``, a record is frozen; it compares, hashes and prints by field.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 import numbers
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 
@@ -41,6 +44,62 @@ class DomainError(ValueError):
 
 class PrefixExhausted(DomainError):
     """An operation needed sequence-space data beyond the materialized prefix."""
+
+
+class _Record:
+    """An immutable record of the fields annotated in its class body; see the module docstring."""
+
+    _uncompared = ()  # fields that equality and the hash ignore
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        cls._key = property(operator.attrgetter(*(f for f in cls._fields if f not in cls._uncompared)))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):  # every field by position
+            kwargs = dict(zip(fields, args))
+        elif args or kwargs.keys() != self._names:  # not every field by name: fill the defaults, check the call
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if values.keys() != self._names or len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)]):
+                raise TypeError(f"{type(self).__qualname__}{fields} got {len(args)} by position "
+                                f"and {tuple(kwargs)} by name")
+            kwargs = values
+        if len(kwargs) > 4:  # a result or report: the call's dict is kept, in one C call
+            object.__setattr__(self, "__dict__", kwargs)
+        else:  # a space, map or vector: fields set one at a time stay inline, so its method calls stay fast
+            for name, value in kwargs.items():
+                object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and normalize the fields, through ``object.__setattr__``."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable record")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def replace(self, **changes):
+        """This record with ``changes`` to some fields, built and checked afresh."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+
+def _plain(v):
+    """``v`` with each record in it, through tuples and lists, a dict of its fields."""
+    if isinstance(v, _Record):
+        return {f: _plain(getattr(v, f)) for f in v._fields}
+    return type(v)(map(_plain, v)) if isinstance(v, (tuple, list)) else v
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +168,7 @@ def cost_matrix(space, points) -> list[list[float]]:
 # the four presentations
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(_Record):
     """Finite pointed metric space given by a full distance matrix.
 
     Points are the indices ``0..n-1``; ``labels`` optionally carries the
@@ -270,8 +328,7 @@ class AlphaSpace:
         return f"AlphaSpace(prefix_length={self.prefix_length})"
 
 
-@dataclass(frozen=True)
-class IntervalSpace:
+class IntervalSpace(_Record):
     """A real interval containing 0, with |x - y| and basepoint 0.
 
     Endpoints may be infinite.  Points are floats.
@@ -313,8 +370,7 @@ class IntervalSpace:
         return [abs(p - q) for q in points]
 
 
-@dataclass(frozen=True)
-class LatticeBox:
+class LatticeBox(_Record):
     """Integer box in Z^d with the taxicab metric; basepoint is the origin."""
 
     bounds: tuple[tuple[int, int], ...]
@@ -390,7 +446,7 @@ def restrict_to_points(space, points: Sequence) -> FiniteSpace:
     points, in sorted order after the basepoint, are kept as labels.
     Duplicate points collapse; an empty point list is refused.
     """
-    if len(points) == 0:
+    if not (points := _rows([points], "the points must be a list of points")[0]):
         raise DomainError("cannot restrict to an empty point list")
     base = space.basepoint
     ordered = [base] + sorted({space.check_point(p) for p in points} - {base})

@@ -12,16 +12,14 @@ return new vectors; nothing here mutates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .spaces import DomainError, _coerce_number, same_space, space_from_json, space_to_json
+from .spaces import DomainError, _coerce_number, _Record, same_space, space_from_json, space_to_json
 
 DROP_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class FreeVector:
+class FreeVector(_Record):
     space: object
     terms: tuple[tuple[object, float], ...]
 
@@ -54,11 +52,16 @@ def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector
     NaN or infinite, or a merged one past the float range, raises DomainError.
     """
     acc: dict = {}
-    for p, c in pairs:
-        q = space.check_point(p)
-        acc[q] = acc.get(q, 0.0) + (c if type(c) is float else _coerce_number(c, integral=False, what="coefficient"))
-        if not math.isfinite(acc[q]):  # a NaN or infinite float, or a sum past the float range
-            raise DomainError(f"coefficient at point {q!r} is not finite: {acc[q]!r}")
+    try:
+        for p, c in pairs:
+            q = space.check_point(p)
+            acc[q] = acc.get(q, 0.0) + (c if type(c) is float else _coerce_number(c, integral=False, what="coefficient"))
+            if not math.isfinite(acc[q]):  # a NaN or infinite float, or a sum past the float range
+                raise DomainError(f"coefficient at point {q!r} is not finite: {acc[q]!r}")
+    except DomainError:
+        raise
+    except (TypeError, ValueError):  # pairs, or a pair, that is not an iterable of two
+        raise DomainError("pairs must be a list of (point, coefficient) pairs") from None
     acc.pop(space.basepoint, None)
     floor = DROP_TOL * max(map(abs, acc.values()), default=0.0)
     terms = tuple((q, c) for q, c in sorted(acc.items()) if c != 0.0 and abs(c) >= floor)
@@ -93,8 +96,7 @@ def push_forward(f, mu: FreeVector) -> FreeVector:
     return make_free_vector(mu.space, [(f.apply(p), c) for p, c in mu.terms])
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(_Record):
     """A real rule on points vanishing at the basepoint, with a declared
     Lipschitz bound.  The bound is a promise used in duality estimates, not
     something verified pointwise at construction (only the basepoint value

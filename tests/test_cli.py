@@ -19,7 +19,6 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -693,7 +692,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     # numpy is imported only by the finite-metric check, so a fresh process
     # runs the other three kinds without it, a sequence space built from an
     # array('d') too; the process is what is tested.  ``import freelip`` loads
-    # fractions neither: only the auditor and the selftest use it
+    # fractions neither (only the auditor and the selftest use it), nor
+    # dataclasses and inspect, and ``import freelip.cli`` does not load fractions
     vectors = {
         "interval": make_free_vector(IntervalSpace(-2.0, 2.0), [(0.5, 1.0), (-1.5, -2.0)]),
         "alpha": make_free_vector(AlphaSpace([1.0, 2.0, 3.0]), [(1, 1.0), (3, -0.5)]),
@@ -705,9 +705,10 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     code = (
         "import sys\n"
         "import freelip\n"
-        "print('package', 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
+        "print('package', 'numpy' in sys.modules, 'fractions' in sys.modules, 'dataclasses' in sys.modules,\n"
+        "      'inspect' in sys.modules)\n"
         "from freelip.cli import main\n"
-        "print('import', 'numpy' in sys.modules)\n"
+        "print('import', 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
         "from array import array\n"
         "from freelip import AlphaSpace, make_free_vector, norm_result\n"
         "mu = make_free_vector(AlphaSpace(array('d', [1.0, 2.0, 3.0])), [(1, 1.0), (3, -0.5)])\n"
@@ -719,8 +720,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     lines = [line for line in res.stdout.splitlines() if not line.startswith("norm ")]
-    assert lines == ["package False False", "import False", "alpha-array 2.5 False", "interval 0 False", "alpha 0 False",
-                     "lattice 0 False", "finite 0 True"]
+    assert lines == ["package False False False False", "import False False", "alpha-array 2.5 False",
+                     "interval 0 False", "alpha 0 False", "lattice 0 False", "finite 0 True"]
 
 
 def test_selftest_summary_shape(tmp_path):
@@ -761,7 +762,7 @@ def test_selftest_counts_a_moved_witness_value_as_a_failure(monkeypatch):
     def moved(mu, **kwargs):  # the last witness value, a support point's, 1e-3 lower
         res = norm_flow(mu, **kwargs)
         (p, v), = res.witness[-1:]
-        return replace(res, witness=res.witness[:-1] + ((p, v - 1e-3),))
+        return res.replace(witness=res.witness[:-1] + ((p, v - 1e-3),))
 
     monkeypatch.setattr("freelip.selftest.norm_flow", moved)
     summary, _ = run_selftest(7, rounds=1)

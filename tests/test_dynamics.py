@@ -58,14 +58,17 @@ from freelip import (
     make_free_vector,
     map_from_json,
     norm_flow,
+    operator_norm_estimate,
     orbit_norm_profile,
     pair,
     power_equivalence_check,
     push_forward,
     ramp_map,
     recurrence_gap,
+    restrict_to_points,
     rigidity_check,
     shift_profile_closed_form,
+    shift_vector,
 )
 from freelip import dynamics
 from freelip.dynamics import _orbit_verdict
@@ -910,6 +913,14 @@ SEQUENCES = {
     "radii-str": ("radii", lambda: ClassificationParams(radii="248")),
     "times-int": ("times", lambda: rigidity_check(doubling_map(), [0.0], 5, bound=2.0)),
     "sample-int": ("the sample", lambda: rigidity_check(doubling_map(), 5, [1], bound=2.0)),
+    "kronecker-angles-int": ("angles", lambda: kronecker_return_times(5, 0.1, 3)),
+    "power-sample-int": ("the sample", lambda: power_equivalence_check(doubling_map(), 2, 5)),
+    "vector-pairs-int": ("pairs", lambda: make_free_vector(IntervalSpace(0.0, 1.0), 5)),
+    "vector-pair-int": ("pairs", lambda: make_free_vector(IntervalSpace(0.0, 1.0), [5])),
+    "vector-pair-short": ("pairs", lambda: make_free_vector(IntervalSpace(0.0, 1.0), [(0.5,)])),
+    "operator-norm-points-int": ("the points", lambda: operator_norm_estimate(doubling_map(), points=5)),
+    "restrict-points-int": ("the points", lambda: restrict_to_points(IntervalSpace(0.0, 1.0), 5)),
+    "shift-vector-lam-int": ("lam", lambda: shift_vector(AlphaSpace([1.0, 2.0]), 5)),
 }
 
 

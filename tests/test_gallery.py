@@ -364,6 +364,14 @@ def test_kronecker_validates_inputs():
             kronecker_return_times([1.0, angle], eps=1e-9, bound=10)
 
 
+def test_kronecker_reads_each_angle_as_a_number():
+    # once a bare ValueError from float('x'); a numeric string and a bool were read as angles
+    for angle in ("x", "0.5", True):
+        with pytest.raises(DomainError, match=f"^angle {angle!r} is not a number"):
+            kronecker_return_times([0.1, angle], eps=0.1, bound=3)
+    assert kronecker_return_times([2, math.pi], eps=1e-9, bound=3) == []
+
+
 # ---------------------------------------------------------------------------
 # interval suite and the registry
 

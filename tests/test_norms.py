@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -259,7 +258,7 @@ def test_witness_extends_one_lipschitz_everywhere(kind, seed):
         phi = witness_functional(res)
         # the whole space where it is enumerable; on the interval a grid and the support
         pts = list(sp.points()) if kind != "interval" else [i / 8 for i in range(-16, 17)] + list(mu.support())
-        margins = audit_norm(replace(res, witness=tuple(zip(pts, map(phi, pts)))))
+        margins = audit_norm(res.replace(witness=tuple(zip(pts, map(phi, pts)))))
         assert max(margins.values()) <= AUDIT_TOL, margins
         assert margins["unit_costs"] == margins["basepoint"] == 0.0
         assert phi(sp.basepoint) == 0.0
@@ -302,11 +301,11 @@ AUDIT_CHECKS = ["conservation", "positive_masses", "unit_costs", "basepoint", "w
 def _edit_plan(res, i, **edit):
     """``res`` with plan entry ``i`` changed: any of src, dst, mass, cost."""
     entry = dict(zip(("src", "dst", "mass", "cost"), res.plan[i])) | edit
-    return replace(res, plan=res.plan[:i] + (tuple(entry.values()),) + res.plan[i + 1:])
+    return res.replace(plan=res.plan[:i] + (tuple(entry.values()),) + res.plan[i + 1:])
 
 
 def _edit_witness(res, p, shift):
-    return replace(res, witness=tuple((q, v + shift if q == p else v) for q, v in res.witness))
+    return res.replace(witness=tuple((q, v + shift if q == p else v) for q, v in res.witness))
 
 
 def _moved_mass(res):
@@ -321,7 +320,7 @@ def _rerouted_mass(res):
     src, dst, mass, _ = res.plan[0]
     space, (x, y) = res.vector.space, OFF_WITNESS[res.vector.space.kind]
     legs = ((src, x, mass, space.distance(src, x)), (y, dst, mass, space.distance(y, dst)))
-    return replace(res, plan=legs + res.plan[1:])
+    return res.replace(plan=legs + res.plan[1:])
 
 
 # each hand edit of a passing result, and the check it must fail
@@ -334,7 +333,7 @@ HAND_EDITS = {
     "mass-rerouted-off-the-witness": ("conservation", _rerouted_mass),
     # listed first, so that a dict of the witness would keep only the true value
     "witness-point-listed-twice": ("witness_lipschitz",
-                                   lambda res: replace(res, witness=((res.witness[1][0], 1e-3),) + res.witness)),
+                                   lambda res: res.replace(witness=((res.witness[1][0], 1e-3),) + res.witness)),
 }
 # two points of each kind's space that the edited result's witness does not hold; on the interval
 # they split the first entry, 0.5 -> 0.0, into legs of the same total cost
@@ -366,7 +365,7 @@ def test_a_mass_rerouted_off_the_witness_fails_conservation_alone():
 @pytest.mark.parametrize("edit, message", [
     (lambda res: _edit_witness(res, 0.5, math.nan), "witness value nan is not a finite number"),
     (lambda res: _edit_plan(res, 0, mass=math.inf), "plan mass inf is not a finite number"),
-    (lambda res: replace(res, witness=tuple(e for e in res.witness if e[0] != -1.5)),
+    (lambda res: res.replace(witness=tuple(e for e in res.witness if e[0] != -1.5)),
      "the witness has no value at the charged point -1.5"),
 ], ids=["nan-witness-value", "infinite-mass", "charged-point-off-the-witness"])
 def test_a_malformed_result_is_refused_in_one_line(edit, message):
@@ -379,7 +378,7 @@ def test_a_malformed_result_is_refused_in_one_line(edit, message):
 @pytest.mark.parametrize("edit, message", [
     (lambda res: _edit_plan(res, 0, dst=99), "point 99 not in finite space of size 3"),
     (lambda res: _edit_plan(res, 0, src="x"), "point 'x' not in finite space of size 3"),
-    (lambda res: replace(res, witness=res.witness + ((-1, 0.0),)), "point -1 not in finite space of size 3"),
+    (lambda res: res.replace(witness=res.witness + ((-1, 0.0),)), "point -1 not in finite space of size 3"),
 ], ids=["plan-endpoint-past-the-space", "plan-endpoint-not-a-point", "negative-witness-point"])
 def test_a_result_point_outside_the_space_is_refused_in_one_line(edit, message):
     # read as it stands, 99 and 'x' index the matrix and -1 wraps to point 2
