@@ -50,9 +50,11 @@ class ClassificationParams(_Record):
 
     def __post_init__(self):
         _count(self.horizon, "horizon")
-        eps = self.eps_recurrent
-        if eps is not None and not _coerce_number(eps, integral=False, what="recurrence tolerance") > 0:
-            raise DomainError("recurrence tolerance must be positive")
+        if self.eps_recurrent is not None:
+            eps = _coerce_number(self.eps_recurrent, integral=False, what="recurrence tolerance")
+            if not eps > 0:
+                raise DomainError("recurrence tolerance must be positive")
+            object.__setattr__(self, "eps_recurrent", eps)
         if self.radii is not None:
             rr = _numbers(self.radii, "radius", "radii must be a list of numbers")
             if not rr or any(r <= 0 for r in rr) or any(a >= b for a, b in zip(rr, rr[1:])):
@@ -262,6 +264,11 @@ def shift_profile_closed_form(lam, space, k: int) -> float:
     ``sum |lam_n| * alpha_{n+k} / alpha_n``.  Raises past the stored prefix.
     """
     _count(k, "shift count k", least=0)
+    return _shifted_norm(_numbers(lam, "coefficient", "lam must be a list of numbers"), space, k)
+
+
+def _shifted_norm(lam, space, k: int) -> float:
+    # lam already read as numbers, so a profile reads it once for all its k
     total = 0.0
     for i, c in enumerate(lam):
         if c == 0:
@@ -515,16 +522,13 @@ def _reflect_side(res: SideAnalysis, original_space) -> SideAnalysis:
         # reflection is an isometry fixing 0, so negating every support point
         # carries the certificate vector over with the same norm
         vec = make_free_vector(original_space, [(-p, cf) for p, cf in res.vector.terms])
-    return SideAnalysis(
+    return res.replace(
         side="negative",
-        case=res.case,
         components=tuple(sorted(flip(iv) for iv in res.components)),
         certificate=None if res.certificate is None else -res.certificate,
         component=None if res.component is None else flip(res.component),
         sequence=tuple(-x for x in res.sequence),
         vector=vec,
-        tail_bound=res.tail_bound,
-        note=res.note,
     )
 
 

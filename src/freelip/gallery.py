@@ -20,11 +20,11 @@ from .dynamics import (
     ESCAPING,
     RECURRENT,
     ClassificationParams,
+    _shifted_norm,
     classify_orbit,
     orbit_norm_profile,
     recurrence_gap,
     rigidity_check,
-    shift_profile_closed_form,
 )
 from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
@@ -225,9 +225,9 @@ def forward_shift_experiment(
     """
     _count(horizon, "horizon", least=0)
     _count(cross_check_steps, "cross_check_steps", least=0)
-    lam = [float(c) for c in lam]
+    lam = _numbers(lam, "coefficient", "lam must be a list of numbers")
     l1 = sum(abs(c) for c in lam)
-    profile = [shift_profile_closed_form(lam, space, k) for k in range(horizon + 1)]
+    profile = [_shifted_norm(lam, space, k) for k in range(horizon + 1)]
 
     checks = [
         _check("profile-starts-at-payload-size", abs(profile[0] - l1) <= 1e-12 * (1.0 + l1),

@@ -285,13 +285,10 @@ def iterate_map(f, n: int):
     piecewise-linear presentations are flattened, rules stay lazy."""
     _count(n, "iterate count n")
     if isinstance(f, (AlphaMap, LatticeMap)):
-        return type(f)(f.space, lambda x, f=f, n=n: _iter_rule(f.rule, x, n))
+        return type(f)(f.space, lambda x, f=f, n=n: _step(f.rule, x, n))
     if isinstance(f, FiniteMap):
         return FiniteMap(f.space, _table_power(f.table, n))
-    out = f
-    for _ in range(n - 1):
-        out = _compose_pl(f, out)
-    return out
+    return _step(lambda g: _compose_pl(f, g), f, n - 1)
 
 
 def _table_power(table, n):
@@ -307,9 +304,9 @@ def _table_power(table, n):
     return out
 
 
-def _iter_rule(rule, x, n):
+def _step(g, x, n):
     for _ in range(n):
-        x = rule(x)
+        x = g(x)
     return x
 
 
@@ -317,19 +314,13 @@ def iterate_point(f, x, n: int):
     """f^n(x) for n >= 0.  ``x`` is checked once; a map checks its own image
     only where the presentation can leave the space."""
     _count(n, "iterate count n", least=0)
-    p = f.space.check_point(x)
-    for _ in range(n):
-        p = f.apply(p)
-    return p
+    return _step(f.apply, f.space.check_point(x), n)
 
 
 def iterate_vector(f, mu: FreeVector, n: int) -> FreeVector:
     """Image of mu under the n-th power of the linearized map."""
     _count(n, "iterate count n", least=0)
-    out = mu
-    for _ in range(n):
-        out = push_forward(f, out)
-    return out
+    return _step(lambda v: push_forward(f, v), mu, n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,45 +356,40 @@ def _edges(space):
         raise DomainError("interval spaces need an explicit finite point sample")
 
 
+def _first_max(pairs, ratio):
+    """The largest ``ratio(x, y)`` over ``pairs`` and the first pair attaining it, or 0.0 and None."""
+    best, wit = 0.0, None
+    for pair in pairs:
+        r = ratio(*pair)
+        if r > best:
+            best, wit = r, pair
+    return best, wit
+
+
 def lip_constant(f, window: int | None = None) -> LipEstimate:
     """Lipschitz constant with an attaining certificate.
 
     Exact for finite tables and lattice rules, as the largest ratio
-    d(f(x), f(y)) / d(x, y) over the edges of the space: the witness is the
-    first maximal pair i < j of a finite space, and the first maximal unit
-    step of a lattice box.  Exact for piecewise-linear maps, from their
-    slopes.  For sequence-space rules the supremum is taken over indices
-    1..window (default: the whole materialized prefix) and reported as
-    window-limited.
+    d(f(x), f(y)) / d(x, y) over the edges of the space, with the first
+    maximal edge as witness; exact for piecewise-linear maps, from their
+    slopes.  A sequence rule is read over the star edges (0, n), n <= window
+    (default: the whole materialized prefix), as window-limited, witness n.
     """
     if window is not None:
         _count(window, "window")
-    if isinstance(f, (FiniteMap, LatticeMap)):
+    if isinstance(f, (FiniteMap, LatticeMap, AlphaMap)):
         sp = f.space
-        image = {p: f.apply(p) for p in sp.points()}
-        best, wit = 0.0, None
-        for p, q in _edges(sp):
-            r = sp.distance(image[p], image[q]) / sp.distance(p, q)
-            if r > best:
-                best, wit = r, (p, q)
+        edges, points = _edges(sp), sp.points()
+        if isinstance(f, AlphaMap):
+            n_max = sp.prefix_length if window is None else window
+            if n_max > sp.prefix_length:
+                raise PrefixExhausted(f"window {n_max} exceeds the materialized prefix {sp.prefix_length}")
+            edges, points = itertools.islice(edges, n_max), range(n_max + 1)
+        image = {p: f.apply(p) for p in points}
+        best, wit = _first_max(edges, lambda x, y: sp.distance(image[x], image[y]) / sp.distance(x, y))
+        if isinstance(f, AlphaMap):  # the witness names the star edge (0, n) by n
+            return LipEstimate(best, wit and wit[1], exact=False, note=f"supremum over indices 1..{n_max}")
         return LipEstimate(best, wit, exact=True)
-
-    if isinstance(f, AlphaMap):
-        sp = f.space
-        n_max = sp.prefix_length if window is None else window
-        if n_max > sp.prefix_length:
-            raise PrefixExhausted(
-                f"window {n_max} exceeds the materialized prefix {sp.prefix_length}"
-            )
-        best, wit = 0.0, None
-        for n in range(1, n_max + 1):
-            q = f.apply(n)
-            if q == 0:
-                continue
-            r = sp.alpha(q) / sp.alpha(n)
-            if r > best:
-                best, wit = r, n
-        return LipEstimate(best, wit, exact=False, note=f"supremum over indices 1..{n_max}")
 
     if isinstance(f, PiecewiseLinearMap):
         slopes = f.slopes()
@@ -430,13 +416,12 @@ def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
     else:
         points = _rows([points], "the points must be a list of points")[0]
         pairs = itertools.combinations(dict.fromkeys(space.check_point(p) for p in points), 2)
-    best, wit = 0.0, None
-    for x, y in pairs:
+
+    def ratio(x, y):
         mol = make_free_vector(space, [(x, 1.0), (y, -1.0)])
-        val = norm_flow(push_forward(f, mol)).value / space.distance(x, y)
-        if val > best:
-            best, wit = val, (x, y)
-    return LipEstimate(best, wit, exact=True)
+        return norm_flow(push_forward(f, mol)).value / space.distance(x, y)
+
+    return LipEstimate(*_first_max(pairs, ratio), exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,17 @@ def run_cli(*argv, env=None, cwd=None):
     )
 
 
+def run_main(capsys, *argv):
+    """``main(argv)`` in this process, with ``run_cli``'s result: argparse's
+    ``SystemExit`` becomes the exit code, and any other exception propagates."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(list(argv), code, out, err)
+
+
 @pytest.fixture
 def doubling_bundle(tmp_path):
     f = doubling_map()
@@ -553,6 +564,10 @@ MALFORMED = {
                                       "--params", _params_file(d, {"horizon": True})],
     "params-ladder-size-bool": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
                                           "--params", _params_file(d, {"ladder_size": True})],
+    "params-not-an-object": lambda d: ["classify", "--map", _finite_map_file(d), "--point", "1",
+                                       "--params", _params_file(d, [{"horizon": 10}])],
+    "sample-not-an-array": lambda d: ["rigidity", "--map", _finite_map_file(d), "--times", "2", "--bound", "1",
+                                      "--sample", '{"points": [1]}'],
     # every coefficient is finite, but the total mass or the norm overflows a float
     "norm-total-mass-overflows": lambda d: ["norm", "--vector", _overflow_vector_file(d)],
     "norm-total-mass-overflows-exact": lambda d: ["norm", "--exact", "--vector", _overflow_vector_file(d)],
@@ -589,8 +604,8 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_two_with_one_error_line(tmp_path, case):
-    res = run_cli(*MALFORMED[case](tmp_path), "--outdir", str(tmp_path / "out"))
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
+    res = run_main(capsys, *MALFORMED[case](tmp_path), "--outdir", str(tmp_path / "out"))
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
     lines = res.stderr.splitlines()

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ def test_params_eps_default_depends_on_arithmetic():
     float_space = IntervalSpace(0.0, 1.0)
     assert p.resolve_eps(exact_space) == 1e-9
     assert p.resolve_eps(float_space) == 1e-6
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 3), 1, np.float32(0.5)])
+def test_params_store_the_recurrence_tolerance_as_the_float_they_read(eps):
+    # once stored as given: a Fraction made the report unwritable, an int wrote "eps_recurrent": 1
+    p = ClassificationParams(eps_recurrent=eps)
+    assert type(p.eps_recurrent) is float and p.eps_recurrent == float(eps)
+    report = classify_orbit(doubling_map(), 0.25, p)
+    assert type(report.eps_recurrent) is float
+    assert json.loads(json.dumps(classification_to_json(report)))["eps_recurrent"] == float(eps)
+    assert ClassificationParams(eps_recurrent=float(eps)) == p
 
 
 def test_params_default_ladder_doubles_from_the_start():
@@ -921,6 +933,10 @@ SEQUENCES = {
     "operator-norm-points-int": ("the points", lambda: operator_norm_estimate(doubling_map(), points=5)),
     "restrict-points-int": ("the points", lambda: restrict_to_points(IntervalSpace(0.0, 1.0), 5)),
     "shift-vector-lam-int": ("lam", lambda: shift_vector(AlphaSpace([1.0, 2.0]), 5)),
+    "shift-experiment-lam-int": ("lam", lambda: forward_shift_experiment(AlphaSpace([1.0, 2.0, 3.0]), 5, 1)),
+    "shift-experiment-lam-str": ("lam", lambda: forward_shift_experiment(AlphaSpace([1.0, 2.0, 3.0]), "12", 1)),
+    "shift-closed-form-lam-int": ("lam", lambda: shift_profile_closed_form(5, AlphaSpace([1.0, 2.0, 3.0]), 1)),
+    "shift-closed-form-lam-str": ("lam", lambda: shift_profile_closed_form("1", AlphaSpace([1.0, 2.0, 3.0]), 1)),
 }
 
 
@@ -929,6 +945,26 @@ def test_a_sequence_argument_that_is_not_a_list_is_a_domain_error(case):
     name, call = SEQUENCES[case]
     with pytest.raises(DomainError, match=f"^{name} must be a "):
         call()
+
+
+@pytest.mark.parametrize("lam, message", [
+    (["1", True], "coefficient '1' is not a number"),
+    ([1.0, True], "coefficient True is not a number"),
+    ([1.0, math.nan], "coefficient nan is not a finite number"),
+])
+def test_a_shift_payload_is_read_as_numbers_as_shift_vector_reads_it(lam, message):
+    # forward_shift_experiment once read ["1", True] with float() and reported l1 = 2.0
+    space = AlphaSpace(range(1, 30))
+    for call in (lambda: shift_vector(space, lam), lambda: forward_shift_experiment(space, lam, 5),
+                 lambda: shift_profile_closed_form(lam, space, 2)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_shift_payload_of_ints_profiles_as_its_floats():
+    space = AlphaSpace(range(1, 30))
+    assert forward_shift_experiment(space, [1, 0, -2], 5) == forward_shift_experiment(space, [1.0, 0.0, -2.0], 5)
+    assert shift_profile_closed_form((1, 2), space, 3) == shift_profile_closed_form([1.0, 2.0], space, 3)
 
 
 def test_rigidity_bounds_pushforward_displacement(rng):
@@ -987,6 +1023,12 @@ def test_ramp_map_drifts_to_infinity():
     side = res.side("positive")
     assert side.certificate == 1.0  # a concrete escaping start: lo + 1
     assert side.components[-1][1] == math.inf
+
+
+def test_an_unbounded_component_is_written_with_a_null_end():
+    side, = interval_analysis_to_json(interval_analyze(ramp_map()))["sides"]
+    assert side["components"] == [[0.0, None]] and side["component"] == [0.0, None]
+    assert json.dumps(side["components"]) == "[[0.0, null]]"
 
 
 def test_fill_map_is_trapped_without_overshoot():

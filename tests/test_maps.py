@@ -518,6 +518,59 @@ def test_operator_norm_counts_a_repeated_point_once(points, value, witness):
     assert (est.value, est.witness) == (value, witness)
 
 
+# edges that tie: on three points at mutual distance 1 a swap keeps every
+# edge at ratio 1, a reflection of a box keeps every unit step at 1, and the
+# table 1 <-> 2, 3 <-> 4 on the weights 1, 2, 1, 2 doubles the star edges
+# (0, 1) and (0, 3); the witness is the first maximal edge in _edges order
+TIED = {
+    "finite-table": (lambda: FiniteMap(FiniteSpace(((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0))), (0, 2, 1)),
+                     (0, 1)),
+    "lattice-rule": (lambda: LatticeMap(LatticeBox(((-1, 1), (-1, 1))), lambda p: (-p[0], p[1])),
+                     ((-1, -1), (0, -1))),
+    "alpha-rule": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, 2, 1, 4, 3]},
+                                         AlphaSpace([1.0, 2.0, 1.0, 2.0])),
+                   (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED))
+def test_a_tie_goes_to_the_first_maximal_edge(case):
+    build, first = TIED[case]
+    f = build()
+    sp = f.space
+    edges = list(maps._edges(sp))
+    ratios = [sp.distance(f.apply(x), f.apply(y)) / sp.distance(x, y) for x, y in edges]
+    best = max(ratios)
+    assert ratios.count(best) >= 2 and edges[ratios.index(best)] == first
+    lip, op = lip_constant(f), operator_norm_estimate(f)
+    assert (lip.value, lip.witness) == (best, first[1] if case == "alpha-rule" else first)
+    assert (op.value, op.witness) == (best, first)
+
+
+def test_lip_alpha_is_the_largest_weight_ratio_bit_for_bit(rng):
+    # the star edge (0, n) reads d(f(0), f(n)) / d(0, n), which is alpha_{f(n)} / alpha_n
+    for _ in range(20):
+        n = rng.randrange(1, 12)
+        sp = AlphaSpace([rng.uniform(0.1, 5.0) for _ in range(n)])
+        table = [0] + [rng.randrange(n + 1) for _ in range(n)]
+        f = map_from_json({"kind": "alpha-rule", "rule": "table", "table": table}, sp)
+        window = rng.randrange(1, n + 1)
+        ratios = [0.0 if table[k] == 0 else sp.alpha(table[k]) / sp.alpha(k) for k in range(1, window + 1)]
+        est = lip_constant(f, window=window)
+        assert est.value == max(ratios)
+        assert est.witness == (None if max(ratios) == 0.0 else ratios.index(max(ratios)) + 1)
+        assert est.note == f"supremum over indices 1..{window}"
+
+
+def test_an_alpha_table_rule_refuses_an_index_past_its_table():
+    f = map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, 1]}, AlphaSpace([1.0, 2.0]))
+    assert f.apply(1) == 1
+    for call in (lambda: f.apply(2), lambda: lip_constant(f)):
+        with pytest.raises(PrefixExhausted, match=r"^table rule covers indices up to 1$"):
+            call()
+    assert lip_constant(f, window=1).value == 1.0
+
+
 # ---------------------------------------------------------------------------
 # wire format
 
@@ -536,6 +589,15 @@ def test_pl_map_json_round_trip():
     back = map_from_json(wire, HALF_LINE)
     assert back.xs == f.xs and back.ys == f.ys
     assert back.right_slope == 1.0
+
+
+def test_pl_map_json_round_trip_with_an_unbounded_left_end():
+    space = IntervalSpace(-math.inf, 0.0)
+    f = PiecewiseLinearMap(space, [(-1.0, -0.5), (0.0, 0.0)], left_slope=0.25)
+    wire = map_to_json(f)
+    assert wire == {"kind": "piecewise-linear", "breakpoints": [[-1.0, -0.5], [0.0, 0.0]], "left_slope": 0.25}
+    back = map_from_json(wire, space)
+    assert (back.xs, back.ys, back.left_slope, back.right_slope) == (f.xs, f.ys, 0.25, 0.0)
 
 
 def test_alpha_map_json_named_rule():

@@ -510,6 +510,13 @@ def test_space_from_json_rejects_garbage():
         space_from_json({"no": "kind"})
 
 
+@pytest.mark.parametrize("kind, field", [("finite", "matrix"), ("alpha", "alpha"), ("lattice", "bounds")])
+def test_space_from_json_names_a_missing_field(kind, field):
+    with pytest.raises(DomainError) as err:
+        space_from_json({"kind": kind})
+    assert type(err.value) is DomainError and str(err.value) == f"space object missing field {field!r}"
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=30))
 def test_alpha_space_triangle_inequality_everywhere(weights):
