@@ -11,8 +11,8 @@ fixed input always produces the same bytes.
 
 Exit codes: 0 success, 1 a check or certificate failed, 2 bad input.
 The output directory is the --outdir flag if given, else $FREELIP_OUTDIR,
-else the working directory; ``main`` resolves it once for the verb, and every
-report, the selftest's included, is written by ``_write_json``.
+else the working directory; ``main`` resolves it once for the verb.  Every
+report, the selftest's included, is written over its old file in place, then cut.
 """
 
 from __future__ import annotations
@@ -62,8 +62,15 @@ def _read_json(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _write_text(path: Path, text: str) -> None:
+    """``path.write_text(text)``'s bytes (ASCII) over the old file, then cut: a truncate first can cost many writes
+    (ext4 with ``discard``).  No more atomic: a write cut short leaves the new prefix over the old tail."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.truncate(fh.write(text.encode()))
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_gallery(outdir: Path, results) -> None:
@@ -73,7 +80,7 @@ def _write_gallery(outdir: Path, results) -> None:
 
 def _write_profile_csv(path: Path, values) -> None:
     # the CSV bytes in one write: an int or a float's repr never needs quoting
-    path.write_text("step,norm\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(values)), newline="")
+    _write_text(path, "step,norm\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(values)))
 
 
 def _load_map(map_path: str, space_path: str | None):

@@ -13,7 +13,7 @@ import numbers
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
+from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows, _shift_payload
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
@@ -264,7 +264,7 @@ def shift_profile_closed_form(lam, space, k: int) -> float:
     ``sum |lam_n| * alpha_{n+k} / alpha_n``.  Raises past the stored prefix.
     """
     _count(k, "shift count k", least=0)
-    return _shifted_norm(_numbers(lam, "coefficient", "lam must be a list of numbers"), space, k)
+    return _shifted_norm(_shift_payload(space, lam), space, k)
 
 
 def _shifted_norm(lam, space, k: int) -> float:

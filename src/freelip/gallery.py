@@ -28,7 +28,7 @@ from .dynamics import (
 )
 from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
-from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
+from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count, _plain, _Record, _rows, _shift_payload
 from .vectors import FreeVector, make_free_vector, push_forward
 
 
@@ -201,7 +201,7 @@ def forward_shift_map(space: AlphaSpace) -> AlphaMap:
 def shift_vector(space: AlphaSpace, lam) -> FreeVector:
     """The vector sum_n lam[n-1] * delta(n) / alpha_n."""
     pairs = []
-    for i, c in enumerate(_numbers(lam, "coefficient", "lam must be a list of numbers")):
+    for i, c in enumerate(_shift_payload(space, lam)):
         if c != 0:
             n = i + 1
             pairs.append((n, c / space.alpha(n)))
@@ -225,7 +225,7 @@ def forward_shift_experiment(
     """
     _count(horizon, "horizon", least=0)
     _count(cross_check_steps, "cross_check_steps", least=0)
-    lam = _numbers(lam, "coefficient", "lam must be a list of numbers")
+    lam = _shift_payload(space, lam)
     l1 = sum(abs(c) for c in lam)
     profile = [_shifted_norm(lam, space, k) for k in range(horizon + 1)]
 

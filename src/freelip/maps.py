@@ -372,16 +372,16 @@ def lip_constant(f, window: int | None = None) -> LipEstimate:
     Exact for finite tables and lattice rules, as the largest ratio
     d(f(x), f(y)) / d(x, y) over the edges of the space, with the first
     maximal edge as witness; exact for piecewise-linear maps, from their
-    slopes.  A sequence rule is read over the star edges (0, n), n <= window
-    (default: the whole materialized prefix), as window-limited, witness n.
+    slopes.  Only a sequence rule takes a window: it is read, window-limited, over
+    the star edges (0, n), n <= window (default: the whole prefix), witness n.
     """
-    if window is not None:
-        _count(window, "window")
+    if window is not None and not isinstance(f, AlphaMap):
+        raise DomainError("window applies to sequence rules only")
     if isinstance(f, (FiniteMap, LatticeMap, AlphaMap)):
         sp = f.space
         edges, points = _edges(sp), sp.points()
         if isinstance(f, AlphaMap):
-            n_max = sp.prefix_length if window is None else window
+            n_max = sp.prefix_length if window is None else _count(window, "window")
             if n_max > sp.prefix_length:
                 raise PrefixExhausted(f"window {n_max} exceeds the materialized prefix {sp.prefix_length}")
             edges, points = itertools.islice(edges, n_max), range(n_max + 1)

@@ -120,9 +120,8 @@ def validate_finite_metric(matrix: Sequence[Sequence[float]]) -> None:
     import numpy as np  # 15-30x faster than Python here, and nowhere else needed
     d = np.asarray(matrix, dtype=float)
 
-    def first(mask):
-        at = np.argwhere(mask)
-        return tuple(int(v) for v in at[0]) if len(at) else None
+    def first(mask):  # argwhere only on a failing mask
+        return tuple(int(v) for v in np.argwhere(mask)[0]) if mask.any() else None
 
     def fail(kind, detail):
         raise DomainError(f"not a metric ({kind}): {detail}")
@@ -489,6 +488,12 @@ def _numbers(values, what: str, message: str, integral: bool = False) -> tuple:
     if isinstance(values, str):
         raise DomainError(message)
     return tuple(_coerce_number(v, integral, what) for v in _rows([values], message)[0])
+
+
+def _shift_payload(space, lam) -> tuple:  # lam read once, as coefficients on the sequence space ``space``
+    if not isinstance(space, AlphaSpace):
+        raise DomainError("alpha rules need a sequence space")
+    return _numbers(lam, "coefficient", "lam must be a list of numbers")
 
 
 def _reals(rows, what: str) -> tuple[tuple[float, ...], ...]:

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from freelip import (
     space_to_json,
     vector_to_json,
 )
-from freelip.cli import VERBS, _write_profile_csv, build_parser, main, verb_parser
+from freelip.cli import VERBS, _write_json, _write_profile_csv, _write_text, build_parser, main, verb_parser
 from freelip.selftest import run_selftest
 
 from conftest import random_finite_space
@@ -176,6 +177,57 @@ def test_profile_csv_is_what_csv_writer_writes(tmp_path):
             writer.writerow([k, repr(float(v))])
     _write_profile_csv(tmp_path / "got.csv", values)
     assert (tmp_path / "got.csv").read_bytes() == ref.read_bytes()
+
+
+# a report is written over its old file and cut at its end: what lands is what
+# Path.write_text writes, whatever the file held before
+REPORT = {"value": 0.1, "note": "‖μ‖ ≤ 1", "plan": [[1, 2, 1e-300]], "exact": False}
+PROFILE = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 7]
+
+
+def _written_by_write_text(path, kind):
+    if kind == "json":
+        path.write_text(json.dumps(REPORT, indent=2, sort_keys=True) + "\n")
+    else:
+        path.write_text("step,norm\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(PROFILE)), newline="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["json", "csv"])
+@pytest.mark.parametrize("old", [None, b"", b"x", b"{" * 4096], ids=["no-file", "empty", "shorter", "longer"])
+def test_a_report_over_an_old_file_holds_what_write_text_writes(tmp_path, kind, old):
+    want = _written_by_write_text(tmp_path / "ref", kind)
+    assert want.isascii() and 1 < len(want) < 4096
+    path = tmp_path / f"report.{kind}"
+    if old is not None:
+        path.write_bytes(old)
+    write = {"json": lambda: _write_json(path, REPORT), "csv": lambda: _write_profile_csv(path, PROFILE)}[kind]
+    for _ in range(2):  # a second write lands on the first one's bytes
+        write()
+        assert path.read_bytes() == want
+
+
+def test_write_text_cuts_the_old_tail_and_keeps_no_stale_byte(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("0123456789" * 10)
+    _write_text(path, "abc\n")
+    assert path.read_bytes() == b"abc\n"
+    _write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_text_gives_a_new_file_the_mode_write_text_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "ref").write_text("{}\n")
+        _write_text(tmp_path / "new", "{}\n")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "ref").stat().st_mode
+    (tmp_path / "new").chmod(0o640)  # an old file keeps its mode, as under write_text
+    _write_text(tmp_path / "new", "[]\n")
+    assert (tmp_path / "new").stat().st_mode & 0o777 == 0o640
 
 
 def test_classify_with_params_file(tmp_path):
@@ -896,6 +948,32 @@ def test_verbs_back_to_back_in_one_process_write_what_separate_processes_write(
     assert len(files) == 6
     for name in files:
         assert (out / name).read_bytes() == (processes / name).read_bytes(), name
+
+
+def test_verbs_rerun_into_a_dirty_outdir_write_what_a_fresh_outdir_gets(
+        tmp_path, capsys, doubling_bundle, vector_file):
+    # each report is written over the old file and then cut: 4 kB of junk after
+    # every report of a first run leaves no stale byte in the second
+    calls = {
+        "norm": ["--vector", str(vector_file)],
+        "orbit": ["--map", str(doubling_bundle), "--vector", str(vector_file), "--steps", "6"],
+        "classify": ["--map", str(doubling_bundle), "--point", "0.25"],
+        "selftest": ["--seed", "7"],
+    }
+    fresh, dirty = tmp_path / "fresh", tmp_path / "dirty"
+    for verb, argv in calls.items():
+        assert run_main(capsys, verb, *argv, "--outdir", str(fresh / verb)).returncode == 0, verb
+        assert run_main(capsys, verb, *argv, "--outdir", str(dirty / verb)).returncode == 0, verb
+    reports = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert len(reports) == 1 + 2 + 2 + len(SELFTEST_SEED_7_SHA256)
+    for name in reports:
+        with open(dirty / name, "ab") as fh:
+            fh.write(b"\x00junk" * 820)
+    for verb, argv in calls.items():
+        assert run_main(capsys, verb, *argv, "--outdir", str(dirty / verb)).returncode == 0, verb
+    assert sorted(p.relative_to(dirty) for p in dirty.rglob("*") if p.is_file()) == reports
+    for name in reports:
+        assert (dirty / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -961,6 +961,18 @@ def test_a_shift_payload_is_read_as_numbers_as_shift_vector_reads_it(lam, messag
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda space: shift_vector(space, [1.0]),
+    lambda space: forward_shift_experiment(space, [1.0], 5),
+    lambda space: shift_profile_closed_form([1.0], space, 2),
+], ids=["shift-vector", "forward-shift-experiment", "shift-closed-form"])
+def test_a_shift_on_a_space_that_is_not_a_sequence_space_is_a_domain_error(call):
+    # once a bare AttributeError: an interval has no alpha
+    for space in (IntervalSpace(0.0, 1.0), LatticeBox(bounds=((-3, 3),))):
+        with pytest.raises(DomainError, match=r"^alpha rules need a sequence space$"):
+            call(space)
+
+
 def test_a_shift_payload_of_ints_profiles_as_its_floats():
     space = AlphaSpace(range(1, 30))
     assert forward_shift_experiment(space, [1, 0, -2], 5) == forward_shift_experiment(space, [1.0, 0.0, -2.0], 5)

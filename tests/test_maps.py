@@ -414,6 +414,20 @@ def test_lip_alpha_is_window_limited():
         lip_constant(f, window=99)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FiniteMap(FiniteSpace(((0.0, 1.0), (1.0, 0.0))), (0, 1)),
+    lambda: LatticeMap(space=LatticeBox(bounds=((-3, 3),)), rule=lambda p: (-p[0],)),
+    lambda: PiecewiseLinearMap(IntervalSpace(0.0, 1.0), [(0.0, 0.0), (1.0, 1.0)]),
+], ids=["finite-table", "lattice-rule", "piecewise-linear"])
+def test_a_window_on_a_map_that_is_not_a_sequence_rule_is_refused(make):
+    # the window was once dropped without a word, and the estimate called exact
+    f = make()
+    assert lip_constant(f).exact
+    for window in (1, 99):
+        with pytest.raises(DomainError, match=r"^window applies to sequence rules only$"):
+            lip_constant(f, window=window)
+
+
 def test_lip_lattice_enumerates_small_boxes():
     box = LatticeBox(bounds=((-3, 3),))
     f = LatticeMap(space=box, rule=lambda p: (-p[0],))

@@ -99,6 +99,20 @@ def test_validate_reports_the_first_triangle_violation_across_pivot_blocks():
     assert str(err.value) == _first_triangle_violation_per_pivot(d) and "> d[1][40] + d[40][2] = " in str(err.value)
 
 
+def test_validate_finds_a_lone_triangle_violation_in_the_last_pivot_block():
+    # 65 points take pivots three to a block; the one shortcut, 1 + 1 under a 2.5
+    # for the pair (10, 20), runs through pivot 64, the last block's last pivot
+    d = np.full((65, 65), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[64, [10, 20]] = d[[10, 20], 64] = 1.0
+    d[10, 20] = d[20, 10] = 2.5
+    want = "not a metric (triangle): d[10][20] = 2.5 > d[10][64] + d[64][20] = 2.0"
+    assert _first_triangle_violation_per_pivot(d) == want
+    with pytest.raises(DomainError) as err:
+        validate_finite_metric(d)
+    assert str(err.value) == want
+
+
 def test_a_metric_whose_triangle_sums_overflow_builds_without_a_warning():
     # 1e308 + 1e308 is inf, which flags no violation; under Tier-1's
     # error::RuntimeWarning filter a numpy overflow warning would fail here
