@@ -413,11 +413,10 @@ class IntervalAnalysis(_Record):
 
 def _drift_components(f: PiecewiseLinearMap) -> list[tuple[float, float]]:
     """Maximal open intervals of {x > 0 : f(x) > x}, exact on linear pieces."""
-    b_end = f.space.b
     cuts = {0.0}
     for plo, phi, yanchor, s in f.pieces():
         anchor = plo if math.isfinite(plo) else phi
-        for k in (plo, phi):
+        for k in (plo, phi):  # a finite b > 0 ends the last piece, so it is a cut too
             if math.isfinite(k) and k > 0.0:
                 cuts.add(k)
         if s != 1.0:
@@ -425,12 +424,10 @@ def _drift_components(f: PiecewiseLinearMap) -> list[tuple[float, float]]:
             r = (yanchor - s * anchor) / (1.0 - s)
             if plo <= r <= phi and r > 0.0:
                 cuts.add(r)
-    if math.isfinite(b_end):
-        cuts.add(b_end)
     grid = sorted(cuts)
 
     cells: list[tuple[float, float]] = list(zip(grid, grid[1:]))
-    if not math.isfinite(b_end):
+    if not math.isfinite(f.space.b):
         cells.append((grid[-1], math.inf))
 
     def drifts_at(t: float) -> bool:
@@ -448,21 +445,21 @@ def _drift_components(f: PiecewiseLinearMap) -> list[tuple[float, float]]:
     return components
 
 
-def _analyze_positive_side(f: PiecewiseLinearMap, depth: int, side: str) -> SideAnalysis:
+def _analyze_positive_side(f: PiecewiseLinearMap, depth: int) -> SideAnalysis:
     components = tuple(_drift_components(f))
     if not components:
-        return SideAnalysis(side=side, case=CASE_NO_DRIFT, components=())
+        return SideAnalysis(side="positive", case=CASE_NO_DRIFT, components=())
 
-    for lo, hi in components:
-        if math.isinf(hi):
-            return SideAnalysis(
-                side=side,
-                case=CASE_UNBOUNDED_DRIFT,
-                components=components,
-                certificate=lo + 1.0,
-                component=(lo, hi),
-                note="every orbit started inside the unbounded drift region escapes",
-            )
+    lo, hi = components[-1]  # sorted and disjoint: only the last can reach +inf
+    if math.isinf(hi):
+        return SideAnalysis(
+            side="positive",
+            case=CASE_UNBOUNDED_DRIFT,
+            components=components,
+            certificate=lo + 1.0,
+            component=(lo, hi),
+            note="every orbit started inside the unbounded drift region escapes",
+        )
 
     b, c = components[0]
     # Overshoot test: f leaves (b, c) iff some knot strictly inside reaches c.
@@ -496,7 +493,7 @@ def _analyze_positive_side(f: PiecewiseLinearMap, depth: int, side: str) -> Side
         pairs.append((b, -1.0))
     vec = make_free_vector(f.space, pairs)
     return SideAnalysis(
-        side=side,
+        side="positive",
         case=case,
         components=components,
         component=(b, c),
@@ -542,9 +539,9 @@ def interval_analyze(f, depth: int = 40) -> IntervalAnalysis:
     if not isinstance(f, PiecewiseLinearMap):
         raise DomainError("interval analysis needs a piecewise-linear interval map")
     _count(depth, "depth")
-    sides = [_analyze_positive_side(f, depth, "positive")]
+    sides = [_analyze_positive_side(f, depth)]
     if f.space.a < 0:
-        mirrored = _analyze_positive_side(_reflect_pl(f), depth, "negative")
+        mirrored = _analyze_positive_side(_reflect_pl(f), depth)
         sides.append(_reflect_side(mirrored, f.space))
     headline = max((s.case for s in sides), key=_CASE_SEVERITY.__getitem__)
     return IntervalAnalysis(case=headline, sides=tuple(sides), depth=depth)

@@ -108,30 +108,27 @@ class BlockScheme(_Record):
     def tempered(cls, blocks: int) -> "BlockScheme":
         """Minimal lengths meeting the slow-growth constraints.
 
-        k_m is the least integer with m^(s_{m-1}/k_m) <= 2 that also keeps
-        the per-index growth rate m^(1/k_m) nonincreasing in m.  The second
-        constraint is vacuous at m = 1 (1^(1/k) = 1 cannot dominate anything)
-        and is enforced from m = 2 on.
+        k_m is the least integer with m^(s_{m-1}/k_m) <= 2 (doubling), so
+        k_m = ceil(s_{m-1} log2 m) >= 1.  That keeps the per-index growth rate
+        m^(1/k_m) nonincreasing in m too: doubling says m^(s_{m-1}) <= 2^(k_m),
+        so for m >= 3, (m-1)^(k_m) >= 2^(k_m) >= m^(s_{m-1}) >= m^(k_{m-1}).
         """
         _count(blocks, "blocks")
         ks = [0, 1]
         s = 1
         for m in range(2, blocks + 1):
-            k = max(1, math.ceil(s * math.log2(m)))
-            if m >= 3:
-                k = max(k, math.ceil(ks[-1] * math.log(m) / math.log(m - 1)))
-            ks.append(k)
-            s += k
+            ks.append(math.ceil(s * math.log2(m)))
+            s += ks[-1]
         return cls(ks=tuple(ks))
 
     def validate_tempered(self) -> None:
-        """Raise naming the first m violating either slow-growth constraint."""
+        """Raise naming the first m violating doubling, m^(s_{m-1}/k_m) <= 2, in floats with a
+        1e-12 margin.  It implies the rate constraint (m-1)^(1/k_{m-1}) >= m^(1/k_m) for m >= 3:
+        (m-1)^(k_m) >= 2^(k_m) >= m^(s_{m-1}) >= m^(k_{m-1})."""
         ss = self.ss
         for m in range(2, len(self.ks)):
             if m ** (ss[m - 1] / self.ks[m]) > 2.0 * (1.0 + 1e-12):
                 raise DomainError(f"block scheme violates the doubling constraint at m = {m}")
-            if m >= 3 and (m - 1) ** (1.0 / self.ks[m - 1]) < m ** (1.0 / self.ks[m]) * (1.0 - 1e-12):
-                raise DomainError(f"block scheme violates the rate-monotone constraint at m = {m}")
 
 
 def _tempered_weights(blocks: int) -> tuple[BlockScheme, AlphaSpace]:
@@ -634,9 +631,11 @@ GALLERY: dict = {
 def gallery_experiments(fast: bool = False, names=None) -> list[tuple[str, ExperimentReport]]:
     """Run the named experiments (all by default) at desk scale.
 
-    Returns (registry key, report) pairs in registry order; unknown names
-    raise before anything runs.
+    Returns (registry key, report) pairs, in the order of ``names`` if given;
+    unknown names, or a bare string in place of a list, raise before anything runs.
     """
+    if isinstance(names, str):
+        raise DomainError("names must be a list of experiment names")
     keys = list(GALLERY) if names is None else list(names)
     bad = [k for k in keys if k not in GALLERY]
     if bad:

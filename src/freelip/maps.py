@@ -33,6 +33,7 @@ from .spaces import (
     PrefixExhausted,
     _coerce_number,
     _count,
+    _endpoint,
     _reals,
     _Record,
     _rows,
@@ -178,7 +179,7 @@ class PiecewiseLinearMap:
             raise DomainError(f"map must fix the basepoint 0, got f(0) = {self.eval(0.0)!r}")
 
     def slopes(self) -> tuple[float, ...]:
-        return tuple(s for *_, s in self.pieces()) or (0.0,)
+        return tuple(s for *_, s in self.pieces())
 
     # -- exact root machinery -------------------------------------------------
 
@@ -193,8 +194,10 @@ class PiecewiseLinearMap:
             yield (self.xs[-1], math.inf, self.ys[-1], self.right_slope)
 
     def preimages(self, target: float, lo: float = -math.inf, hi: float = math.inf) -> list[float]:
-        """Isolated solutions of f(x) = target within [lo, hi], plus the left
-        endpoint of every constant piece equal to the target.  Sorted."""
+        """Isolated solutions of f(x) = target, a finite real, within [lo, hi] (either may be
+        infinite), plus the left endpoint of every constant piece equal to the target.  Sorted."""
+        target = _coerce_number(target, integral=False, what="target")
+        lo, hi = _endpoint(lo), _endpoint(hi)
         roots: list[float] = []
         for plo, phi, ylo, s in self.pieces():
             anchor = plo if math.isfinite(plo) else phi
@@ -257,15 +260,8 @@ def compose(f, g):
 
 def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap) -> PiecewiseLinearMap:
     space = f.space
-    knots = set(g.xs)
-    for bx in f.xs:
-        for x in g.preimages(bx):
-            knots.add(x)
-    if math.isfinite(space.a):
-        knots.add(space.a)
-    if math.isfinite(space.b):
-        knots.add(space.b)
-    knots = sorted(k for k in knots if space.a <= k <= space.b)
+    # g.xs holds each finite end, and every preimage lies in a piece of g: all knots are in [a, b]
+    knots = sorted({*g.xs, *(x for bx in f.xs for x in g.preimages(bx))})
     if len(knots) > BREAKPOINT_BUDGET:
         raise DomainError(f"composition needs {len(knots)} breakpoints, over the budget {BREAKPOINT_BUDGET}")
     bps = [(x, f.eval(g.eval(x))) for x in knots]
@@ -406,22 +402,24 @@ def operator_norm_estimate(f, points: Sequence | None = None) -> LipEstimate:
     the transport solver; the witness is the first maximal pair.
 
     With ``points``, every pair x, y of them is probed, in the given order
-    and with a repeated point counted once.  Without, the edges of the space
+    and with a repeated point counted once, so the value is a maximum over
+    those pairs only and not marked exact.  Without, the edges of the space
     are (an interval needs ``points``), so the value is the norm of the
-    operator and equals the Lipschitz constant.
+    operator, exact, and equals the Lipschitz constant.
     """
     space = f.space
     if points is None:
-        pairs = _edges(space)
+        pairs, note = _edges(space), ""
     else:
         points = _rows([points], "the points must be a list of points")[0]
         pairs = itertools.combinations(dict.fromkeys(space.check_point(p) for p in points), 2)
+        note = "maximum over pairs of the given points"
 
     def ratio(x, y):
         mol = make_free_vector(space, [(x, 1.0), (y, -1.0)])
         return norm_flow(push_forward(f, mol)).value / space.distance(x, y)
 
-    return LipEstimate(*_first_max(pairs, ratio), exact=True)
+    return LipEstimate(*_first_max(pairs, ratio), exact=points is None, note=note)
 
 
 # ---------------------------------------------------------------------------

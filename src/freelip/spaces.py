@@ -234,13 +234,13 @@ class AlphaSpace:
             return v
         # one buffer of doubles indexed by point, with 0.0 at the basepoint:
         # distance reads plain floats from it without a check (0.0 + alpha_n
-        # is alpha_n bit for bit).  The weights are copied, an array('d') as
-        # memory, so no caller's buffer aliases a space, and checked without numpy
+        # is alpha_n bit for bit).  The weights are copied, so no caller's
+        # buffer aliases a space, and checked without numpy
         if not isinstance(alpha, Iterable):
             raise DomainError("alpha weights must be a list")
         w = array("d", [0.0])
         try:
-            w.extend(alpha if isinstance(alpha, array) and alpha.typecode == "d" else map(weight, alpha))
+            w.extend(map(weight, alpha))
         except (TypeError, OverflowError) as exc:  # extend keeps the weights read before the bad one
             raise DomainError(f"alpha_{len(w)} is not a real number ({exc})") from None
         # min and sum run at C speed over a long prefix

@@ -245,32 +245,32 @@ def test_classify_with_params_file(tmp_path):
     assert report["crossing_times"] == [1, 3, 7, 15]
 
 
-def test_classify_rejects_unknown_param(tmp_path, doubling_bundle):
+def test_classify_rejects_unknown_param(tmp_path, doubling_bundle, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"horizon": 10, "speed": 3}))
-    res = run_cli("classify", "--map", str(doubling_bundle), "--point", "0.5",
-                  "--params", str(params), "--outdir", str(tmp_path))
+    res = run_main(capsys, "classify", "--map", str(doubling_bundle), "--point", "0.5",
+                   "--params", str(params), "--outdir", str(tmp_path))
     assert res.returncode == 2
     assert "speed" in res.stderr
 
 
-def test_classify_rejects_point_outside_space(tmp_path, doubling_bundle):
-    res = run_cli("classify", "--map", str(doubling_bundle), "--point", "7.5",
-                  "--outdir", str(tmp_path))
+def test_classify_rejects_point_outside_space(tmp_path, doubling_bundle, capsys):
+    res = run_main(capsys, "classify", "--map", str(doubling_bundle), "--point", "7.5",
+                   "--outdir", str(tmp_path))
     assert res.returncode == 2
 
 
-def test_bare_map_needs_space_flag(tmp_path):
+def test_bare_map_needs_space_flag(tmp_path, capsys):
     f = doubling_map()
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(map_to_json(f)))
-    res = run_cli("classify", "--map", str(bare), "--point", "0.5", "--outdir", str(tmp_path))
+    res = run_main(capsys, "classify", "--map", str(bare), "--point", "0.5", "--outdir", str(tmp_path))
     assert res.returncode == 2
     assert "--space" in res.stderr
     space = tmp_path / "space.json"
     space.write_text(json.dumps(space_to_json(f.space)))
-    res = run_cli("classify", "--map", str(bare), "--space", str(space),
-                  "--point", "0.5", "--outdir", str(tmp_path))
+    res = run_main(capsys, "classify", "--map", str(bare), "--space", str(space),
+                   "--point", "0.5", "--outdir", str(tmp_path))
     assert res.returncode == 0
 
 

@@ -333,6 +333,24 @@ def test_real_arguments_take_only_finite_numbers(case):
     call(np.float64(0.5))
 
 
+# a read argument whose value is out of range, and the message that refuses it
+OUT_OF_RANGE = {
+    "rigidity-bound-zero": (lambda: rigidity_check(doubling_map(), [0.5], [1], bound=0.0),
+                            "the uniform bound must be positive"),
+    "escape-radius-zero": (lambda: escape_test_functional(IntervalSpace(0.0, math.inf), 1, 0.0),
+                           "window radius must be positive"),
+    "interval-side-unknown": (lambda: interval_analyze(ramp_map()).side("middle"), "no side named 'middle'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_an_argument_out_of_range_is_refused_by_its_message(case):
+    call, message = OUT_OF_RANGE[case]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def reference_classification(f, x, params, power):
     """The rule documented in classify_orbit, written plainly: the orbit of
     f^power up to an exact return or an image outside the presentation, a

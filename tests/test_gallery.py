@@ -92,20 +92,44 @@ def test_tempered_lengths_are_minimal_and_feasible():
     for m in range(2, 9):
         k = sch.ks[m]
         assert m ** (ss[m - 1] / k) <= 2.0 * (1.0 + 1e-12)
-        # one less would break a constraint (minimality)
+        # one less would break the doubling constraint (minimality): the rate term never binds
         if k > 1:
             shrunk = m ** (ss[m - 1] / (k - 1)) > 2.0 * (1.0 + 1e-12)
-            rate_broken = (
-                m >= 3
-                and (m - 1) ** (1.0 / sch.ks[m - 1]) < m ** (1.0 / (k - 1)) * (1.0 - 1e-12)
-            )
-            assert shrunk or rate_broken
+            assert shrunk
 
 
 def test_validate_tempered_names_the_violation():
     bad = BlockScheme(ks=(0, 1, 1, 1))  # k_3 = 1 forces 3^(2/1) = 9 > 2
     with pytest.raises(DomainError, match="m = 3"):
         bad.validate_tempered()
+
+
+def two_constraint_ks(blocks):
+    """The tempered lengths as first defined: the least k_m meeting the doubling
+    constraint and, from m = 3 on, the rate constraint m^(1/k_m) <= (m-1)^(1/k_{m-1})."""
+    ks, s = [0, 1], 1
+    for m in range(2, blocks + 1):
+        k = max(1, math.ceil(s * math.log2(m)))
+        if m >= 3:
+            k = max(k, math.ceil(ks[-1] * math.log(m) / math.log(m - 1)))
+        ks.append(k)
+        s += k
+    return tuple(ks)
+
+
+def test_tempered_lengths_equal_the_two_constraint_recurrence():
+    for blocks in range(1, 61):
+        assert BlockScheme.tempered(blocks).ks == two_constraint_ks(blocks)
+
+
+def test_the_doubling_constraint_implies_the_rate_constraint_in_integers():
+    # doubling m^(s_{m-1}) <= 2^(k_m), exactly; then (m-1)^(k_m) >= m^(k_{m-1}) for m >= 3
+    sch = BlockScheme.tempered(8)
+    ks, ss = sch.ks, sch.ss
+    for m in range(2, 9):
+        assert m ** ss[m - 1] <= 2 ** ks[m]
+        if m >= 3:
+            assert (m - 1) ** ks[m] >= m ** ks[m - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +424,12 @@ def test_gallery_select_by_name():
     assert [k for k, _ in results] == ["doubling", "rotation-4"]
     with pytest.raises(DomainError):
         gallery_experiments(names=["borel"])
+
+
+def test_gallery_names_given_as_a_bare_string_are_refused():
+    # once iterated letter by letter: "unknown gallery experiments: d, o, u, b, l, i, n, g"
+    with pytest.raises(DomainError, match=r"^names must be a list of experiment names$"):
+        gallery_experiments(names="doubling")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freelip import (
@@ -266,6 +267,27 @@ def test_pl_preimages_constant_piece_reports_left_edge():
     assert f.preimages(1.0) == [0.5]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda f: f.smallest_preimage("a", 0.0, 1.0), "target 'a' is not a number"),  # once a bare TypeError
+    (lambda f: f.preimages(math.nan), "target nan is not a finite number"),  # once [] without a word
+    (lambda f: f.preimages(math.inf), "target inf is not a finite number"),
+    (lambda f: f.preimages(True), "target True is not a number"),
+    (lambda f: f.preimages(0.5, lo="0"), "interval endpoint '0' is not a number"),
+    (lambda f: f.preimages(0.5, hi=math.nan), "interval endpoint nan is not a finite number"),
+    (lambda f: f.smallest_preimage(0.5, math.nan, 1.0), "interval endpoint nan is not a finite number"),
+], ids=["target-string", "target-nan", "target-inf", "target-bool", "lo-string", "hi-nan", "smallest-lo-nan"])
+def test_preimage_arguments_are_read_where_they_enter(call, message):
+    with pytest.raises(DomainError) as err:
+        call(doubling_map())
+    assert type(err.value) is DomainError and str(err.value) == message
+
+
+def test_preimage_arguments_take_any_real_and_infinite_bounds():
+    f = tent_map()
+    assert f.preimages(Fraction(1, 2), lo=np.float64(-math.inf), hi=1) == f.preimages(0.5) == [0.25, 0.75]
+    assert f.smallest_preimage(np.float64(0.5), 0, math.inf) == 0.25
+
+
 # ---------------------------------------------------------------------------
 # composition and iteration
 
@@ -512,6 +534,18 @@ def test_operator_norm_witness_is_a_molecule(rng):
     assert val == pytest.approx(est.value, rel=1e-12)
 
 
+def test_operator_norm_on_given_points_is_a_maximum_not_marked_exact():
+    # on the path 0 - 1 - 2 the table (0, 2, 2) stretches the edge (0, 1) to 2;
+    # the points 0 and 2 alone see only the ratio 1
+    path = FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0)))
+    f = FiniteMap(path, (0, 2, 2))
+    est = operator_norm_estimate(f)
+    assert (est.value, est.witness, est.exact, est.note) == (2.0, (0, 1), True, "")
+    est = operator_norm_estimate(f, points=[0, 2])
+    assert (est.value, est.witness, est.exact) == (1.0, (0, 2), False)
+    assert est.note == "maximum over pairs of the given points"
+
+
 def test_operator_norm_interval_needs_sample():
     with pytest.raises(DomainError):
         operator_norm_estimate(tent_map())
@@ -657,6 +691,7 @@ def test_map_from_json_rejects_unknown_kind():
 
 LINE = IntervalSpace(-math.inf, math.inf)
 PAIR = FiniteSpace(((0.0, 1.0), (1.0, 0.0)))
+NOT_A_MAP = object()
 
 # each input is refused by name from the Python API, as it is from a JSON file
 BAD_MAP_INPUTS = {
@@ -677,6 +712,19 @@ BAD_MAP_INPUTS = {
     "table-on-an-interval": (lambda: FiniteMap(IntervalSpace(), (0,)), "finite-table maps need a finite space"),
     "alpha-rule-on-a-finite-space": (lambda: AlphaMap(PAIR, lambda n: n), "alpha rules need a sequence space"),
     "lattice-rule-on-an-interval": (lambda: LatticeMap(UNIT, lambda p: p), "lattice rules need a lattice box"),
+    "left-slope-on-a-finite-end": (lambda: PiecewiseLinearMap(UNIT, [(0.0, 0.0), (1.0, 1.0)], left_slope=1.0),
+                                   "left slope is only for an unbounded left end"),
+    "left-tail-escapes-upward": (lambda: PiecewiseLinearMap(IntervalSpace(-math.inf, 0.0), [(0.0, 0.0)],
+                                                            left_slope=-1.0),
+                                 "left tail escapes the interval upward"),
+    "json-map-not-a-dict": (lambda: map_from_json([1, 2], PAIR), "map object must be a dict with a 'kind' field"),
+    "json-unknown-alpha-rule": (lambda: map_from_json({"kind": "alpha-rule", "rule": "backward-shift"},
+                                                      AlphaSpace([1.0, 2.0])),
+                                "unknown alpha rule 'backward-shift'"),
+    "json-alpha-table-moves-zero": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": [1, 0]},
+                                                          AlphaSpace([1.0, 2.0])),
+                                    "alpha table must start with 0 -> 0"),
+    "lip-of-a-non-map": (lambda: lip_constant(NOT_A_MAP), f"not a recognized map presentation: {NOT_A_MAP!r}"),
 }
 
 
@@ -782,3 +830,37 @@ def test_pushforward_never_expands_beyond_lip(seed, n):
     before = norm_flow(mu).value
     after = norm_flow(iterate_vector(f, mu, n)).value
     assert after <= lip**n * before + 1e-9 * (1 + before)
+
+
+@st.composite
+def pl_pair(draw):
+    """Two piecewise-linear maps on one interval, bounded or not.  Breakpoints
+    sit on consecutive integers with integer values, so every slope is an
+    integer and every composed value stays inside the interval."""
+    a = draw(st.sampled_from([-math.inf, -3.0, -1.0, 0.0]))
+    b = draw(st.sampled_from([0.0, 1.0, 3.0, math.inf]))
+    assume(a < b)
+    space = IntervalSpace(a, b)
+
+    def one():
+        lo = a if math.isfinite(a) else draw(st.integers(-3, 0))
+        hi = b if math.isfinite(b) else draw(st.integers(0, 3))
+        xs = range(int(lo), int(hi) + 1)
+        ys = [0 if x == 0 else draw(st.integers(int(max(a, -4)), int(min(b, 4)))) for x in xs]
+        # a tail that points back into a finite far end must not leave it
+        ls = None if math.isfinite(a) else draw(st.integers(0 if math.isfinite(b) else -3, 3))
+        rs = None if math.isfinite(b) else draw(st.integers(0 if math.isfinite(a) else -3, 3))
+        return PiecewiseLinearMap(space, list(zip(xs, ys)), left_slope=ls, right_slope=rs)
+
+    return space, one(), one()
+
+
+@settings(deadline=None, max_examples=80)
+@given(pl_pair())
+def test_pl_slopes_are_never_empty_and_a_composite_keeps_the_finite_ends(case):
+    space, f, g = case
+    h = compose(f, g)
+    assert f.slopes() and g.slopes() and h.slopes()
+    assert all(space.a <= x <= space.b for x in h.xs)
+    assert h.xs[0] == space.a or not math.isfinite(space.a)
+    assert h.xs[-1] == space.b or not math.isfinite(space.b)

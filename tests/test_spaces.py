@@ -669,6 +669,9 @@ BAD_SHAPES = {
                                 "lattice bounds must be a list of [lo, hi] pairs"),
     "lattice-axis-of-three": ({"kind": "lattice", "bounds": [[0, 1, 2]]}, lambda: LatticeBox(((0, 1, 2),)),
                               "lattice bounds must be a list of [lo, hi] pairs"),
+    "lattice-no-axis": ({"kind": "lattice", "bounds": []}, lambda: LatticeBox(()), "lattice box needs at least one axis"),
+    "interval-of-length-zero": ({"kind": "interval", "a": 0.0, "b": 0.0}, lambda: IntervalSpace(0.0, 0.0),
+                                "interval must have positive length"),
 }
 
 

@@ -267,6 +267,10 @@ BAD_VECTOR_INPUTS = {
     "string-lip-bound": (lambda: Functional(LINE, lambda p: 0.0, lip_bound="1"), "Lipschitz bound '1' is not a number"),
     "infinite-lip-bound": (lambda: Functional(LINE, lambda p: 0.0, lip_bound=math.inf),
                            "Lipschitz bound inf is not a finite number"),
+    "negative-lip-bound": (lambda: Functional(LINE, lambda p: 0.0, lip_bound=-1.0),
+                           "Lipschitz bound must be a nonnegative real"),
+    "no-term-to-combine": (lambda: linear_combine([]), "linear_combine needs at least one term"),
+    "json-term-of-one": (lambda: vector_from_json({"terms": [[0.5]]}, LINE), "bad term [0.5]: expected [point, coefficient]"),
 }
 
 
