@@ -411,32 +411,31 @@ class IntervalAnalysis(_Record):
         raise DomainError(f"no side named {name!r}")
 
 
+def _past(lo: float) -> float:
+    """A point right of ``lo``: lo + 1, or the next float where lo + 1 rounds back to lo."""
+    return max(lo + 1.0, math.nextafter(lo, math.inf))
+
+
 def _drift_components(f: PiecewiseLinearMap) -> list[tuple[float, float]]:
     """Maximal open intervals of {x > 0 : f(x) > x}, exact on linear pieces."""
-    cuts = {0.0}
-    for plo, phi, yanchor, s in f.pieces():
-        anchor = plo if math.isfinite(plo) else phi
-        for k in (plo, phi):  # a finite b > 0 ends the last piece, so it is a cut too
-            if math.isfinite(k) and k > 0.0:
-                cuts.add(k)
+    # every finite piece end is a breakpoint, and a finite b > 0 is the last one;
+    # b = inf ends the grid, so its last cell is the unbounded one
+    cuts = {0.0, f.space.b, *(x for x in f.xs if x > 0.0)}
+    for plo, phi, yend, s in f.pieces():
         if s != 1.0:
             # root of f(x) = x on this piece, from the anchored point-slope form
-            r = (yanchor - s * anchor) / (1.0 - s)
+            anchor = plo if math.isfinite(plo) else phi
+            r = (yend - s * anchor) / (1.0 - s)
             if plo <= r <= phi and r > 0.0:
                 cuts.add(r)
     grid = sorted(cuts)
-
-    cells: list[tuple[float, float]] = list(zip(grid, grid[1:]))
-    if not math.isfinite(f.space.b):
-        cells.append((grid[-1], math.inf))
 
     def drifts_at(t: float) -> bool:
         return f.eval(t) - t > 0.0
 
     components: list[tuple[float, float]] = []
-    for lo, hi in cells:
-        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        if not drifts_at(mid):
+    for lo, hi in zip(grid, grid[1:]):
+        if not drifts_at(_past(lo) if math.isinf(hi) else 0.5 * (lo + hi)):
             continue
         if components and components[-1][1] == lo and drifts_at(lo):
             components[-1] = (components[-1][0], hi)  # the shared cut was not a true zero
@@ -456,7 +455,7 @@ def _analyze_positive_side(f: PiecewiseLinearMap, depth: int) -> SideAnalysis:
             side="positive",
             case=CASE_UNBOUNDED_DRIFT,
             components=components,
-            certificate=lo + 1.0,
+            certificate=_past(lo),
             component=(lo, hi),
             note="every orbit started inside the unbounded drift region escapes",
         )
@@ -466,39 +465,31 @@ def _analyze_positive_side(f: PiecewiseLinearMap, depth: int) -> SideAnalysis:
     # Linear pieces attain their maxima at knots, and on the edge pieces the
     # values stay strictly between the knot value and the fixed endpoint, so
     # checking interior knots is exhaustive.
-    inner = [x for x in f.xs if b < x < c]
-    overshoot = any(f.eval(k) >= c for k in inner)
-    pairs: list[tuple[float, float]] = []
-    if not overshoot:
+    if not any(f.eval(k) >= c for k in f.xs if b < k < c):
         seq = tuple(b + (c - b) * 0.5 ** n for n in range(1, depth + 1))
         case = CASE_TRAPPED_DRIFT_IN
         tail = (c - b) * 0.5 ** depth
         note = "the drift component maps into itself; geometric points toward its left end"
     else:
-        seq_list: list[float] = []
-        target = c
-        upper = c
+        # the backward orbit of c: each point is the least preimage of the last
+        # strictly inside (b, x); it ends early when none is left at float resolution
+        seq, x = [], c
         for _ in range(depth):
-            x = f.smallest_preimage(target, b, upper)
-            if not b < x < upper:
+            x = next((y for y in f.preimages(x, b, x) if b < y < x), None)
+            if x is None:
                 break
-            seq_list.append(x)
-            target, upper = x, x
-        seq = tuple(seq_list)
+            seq.append(x)
+        seq = tuple(seq)
         case = CASE_TRAPPED_DRIFT_OVER
         tail = None
         note = "overshoot: backward orbit of the right endpoint, smallest preimages"
-    for x in seq:
-        pairs.append((x, 1.0))
-        pairs.append((b, -1.0))
-    vec = make_free_vector(f.space, pairs)
     return SideAnalysis(
         side="positive",
         case=case,
         components=components,
         component=(b, c),
         sequence=seq,
-        vector=vec,
+        vector=make_free_vector(f.space, [p for x in seq for p in ((x, 1.0), (b, -1.0))]),
         tail_bound=tail,
         note=note,
     )
@@ -534,7 +525,9 @@ def interval_analyze(f, depth: int = 40) -> IntervalAnalysis:
 
     The positive side studies where f pushes points away from 0 toward larger
     values; when the interval extends below 0 the mirrored analysis runs on
-    the reflected map.  ``depth`` bounds the certificate sequence length.
+    the reflected map.  ``depth`` bounds the certificate sequence length; an
+    overshoot sequence ends sooner when no preimage lies strictly inside
+    (b, x) at float resolution.
     """
     if not isinstance(f, PiecewiseLinearMap):
         raise DomainError("interval analysis needs a piecewise-linear interval map")

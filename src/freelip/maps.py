@@ -184,8 +184,9 @@ class PiecewiseLinearMap:
     # -- exact root machinery -------------------------------------------------
 
     def pieces(self):
-        """Yield (lo, hi, value_at_lo, slope) covering the whole domain; the
-        end rays use +-inf for the missing bound."""
+        """Yield (lo, hi, y, slope) covering the whole domain, where y is the
+        value at the piece's finite end: lo, or hi on the left ray.  The end
+        rays use +-inf for the missing bound."""
         if not math.isfinite(self.space.a):
             yield (-math.inf, self.xs[0], self.ys[0], self.left_slope)
         for i in range(len(self.xs) - 1):
@@ -199,20 +200,18 @@ class PiecewiseLinearMap:
         target = _coerce_number(target, integral=False, what="target")
         lo, hi = _endpoint(lo), _endpoint(hi)
         roots: list[float] = []
-        for plo, phi, ylo, s in self.pieces():
+        for plo, phi, yend, s in self.pieces():
             anchor = plo if math.isfinite(plo) else phi
             if s == 0.0:
-                if ylo == target:
+                if yend == target:
                     cand = max(plo, lo)
                     if cand <= min(phi, hi) and math.isfinite(cand):
                         roots.append(cand)
                 continue
-            yref = ylo if math.isfinite(plo) else self.eval(anchor)
-            x = anchor + (target - yref) / s
+            x = anchor + (target - yend) / s
             if plo <= x <= phi and lo <= x <= hi:
                 roots.append(x)
-        out = sorted(set(roots))
-        return out
+        return sorted(set(roots))
 
     def smallest_preimage(self, target: float, lo: float, hi: float) -> float:
         """Least x in (lo, hi] with f(x) = target; raises if there is none."""

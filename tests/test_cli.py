@@ -393,9 +393,9 @@ def test_orbit_over_another_space_is_refused(tmp_path, monkeypatch, capsys):
     assert len(calls) == 4
 
 
-def test_interval_analyze_reports_case(tmp_path, doubling_bundle):
+def test_interval_analyze_reports_case(tmp_path, doubling_bundle, capsys):
     out = tmp_path / "out"
-    res = run_cli("interval-analyze", "--map", str(doubling_bundle), "--outdir", str(out))
+    res = run_main(capsys, "interval-analyze", "--map", str(doubling_bundle), "--outdir", str(out))
     assert res.returncode == 0
     assert "case 3.2" in res.stdout
     report = json.loads((out / "interval-analysis.json").read_text())
@@ -403,49 +403,58 @@ def test_interval_analyze_reports_case(tmp_path, doubling_bundle):
     assert report["sides"][0]["sequence"][:2] == [0.5, 0.25]
 
 
+def test_interval_analyze_ends_the_doubling_sequence_at_float_resolution(tmp_path, doubling_bundle, capsys):
+    # the dyadic backward orbit reaches 5e-324 at point 1074; a deeper walk stops there
+    res = run_main(capsys, "interval-analyze", "--map", str(doubling_bundle), "--depth", "1100",
+                   "--outdir", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    seq = json.loads((tmp_path / "interval-analysis.json").read_text())["sides"][0]["sequence"]
+    assert len(seq) == 1074 and seq[-1] == 5e-324
+
+
 # ---------------------------------------------------------------------------
 # rigidity
 
 
-def test_rigidity_fail_exits_one(tmp_path, doubling_bundle):
+def test_rigidity_fail_exits_one(tmp_path, doubling_bundle, capsys):
     out = tmp_path / "out"
-    res = run_cli("rigidity", "--map", str(doubling_bundle), "--times", "1,2",
-                  "--bound", "1.0", "--sample", "[0.25, 0.5]", "--outdir", str(out))
+    res = run_main(capsys, "rigidity", "--map", str(doubling_bundle), "--times", "1,2",
+                   "--bound", "1.0", "--sample", "[0.25, 0.5]", "--outdir", str(out))
     assert res.returncode == 1
     report = json.loads((out / "rigidity.json").read_text())
     assert not report["passed"]
     assert report["reason"].startswith("lipschitz-bound")
 
 
-def test_rigidity_pass_exits_zero(tmp_path):
+def test_rigidity_pass_exits_zero(tmp_path, capsys):
     sp = IntervalSpace(0.0, math.inf)
     from freelip import identity_map
 
     f = identity_map(sp)
     bundle = tmp_path / "id.json"
     bundle.write_text(json.dumps({"space": space_to_json(sp), "map": map_to_json(f)}))
-    res = run_cli("rigidity", "--map", str(bundle), "--times", "1,2", "--bound", "1.0",
-                  "--sample", "[0.5, 1.5]", "--outdir", str(tmp_path))
+    res = run_main(capsys, "rigidity", "--map", str(bundle), "--times", "1,2", "--bound", "1.0",
+                   "--sample", "[0.5, 1.5]", "--outdir", str(tmp_path))
     assert res.returncode == 0, res.stderr
     report = json.loads((tmp_path / "rigidity.json").read_text())
     assert report["passed"] and report["return_errors"] == [0.0, 0.0]
 
 
-def test_rigidity_default_sample_is_the_whole_lattice_box(tmp_path, doubling_bundle):
+def test_rigidity_default_sample_is_the_whole_lattice_box(tmp_path, doubling_bundle, capsys):
     box = LatticeBox(bounds=((-1, 1), (-1, 1)))
     swap = {"kind": "lattice-rule", "rule": "matrix", "matrix": [[0, 1], [1, 0]]}
     bundle = tmp_path / "swap.json"
     bundle.write_text(json.dumps({"space": space_to_json(box), "map": swap}))
     out = tmp_path / "out"
-    res = run_cli("rigidity", "--map", str(bundle), "--times", "1,2", "--bound", "1.0",
-                  "--outdir", str(out))
+    res = run_main(capsys, "rigidity", "--map", str(bundle), "--times", "1,2", "--bound", "1.0",
+                   "--outdir", str(out))
     assert res.returncode == 1, res.stderr
     report = json.loads((out / "rigidity.json").read_text())
     # only the corners (1, -1) and (-1, 1) move by 4 under the swap
     assert report["return_errors"] == [4.0, 0.0]
     assert report["reason"].startswith("return-error")
-    res = run_cli("rigidity", "--map", str(doubling_bundle), "--times", "1", "--bound", "2.0",
-                  "--outdir", str(out))
+    res = run_main(capsys, "rigidity", "--map", str(doubling_bundle), "--times", "1", "--bound", "2.0",
+                   "--outdir", str(out))
     assert res.returncode == 2
     assert "--sample" in res.stderr
 

@@ -1143,6 +1143,79 @@ def test_severity_takes_the_worse_side():
     assert res.side("negative").case == CASE_UNBOUNDED_DRIFT
 
 
+@pytest.mark.parametrize("lo", [1e15, 1e16, 1e17])
+def test_a_far_drift_region_is_unbounded_drift(lo):
+    # id on [0, lo], slope 2 after: every start past lo escapes.  Past 2**53,
+    # lo + 1 rounds back to lo, a fixed point, so the probe and the
+    # certificate take the next float instead
+    f = PiecewiseLinearMap(IntervalSpace(0.0, math.inf), [(0.0, 0.0), (lo, lo)], right_slope=2.0)
+    res = interval_analyze(f)
+    assert res.case == CASE_UNBOUNDED_DRIFT
+    side = res.side("positive")
+    assert side.component == (lo, math.inf)
+    c = side.certificate
+    assert c > lo and f.eval(c) > c
+    assert classify_orbit(f, c).verdict == ESCAPING
+    if lo + 1.0 > lo:
+        assert c == lo + 1.0
+
+
+def test_a_backward_orbit_closing_on_its_left_end_ends_the_sequence():
+    # the backward orbit of c closes on b to within float resolution after
+    # 17 points: the walk ends there instead of asking for a root in (b, x]
+    f = PiecewiseLinearMap(
+        IntervalSpace(-math.inf, 1.0),
+        [(0, 0), (0.1529267497425224, -3.559796872836607), (0.7053721013857226, 0.9544781988480864),
+         (1.0, 0.6183856700884052)],
+        left_slope=1.3015694641925821,
+    )
+    side = interval_analyze(f, depth=20).side("positive")
+    assert side.case == CASE_TRAPPED_DRIFT_OVER
+    assert len(side.sequence) == 17
+    assert side.sequence == interval_analyze(f, depth=17).side("positive").sequence
+
+
+def test_doubling_sequence_ends_at_the_least_subnormal():
+    res = interval_analyze(doubling_map(), depth=1100)
+    assert res.case == CASE_TRAPPED_DRIFT_OVER
+    seq = res.side("positive").sequence
+    assert len(seq) == 1074 and seq[-1] == 5e-324
+    assert seq == tuple(2.0**-n for n in range(1, 1075))
+
+
+def _random_pl_map(rng):
+    """A seeded piecewise-linear map on a bounded, half-bounded or whole-line interval."""
+    a = rng.choice([-math.inf, -rng.uniform(0.1, 3.0), 0.0])
+    b = rng.choice([math.inf, rng.uniform(0.1, 3.0)])
+    inner = (rng.uniform(max(a, -3.0), min(b, 3.0)) for _ in range(rng.randint(1, 5)))
+    xs = sorted({0.0, *inner, *(e for e in (a, b) if math.isfinite(e))})
+    ys = [0.0 if x == 0.0 else rng.uniform(max(a, -4.0), min(b, 4.0)) for x in xs]
+    ls = None if math.isfinite(a) else rng.uniform(0.0 if math.isfinite(b) else -3.0, 3.0)
+    rs = None if math.isfinite(b) else rng.uniform(0.0 if math.isfinite(a) else -3.0, 3.0)
+    return PiecewiseLinearMap(IntervalSpace(a, b), list(zip(xs, ys)), left_slope=ls, right_slope=rs)
+
+
+def test_certificate_sequences_are_decreasing_prefixes_on_random_maps():
+    depths = (1, 5, 20, 60)
+    for seed in range(300):
+        f = _random_pl_map(random.Random(seed))
+        runs = [interval_analyze(f, depth=d) for d in depths]
+        for name in ("positive", "negative")[: len(runs[0].sides)]:
+            sides = [r.side(name) for r in runs]
+            sign = 1.0 if name == "positive" else -1.0  # read the negative side's mirror image
+            for d, side in zip(depths, sides):
+                if side.case != CASE_TRAPPED_DRIFT_OVER:
+                    continue
+                b, c = sorted(sign * e for e in side.component)
+                seq = [sign * x for x in side.sequence]
+                assert len(seq) <= d, (seed, name, d)
+                assert all(b < y < x for x, y in zip([c, *seq], seq)), (seed, name, d)
+            for (d, short), long in zip(zip(depths, sides), sides[1:]):
+                # a walk that ended early stays ended at every larger depth
+                assert short.sequence == long.sequence[: len(short.sequence)], (seed, name, d)
+                assert len(short.sequence) == min(d, len(long.sequence)), (seed, name, d)
+
+
 def test_interval_analyze_requires_pl_presentation():
     sp = random_finite_space(random.Random(1), 3)
     f = FiniteMap(space=sp, table=(0, 1, 2))
