@@ -465,21 +465,22 @@ def _analyze_positive_side(f: PiecewiseLinearMap, depth: int) -> SideAnalysis:
     # Linear pieces attain their maxima at knots, and on the edge pieces the
     # values stay strictly between the knot value and the fixed endpoint, so
     # checking interior knots is exhaustive.
-    if not any(f.eval(k) >= c for k in f.xs if b < k < c):
-        seq = tuple(b + (c - b) * 0.5 ** n for n in range(1, depth + 1))
+    trapped_in = not any(f.eval(k) >= c for k in f.xs if b < k < c)
+    # Each point lies strictly inside (b, x), x the point before it (c for the first):
+    # b + (c - b) 2^-n when f maps (b, c) into itself, else the least preimage of x,
+    # the backward orbit of c.  The sequence ends early when float resolution leaves
+    # no such point, so it never reaches b or repeats a point.
+    seq, x = [], c
+    for n in range(1, depth + 1):
+        y = b + (c - b) * 0.5 ** n if trapped_in else next((r for r in f.preimages(x, b, x) if b < r < x), b)
+        if not b < y < x:
+            break
+        seq.append(x := y)
+    if trapped_in:
         case = CASE_TRAPPED_DRIFT_IN
-        tail = (c - b) * 0.5 ** depth
+        tail = (c - b) * 0.5 ** len(seq)
         note = "the drift component maps into itself; geometric points toward its left end"
     else:
-        # the backward orbit of c: each point is the least preimage of the last
-        # strictly inside (b, x); it ends early when none is left at float resolution
-        seq, x = [], c
-        for _ in range(depth):
-            x = next((y for y in f.preimages(x, b, x) if b < y < x), None)
-            if x is None:
-                break
-            seq.append(x)
-        seq = tuple(seq)
         case = CASE_TRAPPED_DRIFT_OVER
         tail = None
         note = "overshoot: backward orbit of the right endpoint, smallest preimages"
@@ -488,7 +489,7 @@ def _analyze_positive_side(f: PiecewiseLinearMap, depth: int) -> SideAnalysis:
         case=case,
         components=components,
         component=(b, c),
-        sequence=seq,
+        sequence=tuple(seq),
         vector=make_free_vector(f.space, [p for x in seq for p in ((x, 1.0), (b, -1.0))]),
         tail_bound=tail,
         note=note,

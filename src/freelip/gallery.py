@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from bisect import bisect_right
 
 from .dynamics import (
@@ -132,15 +131,17 @@ class BlockScheme(_Record):
 
 
 def _tempered_weights(blocks: int) -> tuple[BlockScheme, AlphaSpace]:
-    """The tempered scheme and its sequence space.  The weights fill one buffer,
-    0.0 at the basepoint and then each block computed in place a slice at a time,
-    that the space adopts as its own: the build holds about one copy of them."""
+    """The tempered scheme and its sequence space.  The weights fill one zero-filled anonymous
+    mapping, 0.0 at the basepoint and then each block computed in place a slice at a time,
+    that the space adopts as its own: the build holds about one copy of them, and dropping
+    the space unmaps them, where a heap block this size could stay resident after its free."""
+    import mmap
     import numpy as np  # a million powers; Python takes seconds
     scheme = BlockScheme.tempered(blocks)
     scheme.validate_tempered()
     ks, ss = scheme.ks, scheme.ss
-    weights = array("d", [0.0]) * (ss[-1] + 1)
-    view = np.frombuffer(weights, dtype=np.float64)  # writable: an array('d') exports a writable buffer
+    weights = memoryview(mmap.mmap(-1, 8 * (ss[-1] + 1))).cast("d")
+    view = np.frombuffer(weights, dtype=np.float64)  # writable: an anonymous mapping exports a writable buffer
     for m in range(scheme.blocks):
         k = ks[m + 1]
         for i in range(0, k, 1 << 16):  # no temporary longer than a slice
@@ -602,10 +603,11 @@ def interval_map_suite() -> dict[str, PiecewiseLinearMap]:
 
 
 def _shift_tempered_report(fast: bool) -> ExperimentReport:
-    blocks = 8 if fast else 12
-    scheme, space = _tempered_weights(blocks)
+    scheme = BlockScheme.tempered(8 if fast else 12)
     lam = [1.0 / n ** 2 for n in range(1, 21)]
     horizon = scheme.ss[5 if fast else 8]
+    # the profile reads alpha up to horizon + len(lam), so only the blocks up to there are built
+    _, space = _tempered_weights(bisect_right(scheme.ss, horizon + len(lam)))
     return forward_shift_experiment(space, lam, horizon, scheme=scheme)
 
 

@@ -11,10 +11,10 @@ float or an int tuple), which is hashable, sortable and compares by value, or
 raises ``DomainError`` (``PrefixExhausted`` past a sequence prefix).
 ``distance`` takes checked points and does not check them again; a bad index
 would wrap or fail obscurely.  A space's constructor reads its numbers, once,
-through ``_coerce_number``.  ``AlphaSpace`` keeps its weights in one
-``array('d')`` and takes them in two ways: ``AlphaSpace(alpha)`` copies and
-checks any iterable without numpy, and ``AlphaSpace._adopt`` owns a buffer
-built for it (the tempered gallery weights) and checks it once with numpy.
+through ``_coerce_number``.  ``AlphaSpace`` keeps its weights in one buffer of
+doubles: ``AlphaSpace(alpha)`` copies and checks any iterable into an
+``array('d')`` without numpy, and ``AlphaSpace._adopt`` owns a buffer built for
+it (the tempered weights' own mapping) and checks it once with numpy.
 ``distances(p, points)`` is ``[distance(p, q) for q in points]`` bit for bit,
 in one pass; a lattice box sums exact ints an axis at a time.
 ``cost_matrix(space, points)`` is the one cost table: a ``distances`` row per
@@ -247,9 +247,10 @@ class AlphaSpace:
         self._keep(w, len(w) > 1 and min(itertools.islice(w, 1, None)) > 0.0 and math.isfinite(sum(w)))
 
     @classmethod
-    def _adopt(cls, weights: array) -> "AlphaSpace":
-        """A space that owns ``weights``, an array('d') of 0.0 then alpha_1..alpha_N,
-        without copying it; checked with numpy, which its one caller has loaded."""
+    def _adopt(cls, weights: array | memoryview) -> "AlphaSpace":
+        """A space that owns ``weights`` without copying it: doubles, 0.0 then alpha_1..alpha_N, in an
+        array('d') or a 'd' memoryview (of a mapping, released with the space), so the space reads
+        them only by index, slice, len, tolist, tobytes and ==; checked with numpy, which its one caller has loaded."""
         import numpy as np
         if not weights or weights[0] != 0.0:
             raise DomainError("alpha weights must lead with 0.0 at the basepoint")
@@ -258,7 +259,7 @@ class AlphaSpace:
         space._keep(weights, len(a) > 0 and a.min() > 0.0 and math.isfinite(a.sum()))
         return space
 
-    def _keep(self, w: array, fine: bool) -> None:
+    def _keep(self, w: array | memoryview, fine: bool) -> None:
         """Keep ``w`` as the weights; unless ``fine``, a loop names the first weight
         that is not a positive real (a sum past the float range alone is fine)."""
         if len(w) == 1:

@@ -87,9 +87,9 @@ def vector_file(tmp_path):
 # norm
 
 
-def test_norm_writes_certificated_report(tmp_path, vector_file):
+def test_norm_writes_certificated_report(tmp_path, vector_file, capsys):
     out = tmp_path / "out"
-    res = run_cli("norm", "--vector", str(vector_file), "--outdir", str(out))
+    res = run_main(capsys, "norm", "--vector", str(vector_file), "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "norm.json").read_text())
     assert report["value"] == 0.5
@@ -113,9 +113,9 @@ def _norm_vectors(d):
     ("line", "interval", "line"), ("alpha", "alpha", "alpha"),
     ("auto", "interval", "line"), ("auto", "alpha", "alpha"), ("auto", "finite", "flow"),
 ])
-def test_norm_every_backend_writes_certificates(tmp_path, backend, kind, route):
+def test_norm_every_backend_writes_certificates(tmp_path, capsys, backend, kind, route):
     out = tmp_path / "out"
-    res = run_cli("norm", "--vector", _norm_vectors(tmp_path)[kind], "--backend", backend, "--outdir", str(out))
+    res = run_main(capsys, "norm", "--vector", _norm_vectors(tmp_path)[kind], "--backend", backend, "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "norm.json").read_text())
     assert report["backend"] == route and f"(backend {route})" in res.stdout
@@ -123,11 +123,11 @@ def test_norm_every_backend_writes_certificates(tmp_path, backend, kind, route):
     assert abs(report["gap"]) <= 1e-12 * report["value"]
 
 
-def test_norm_auto_certifies_points_farther_apart_than_the_float_range(tmp_path):
+def test_norm_auto_certifies_points_farther_apart_than_the_float_range(tmp_path, capsys):
     # the flow route cannot price a distance of 2e308; the tree sum never forms it
     out = tmp_path / "out"
-    res = run_cli("norm", "--vector", _apart_vector_file(tmp_path, "interval"), "--backend", "auto",
-                  "--outdir", str(out))
+    res = run_main(capsys, "norm", "--vector", _apart_vector_file(tmp_path, "interval"), "--backend", "auto",
+                   "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
     report = json.loads((out / "norm.json").read_text())
@@ -153,10 +153,10 @@ def test_norm_bad_json_reports_location(tmp_path):
 # classify / orbit / interval-analyze
 
 
-def test_classify_bounded_orbit(tmp_path, doubling_bundle):
+def test_classify_bounded_orbit(tmp_path, doubling_bundle, capsys):
     out = tmp_path / "out"
-    res = run_cli("classify", "--map", str(doubling_bundle), "--point", "0.25",
-                  "--outdir", str(out))
+    res = run_main(capsys, "classify", "--map", str(doubling_bundle), "--point", "0.25",
+                   "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "classify.json").read_text())
     assert report["verdict"] == "Bounded"
@@ -230,15 +230,15 @@ def test_write_text_gives_a_new_file_the_mode_write_text_gives(tmp_path, umask):
     assert (tmp_path / "new").stat().st_mode & 0o777 == 0o640
 
 
-def test_classify_with_params_file(tmp_path):
+def test_classify_with_params_file(tmp_path, capsys):
     f = ramp_map()
     bundle = tmp_path / "ramp.json"
     bundle.write_text(json.dumps({"space": space_to_json(f.space), "map": map_to_json(f)}))
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"horizon": 1000, "radii": [2.0, 4.0, 8.0, 16.0]}))
     out = tmp_path / "out"
-    res = run_cli("classify", "--map", str(bundle), "--point", "1.0",
-                  "--params", str(params), "--outdir", str(out))
+    res = run_main(capsys, "classify", "--map", str(bundle), "--point", "1.0",
+                   "--params", str(params), "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "classify.json").read_text())
     assert report["verdict"] == "EscapingEvidence"
@@ -274,10 +274,10 @@ def test_bare_map_needs_space_flag(tmp_path, capsys):
     assert res.returncode == 0
 
 
-def test_orbit_profile_files(tmp_path, doubling_bundle, vector_file):
+def test_orbit_profile_files(tmp_path, doubling_bundle, vector_file, capsys):
     out = tmp_path / "out"
-    res = run_cli("orbit", "--map", str(doubling_bundle), "--vector", str(vector_file),
-                  "--steps", "6", "--outdir", str(out))
+    res = run_main(capsys, "orbit", "--map", str(doubling_bundle), "--vector", str(vector_file),
+                   "--steps", "6", "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "orbit.json").read_text())
     assert len(report["profile"]) == 7
@@ -289,7 +289,7 @@ def test_orbit_profile_files(tmp_path, doubling_bundle, vector_file):
 
 
 @pytest.mark.parametrize("kind, route", [("interval", "line"), ("finite", "flow")])
-def test_orbit_reports_the_route_taken(tmp_path, doubling_bundle, vector_file, kind, route):
+def test_orbit_reports_the_route_taken(tmp_path, capsys, doubling_bundle, vector_file, kind, route):
     if kind == "interval":
         map_file, vec = str(doubling_bundle), str(vector_file)
     else:
@@ -297,7 +297,7 @@ def test_orbit_reports_the_route_taken(tmp_path, doubling_bundle, vector_file, k
         space = space_to_json(FiniteSpace(((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))))
         vec = _write(tmp_path / "finite-vector.json", {"space": space, "terms": [[1, 1.0], [2, -0.5]]})
     out = tmp_path / "out"
-    res = run_cli("orbit", "--map", map_file, "--vector", vec, "--steps", "3", "--outdir", str(out))
+    res = run_main(capsys, "orbit", "--map", map_file, "--vector", vec, "--steps", "3", "--outdir", str(out))
     assert res.returncode == 0, res.stderr
     assert json.loads((out / "orbit.json").read_text())["backend"] == route
 
@@ -769,7 +769,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     # runs the other three kinds without it, a sequence space built from an
     # array('d') too; the process is what is tested.  ``import freelip`` loads
     # fractions neither (only the auditor and the selftest use it), nor
-    # dataclasses and inspect, and ``import freelip.cli`` does not load fractions
+    # dataclasses and inspect, and ``import freelip.cli`` does not load fractions;
+    # neither loads mmap, which only the tempered gallery weights use
     vectors = {
         "interval": make_free_vector(IntervalSpace(-2.0, 2.0), [(0.5, 1.0), (-1.5, -2.0)]),
         "alpha": make_free_vector(AlphaSpace([1.0, 2.0, 3.0]), [(1, 1.0), (3, -0.5)]),
@@ -782,9 +783,9 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
         "import sys\n"
         "import freelip\n"
         "print('package', 'numpy' in sys.modules, 'fractions' in sys.modules, 'dataclasses' in sys.modules,\n"
-        "      'inspect' in sys.modules)\n"
+        "      'inspect' in sys.modules, 'mmap' in sys.modules)\n"
         "from freelip.cli import main\n"
-        "print('import', 'numpy' in sys.modules, 'fractions' in sys.modules)\n"
+        "print('import', 'numpy' in sys.modules, 'fractions' in sys.modules, 'mmap' in sys.modules)\n"
         "from array import array\n"
         "from freelip import AlphaSpace, make_free_vector, norm_result\n"
         "mu = make_free_vector(AlphaSpace(array('d', [1.0, 2.0, 3.0])), [(1, 1.0), (3, -0.5)])\n"
@@ -796,7 +797,7 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     lines = [line for line in res.stdout.splitlines() if not line.startswith("norm ")]
-    assert lines == ["package False False False False", "import False False", "alpha-array 2.5 False",
+    assert lines == ["package False False False False False", "import False False False", "alpha-array 2.5 False",
                      "interval 0 False", "alpha 0 False", "lattice 0 False", "finite 0 True"]
 
 
@@ -936,6 +937,8 @@ def test_verbs_back_to_back_in_one_process_write_what_separate_processes_write(
         ["classify", "--map", str(doubling_bundle), "--point", "0.25", "--outdir", str(out / "classify")],
         ["norm", "--vector", str(vector_file), "extra", "--outdir", str(out / "extra")],
         ["norm", "--vector", str(vector_file), "--backend", "auto", "--outdir", str(out / "norm-again")],
+        ["rigidity", "--map", str(doubling_bundle), "--times", "1,2", "--bound", "1.0", "--sample", "[0.25, 0.5]",
+         "--outdir", str(out / "rigidity")],
     ]
     separate = []
     for argv in calls:
@@ -950,11 +953,11 @@ def test_verbs_back_to_back_in_one_process_write_what_separate_processes_write(
             code = exc.code
         captured = capsys.readouterr()
         together.append((code, captured.out, captured.err))
-    assert [code for code, _, _ in separate] == [0, 0, 0, 2, 0]
+    assert [code for code, _, _ in separate] == [0, 0, 0, 2, 0, 1]  # every exit code, in a real process
     assert together == separate
     files = sorted(str(p.relative_to(processes)) for p in processes.rglob("*") if p.is_file())
     assert files == sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-    assert len(files) == 6
+    assert len(files) == 7
     for name in files:
         assert (out / name).read_bytes() == (processes / name).read_bytes(), name
 

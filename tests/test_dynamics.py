@@ -1204,12 +1204,15 @@ def test_certificate_sequences_are_decreasing_prefixes_on_random_maps():
             sides = [r.side(name) for r in runs]
             sign = 1.0 if name == "positive" else -1.0  # read the negative side's mirror image
             for d, side in zip(depths, sides):
-                if side.case != CASE_TRAPPED_DRIFT_OVER:
+                if side.case not in (CASE_TRAPPED_DRIFT_IN, CASE_TRAPPED_DRIFT_OVER):
                     continue
                 b, c = sorted(sign * e for e in side.component)
                 seq = [sign * x for x in side.sequence]
                 assert len(seq) <= d, (seed, name, d)
+                # strictly decreasing inside (b, c): no point reaches b or repeats
                 assert all(b < y < x for x, y in zip([c, *seq], seq)), (seed, name, d)
+                if side.case == CASE_TRAPPED_DRIFT_IN:
+                    assert side.tail_bound == (c - b) * 0.5 ** len(seq), (seed, name, d)
             for (d, short), long in zip(zip(depths, sides), sides[1:]):
                 # a walk that ended early stays ended at every larger depth
                 assert short.sequence == long.sequence[: len(short.sequence)], (seed, name, d)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -192,10 +194,30 @@ def test_tempered_weights_are_pinned_bit_for_bit(full_tempered):
 
 
 def test_tempered_build_holds_about_one_copy_of_the_weights(full_tempered):
-    # the blocks are computed in slices in one buffer that the space adopts, and the
-    # ratio check runs in slices, so the peak is that buffer and a few slices
+    # the blocks are computed in slices in one mapping that the space adopts, and the
+    # ratio check runs in slices; tracemalloc sees the slices and not the mapping, so
+    # a copy of the weights on the heap would take the traced peak past the bound
     space, _, peak = full_tempered
-    assert peak <= 1.25 * 8 * space.prefix_length
+    size = 8 * (space.prefix_length + 1)
+    assert isinstance(space._weights.obj, mmap.mmap) and len(space._weights.obj) == size
+    assert space._weights.nbytes == size
+    assert peak <= 0.25 * 8 * space.prefix_length
+
+
+def test_dropping_a_tempered_space_unmaps_its_weights():
+    _, space = gallery._tempered_weights(6)
+    mapping = weakref.ref(space._weights.obj)
+    del space
+    assert mapping() is None
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "full"])
+def test_shift_tempered_reads_no_weight_past_the_blocks_it_builds(fast):
+    # the report built on the blocks up to horizon + len(lam) is the one built on every block
+    scheme, space = gallery._tempered_weights(8 if fast else 12)
+    lam = [1.0 / n ** 2 for n in range(1, 21)]
+    full = forward_shift_experiment(space, lam, scheme.ss[5 if fast else 8], scheme=scheme)
+    assert GALLERY["shift-tempered"](fast) == full
 
 
 def test_shift_vector_normalizes_by_weight(small_tempered):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 import random
 from array import array
 from fractions import Fraction
@@ -248,16 +249,18 @@ def test_alpha_weights_read_from_any_iterable_of_reals():
 def test_an_adopted_buffer_is_refused_with_the_public_message(weights):
     with pytest.raises(DomainError) as public:
         AlphaSpace(weights)
-    with pytest.raises(DomainError) as adopted:
-        AlphaSpace._adopt(array("d", [0.0, *weights]))
-    assert str(adopted.value) == str(public.value)
+    for buffer in (array("d", [0.0, *weights]), memoryview(array("d", [0.0, *weights]))):
+        with pytest.raises(DomainError) as adopted:
+            AlphaSpace._adopt(buffer)
+        assert str(adopted.value) == str(public.value)
 
 
 @pytest.mark.parametrize("buffer", [array("d"), array("d", [1.0, 2.0]), array("d", [math.nan, 2.0])],
                          ids=["empty", "one", "nan"])
 def test_an_adopted_buffer_must_lead_with_the_basepoint_zero(buffer):
-    with pytest.raises(DomainError, match=r"^alpha weights must lead with 0.0 at the basepoint$"):
-        AlphaSpace._adopt(buffer)
+    for weights in (buffer, memoryview(buffer)):
+        with pytest.raises(DomainError, match=r"^alpha weights must lead with 0.0 at the basepoint$"):
+            AlphaSpace._adopt(weights)
 
 
 def test_an_adopted_buffer_is_owned_and_a_passed_one_copied():
@@ -268,6 +271,34 @@ def test_an_adopted_buffer_is_owned_and_a_passed_one_copied():
     space = AlphaSpace(arr)
     arr[0] = 99.0
     assert space.alpha(1) == 0.5
+
+
+def _mapped(values):
+    """A 'd' memoryview of an anonymous mapping holding ``values``: the tempered weights' buffer."""
+    buffer = memoryview(mmap.mmap(-1, 8 * len(values))).cast("d")
+    buffer[:] = array("d", values)
+    return buffer
+
+
+def test_an_adopted_mapping_is_the_space_of_its_weights():
+    weights = [0.5, 2.0, 1e-300, 3.0]
+    adopted, plain = AlphaSpace._adopt(_mapped([0.0, *weights])), AlphaSpace(weights)
+    assert adopted == plain and plain == adopted and hash(adopted) == hash(plain)
+    assert adopted != AlphaSpace([0.5, 2.0, 1e-300, 4.0])
+    assert space_to_json(adopted) == space_to_json(plain)
+    assert space_from_json(space_to_json(adopted)) == adopted
+    assert adopted._weights.tobytes() == plain._weights.tobytes()
+    assert adopted.alpha_prefix().tolist() == plain.alpha_prefix().tolist() == weights
+    assert not adopted.alpha_prefix().flags.writeable
+    points = list(plain.points())
+    assert list(adopted.points()) == points and adopted.prefix_length == plain.prefix_length
+    for p in points:
+        assert adopted.distances(p, points) == plain.distances(p, points)
+        assert [adopted.distance(p, q) for q in points] == [plain.distance(p, q) for q in points]
+    with pytest.raises(PrefixExhausted, match="lies past the materialized prefix of length 4"):
+        adopted.distance(1, 5)
+    with pytest.raises(PrefixExhausted, match="only 4 terms are materialized"):
+        adopted.alpha(5)
 
 
 def test_alpha_prefix_array_is_readonly():
