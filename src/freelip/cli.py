@@ -183,7 +183,7 @@ def _cmd_interval_analyze(args, outdir: Path) -> int:
 
 
 def _cmd_gallery(args, outdir: Path) -> int:
-    names = None if args.name in (None, "all") else [args.name]
+    names = None if args.name == "all" else [args.name]
     results = gallery_experiments(fast=args.fast, names=names)
     _write_gallery(outdir, results)
     for key, report in results:

@@ -13,7 +13,7 @@ import numbers
 
 from .maps import PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows, _shift_payload
+from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
@@ -255,27 +255,6 @@ def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -
     if error is not None:
         raise error
     return _fill(values, repeat, horizon + 1)
-
-
-def shift_profile_closed_form(lam, space, k: int) -> float:
-    """Exact norm of the k-th forward-shift push of sum_n lam[n-1] * delta(n)/alpha_n.
-
-    ``lam[i]`` is the coefficient at point ``i + 1``; the value is
-    ``sum |lam_n| * alpha_{n+k} / alpha_n``.  Raises past the stored prefix.
-    """
-    _count(k, "shift count k", least=0)
-    return _shifted_norm(_shift_payload(space, lam), space, k)
-
-
-def _shifted_norm(lam, space, k: int) -> float:
-    # lam already read as numbers, so a profile reads it once for all its k
-    total = 0.0
-    for i, c in enumerate(lam):
-        if c == 0:
-            continue
-        n = i + 1
-        total += abs(c) * space.alpha(n + k) / space.alpha(n)
-    return total
 
 
 # ---------------------------------------------------------------------------

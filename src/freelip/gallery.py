@@ -5,7 +5,10 @@ closed-form facts the construction is supposed to exhibit; a report with a
 failed check is a loud deviation, not a soft warning.  The checks walk orbits
 through the library's own ``recurrence_gap``, ``iterate_point`` and
 ``push_forward``, and the maps are built on the JSON loader's rules, so the
-gallery holds no orbit loop or index rule of its own.
+gallery holds no orbit loop or index rule of its own.  The forward shift's
+payload rule lives here alone: ``lam[i]`` is the coefficient at point
+``i + 1``, divided by ``alpha_{i+1}``, as ``shift_vector``,
+``shift_profile_closed_form`` and ``forward_shift_experiment`` all read it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .dynamics import (
     ESCAPING,
     RECURRENT,
     ClassificationParams,
-    _shifted_norm,
     classify_orbit,
     orbit_norm_profile,
     recurrence_gap,
@@ -27,7 +29,7 @@ from .dynamics import (
 )
 from .maps import AlphaMap, FiniteMap, PiecewiseLinearMap, iterate_map, iterate_point, lip_constant, map_from_json
 from .norms import norm_flow, norm_line
-from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count, _plain, _Record, _rows, _shift_payload
+from .spaces import AlphaSpace, DomainError, FiniteSpace, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
 from .vectors import FreeVector, make_free_vector, push_forward
 
 
@@ -90,13 +92,6 @@ class BlockScheme(_Record):
     @property
     def blocks(self) -> int:
         return len(self.ks) - 1
-
-    def block_of(self, n: int) -> int:
-        """The m with s_m <= n < s_{m+1}."""
-        ss = self.ss
-        if not 0 <= n < ss[-1]:
-            raise DomainError(f"index {n} outside the materialized blocks")
-        return bisect_right(ss, n) - 1
 
     @classmethod
     def triangular(cls, blocks: int) -> "BlockScheme":
@@ -196,6 +191,12 @@ def forward_shift_map(space: AlphaSpace) -> AlphaMap:
     return map_from_json({"kind": "alpha-rule", "rule": "forward-shift"}, space)
 
 
+def _shift_payload(space, lam) -> tuple:  # lam read once, as coefficients on the sequence space ``space``
+    if not isinstance(space, AlphaSpace):
+        raise DomainError("alpha rules need a sequence space")
+    return _numbers(lam, "coefficient", "lam must be a list of numbers")
+
+
 def shift_vector(space: AlphaSpace, lam) -> FreeVector:
     """The vector sum_n lam[n-1] * delta(n) / alpha_n."""
     pairs = []
@@ -204,6 +205,27 @@ def shift_vector(space: AlphaSpace, lam) -> FreeVector:
             n = i + 1
             pairs.append((n, c / space.alpha(n)))
     return make_free_vector(space, pairs)
+
+
+def shift_profile_closed_form(lam, space, k: int) -> float:
+    """Exact norm of the k-th forward-shift push of sum_n lam[n-1] * delta(n)/alpha_n.
+
+    ``lam[i]`` is the coefficient at point ``i + 1``; the value is
+    ``sum |lam_n| * alpha_{n+k} / alpha_n``.  Raises past the stored prefix.
+    """
+    _count(k, "shift count k", least=0)
+    return _shifted_norm(_shift_payload(space, lam), space, k)
+
+
+def _shifted_norm(lam, space, k: int) -> float:
+    # lam already read as numbers, so a profile reads it once for all its k
+    total = 0.0
+    for i, c in enumerate(lam):
+        if c == 0:
+            continue
+        n = i + 1
+        total += abs(c) * space.alpha(n + k) / space.alpha(n)
+    return total
 
 
 def forward_shift_experiment(

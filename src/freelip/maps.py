@@ -213,13 +213,6 @@ class PiecewiseLinearMap:
                 roots.append(x)
         return sorted(set(roots))
 
-    def smallest_preimage(self, target: float, lo: float, hi: float) -> float:
-        """Least x in (lo, hi] with f(x) = target; raises if there is none."""
-        for x in self.preimages(target, lo, hi):
-            if lo < x <= hi:
-                return x
-        raise DomainError(f"no preimage of {target} inside ({lo}, {hi}]")
-
 
 class LatticeMap(_Record):
     space: LatticeBox

@@ -491,12 +491,6 @@ def _numbers(values, what: str, message: str, integral: bool = False) -> tuple:
     return tuple(_coerce_number(v, integral, what) for v in _rows([values], message)[0])
 
 
-def _shift_payload(space, lam) -> tuple:  # lam read once, as coefficients on the sequence space ``space``
-    if not isinstance(space, AlphaSpace):
-        raise DomainError("alpha rules need a sequence space")
-    return _numbers(lam, "coefficient", "lam must be a list of numbers")
-
-
 def _reals(rows, what: str) -> tuple[tuple[float, ...], ...]:
     """Tuples of numbers read by ``_coerce_number``; floats with a finite sum pass at C speed."""
     if set(map(type, itertools.chain.from_iterable(rows))) <= {float} and math.isfinite(sum(map(sum, rows))):

@@ -1,11 +1,10 @@
-"""The command-line surface, driven through real subprocesses.
+"""The command-line surface: exit codes, stdout, stderr and report bytes.
 
-Every invocation uses ``python -m freelip.cli`` so the tests exercise exactly
-what the installed ``freelip`` script runs, including exit codes and the
-promise that fixed inputs produce byte-identical reports.  The tests of the
-argument surface, the orbit verb's digests and space count also build the
-parsers and call ``main`` in process, and one session of verbs in one process
-is compared with the same verbs run as separate processes.
+Most cases call ``main`` in process through ``run_main``, which gives
+``run_cli``'s result shape.  Real ``python -m freelip.cli`` processes remain
+where the process is what is tested: one case per exit code, the selftest and
+gallery digests, the numpy-only and numpy-unloaded runs, and one session of
+verbs in one process compared with the same verbs run as separate processes.
 """
 
 from __future__ import annotations
@@ -45,14 +44,8 @@ from freelip.selftest import run_selftest
 from conftest import random_finite_space
 
 
-def run_cli(*argv, env=None, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "freelip.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "freelip.cli", *argv], capture_output=True, text=True)
 
 
 def run_main(capsys, *argv):
@@ -134,9 +127,9 @@ def test_norm_auto_certifies_points_farther_apart_than_the_float_range(tmp_path,
     assert (report["value"], report["gap"], report["backend"]) == (2.0000000000000002e+298, 0.0, "line")
 
 
-def test_norm_exact_needs_flow(tmp_path, vector_file):
-    res = run_cli("norm", "--vector", str(vector_file), "--backend", "line", "--exact",
-                  "--outdir", str(tmp_path))
+def test_norm_exact_needs_flow(tmp_path, vector_file, capsys):
+    res = run_main(capsys, "norm", "--vector", str(vector_file), "--backend", "line", "--exact",
+                   "--outdir", str(tmp_path))
     assert res.returncode == 2
     assert "--exact" in res.stderr
 
@@ -673,8 +666,8 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
-def test_a_metric_error_names_plain_floats(tmp_path):
-    res = run_cli(*MALFORMED["finite-matrix-not-a-metric"](tmp_path), "--outdir", str(tmp_path / "out"))
+def test_a_metric_error_names_plain_floats(tmp_path, capsys):
+    res = run_main(capsys, *MALFORMED["finite-matrix-not-a-metric"](tmp_path), "--outdir", str(tmp_path / "out"))
     assert res.stderr == "error: not a metric (triangle): d[0][2] = 3.0 > d[0][1] + d[1][2] = 2.0\n"
 
 
@@ -682,8 +675,8 @@ def test_a_metric_error_names_plain_floats(tmp_path):
 # gallery and selftest
 
 
-def test_gallery_single_family(tmp_path):
-    res = run_cli("gallery", "doubling", "--fast", "--outdir", str(tmp_path))
+def test_gallery_single_family(tmp_path, capsys):
+    res = run_main(capsys, "gallery", "doubling", "--fast", "--outdir", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "PASS doubling"
     report = json.loads((tmp_path / "gallery-doubling.json").read_text())
@@ -691,15 +684,15 @@ def test_gallery_single_family(tmp_path):
     assert all(c["ok"] for c in report["checks"])
 
 
-def test_gallery_unknown_name_is_input_error(tmp_path):
-    res = run_cli("gallery", "borel", "--outdir", str(tmp_path))
+def test_gallery_unknown_name_is_input_error(tmp_path, capsys):
+    res = run_main(capsys, "gallery", "borel", "--outdir", str(tmp_path))
     assert res.returncode == 2
 
 
-def test_selftest_reports_are_byte_identical(tmp_path):
+def test_selftest_reports_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        res = run_cli("selftest", "--seed", "11", "--rounds", "4", "--outdir", str(out))
+        res = run_main(capsys, "selftest", "--seed", "11", "--rounds", "4", "--outdir", str(out))
         assert res.returncode == 0, res.stderr
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
@@ -801,8 +794,8 @@ def test_norms_on_intervals_sequences_and_lattices_leave_numpy_unloaded(tmp_path
                      "interval 0 False", "alpha 0 False", "lattice 0 False", "finite 0 True"]
 
 
-def test_selftest_summary_shape(tmp_path):
-    res = run_cli("selftest", "--seed", "3", "--rounds", "2", "--outdir", str(tmp_path))
+def test_selftest_summary_shape(tmp_path, capsys):
+    res = run_main(capsys, "selftest", "--seed", "3", "--rounds", "2", "--outdir", str(tmp_path))
     assert res.returncode == 0
     report = json.loads((tmp_path / "selftest.json").read_text())
     assert report["seed"] == 3
@@ -812,8 +805,8 @@ def test_selftest_summary_shape(tmp_path):
     assert all(s["failures"] == [] for s in report["sweeps"])
 
 
-def test_run_selftest_returns_what_the_cli_writes(tmp_path, monkeypatch):
-    res = run_cli("selftest", "--seed", "7", "--rounds", "2", "--outdir", str(tmp_path / "out"))
+def test_run_selftest_returns_what_the_cli_writes(tmp_path, monkeypatch, capsys):
+    res = run_main(capsys, "selftest", "--seed", "7", "--rounds", "2", "--outdir", str(tmp_path / "out"))
     assert res.returncode == 0, res.stderr
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -872,8 +865,8 @@ def test_a_call_without_a_verb_lists_every_verb(argv, code):
     assert "{" + ",".join(SEVEN_VERBS) + "}" in text
 
 
-def test_an_unrecognized_argument_shows_the_verb_usage(tmp_path, vector_file):
-    res = run_cli("norm", "--vector", str(vector_file), "extra", "--outdir", str(tmp_path))
+def test_an_unrecognized_argument_shows_the_verb_usage(tmp_path, vector_file, capsys):
+    res = run_main(capsys, "norm", "--vector", str(vector_file), "extra", "--outdir", str(tmp_path))
     assert res.returncode == 2
     assert res.stderr.startswith("usage: freelip norm [-h] --vector VECTOR")
     assert res.stderr.splitlines()[-1] == "freelip norm: error: unrecognized arguments: extra"
@@ -992,29 +985,22 @@ def test_verbs_rerun_into_a_dirty_outdir_write_what_a_fresh_outdir_gets(
 # outdir resolution
 
 
-def test_outdir_env_var_fallback(tmp_path, vector_file):
-    import os
-
-    env = dict(os.environ)
-    env["FREELIP_OUTDIR"] = str(tmp_path / "envdir")
-    res = run_cli("norm", "--vector", str(vector_file), env=env)
+def test_outdir_env_var_fallback(tmp_path, vector_file, monkeypatch, capsys):
+    monkeypatch.setenv("FREELIP_OUTDIR", str(tmp_path / "envdir"))
+    res = run_main(capsys, "norm", "--vector", str(vector_file))
     assert res.returncode == 0
     assert (tmp_path / "envdir" / "norm.json").exists()
 
 
-def test_outdir_flag_beats_env(tmp_path, vector_file):
-    import os
-
-    env = dict(os.environ)
-    env["FREELIP_OUTDIR"] = str(tmp_path / "envdir")
-    res = run_cli("norm", "--vector", str(vector_file), "--outdir", str(tmp_path / "flagdir"),
-                  env=env)
+def test_outdir_flag_beats_env(tmp_path, vector_file, monkeypatch, capsys):
+    monkeypatch.setenv("FREELIP_OUTDIR", str(tmp_path / "envdir"))
+    res = run_main(capsys, "norm", "--vector", str(vector_file), "--outdir", str(tmp_path / "flagdir"))
     assert res.returncode == 0
     assert (tmp_path / "flagdir" / "norm.json").exists()
     assert not (tmp_path / "envdir").exists()
 
 
-def test_missing_file_is_input_error(tmp_path):
-    res = run_cli("norm", "--vector", str(tmp_path / "nope.json"), "--outdir", str(tmp_path))
+def test_missing_file_is_input_error(tmp_path, capsys):
+    res = run_main(capsys, "norm", "--vector", str(tmp_path / "nope.json"), "--outdir", str(tmp_path))
     assert res.returncode == 2
     assert "cannot read" in res.stderr

@@ -49,6 +49,7 @@ from freelip import (
     lip_constant,
     norm_flow,
     ramp_map,
+    shift_profile_closed_form,
     shift_vector,
     tempered_alpha_space,
 )
@@ -67,10 +68,6 @@ def test_triangular_scheme_partial_sums():
     assert sch.ks == (0, 1, 2, 3, 4, 5)
     assert sch.ss == (0, 1, 3, 6, 10, 15)
     assert sch.blocks == 5
-    assert sch.block_of(0) == 0
-    assert sch.block_of(5) == 2
-    with pytest.raises(DomainError):
-        sch.block_of(15)
 
 
 def test_block_scheme_rejects_bad_lengths():
@@ -218,6 +215,18 @@ def test_shift_tempered_reads_no_weight_past_the_blocks_it_builds(fast):
     lam = [1.0 / n ** 2 for n in range(1, 21)]
     full = forward_shift_experiment(space, lam, scheme.ss[5 if fast else 8], scheme=scheme)
     assert GALLERY["shift-tempered"](fast) == full
+
+
+def test_the_shift_profile_is_the_public_closed_form():
+    # the experiment's profile and shift_profile_closed_form read the payload by one rule
+    scheme, space = gallery._tempered_weights(8)
+    lam = [1.0 / n ** 2 for n in range(1, 21)]
+    rep = forward_shift_experiment(space, lam, scheme.ss[5], scheme=scheme)
+    marks = [s for s in scheme.ss[1:] if s <= scheme.ss[5]]
+    assert rep.data["block_end_values"] == [shift_profile_closed_form(lam, space, s) for s in marks]
+    linear = AlphaSpace(range(1, 402))
+    top = max(shift_profile_closed_form([1.0], linear, k) for k in range(401))
+    assert GALLERY["shift-linear"](False).data["profile_max"] == top
 
 
 def test_shift_vector_normalizes_by_weight(small_tempered):

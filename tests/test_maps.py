@@ -256,9 +256,6 @@ def test_pl_preimages_exact_roots():
     assert f.preimages(0.5) == [0.25, 0.75]
     assert f.preimages(1.0) == [0.5]
     assert f.preimages(0.5, lo=0.5) == [0.75]
-    assert f.smallest_preimage(0.5, 0.0, 1.0) == 0.25
-    with pytest.raises(DomainError):
-        f.smallest_preimage(0.5, 0.8, 1.0)
 
 
 def test_pl_preimages_constant_piece_reports_left_edge():
@@ -268,13 +265,13 @@ def test_pl_preimages_constant_piece_reports_left_edge():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda f: f.smallest_preimage("a", 0.0, 1.0), "target 'a' is not a number"),  # once a bare TypeError
+    (lambda f: f.preimages("a"), "target 'a' is not a number"),  # once a bare TypeError
     (lambda f: f.preimages(math.nan), "target nan is not a finite number"),  # once [] without a word
     (lambda f: f.preimages(math.inf), "target inf is not a finite number"),
     (lambda f: f.preimages(True), "target True is not a number"),
     (lambda f: f.preimages(0.5, lo="0"), "interval endpoint '0' is not a number"),
     (lambda f: f.preimages(0.5, hi=math.nan), "interval endpoint nan is not a finite number"),
-    (lambda f: f.smallest_preimage(0.5, math.nan, 1.0), "interval endpoint nan is not a finite number"),
+    (lambda f: f.preimages(0.5, math.nan, 1.0), "interval endpoint nan is not a finite number"),
 ], ids=["target-string", "target-nan", "target-inf", "target-bool", "lo-string", "hi-nan", "smallest-lo-nan"])
 def test_preimage_arguments_are_read_where_they_enter(call, message):
     with pytest.raises(DomainError) as err:
@@ -285,7 +282,7 @@ def test_preimage_arguments_are_read_where_they_enter(call, message):
 def test_preimage_arguments_take_any_real_and_infinite_bounds():
     f = tent_map()
     assert f.preimages(Fraction(1, 2), lo=np.float64(-math.inf), hi=1) == f.preimages(0.5) == [0.25, 0.75]
-    assert f.smallest_preimage(np.float64(0.5), 0, math.inf) == 0.25
+    assert f.preimages(np.float64(0.5), 0, math.inf) == [0.25, 0.75]
 
 
 # ---------------------------------------------------------------------------
