@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 
-from .maps import PiecewiseLinearMap, iterate_map, lip_constant
+from .maps import FiniteMap, PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
-from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows
+from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows, _show, restrict_to_points
 from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
@@ -258,6 +258,53 @@ def orbit_norm_profile(f, mu: FreeVector, horizon: int, backend: str = "auto") -
 
 
 # ---------------------------------------------------------------------------
+# orbit structure: one exact rule, on finite tables
+
+
+def _closed_orbit(f, x) -> tuple[list, tuple[int, int]]:
+    """The states 0..n-1 of the orbit of the checked ``x`` and its first repeat (m, n), or ``orbit_structure``'s error."""
+    states, repeat, error = _walk(f.apply, x, DEFAULT_HORIZON)
+    if error is not None:
+        raise error
+    if repeat is None:
+        raise DomainError(f"the orbit of {_show(x)} shows no repeat within {DEFAULT_HORIZON} steps")
+    return states, repeat
+
+
+def orbit_structure(f, x) -> tuple[int, int]:
+    """(tail, period) of the orbit of ``x``: f^tail(x) is its first point to come back, after period steps.
+    Raises the DomainError of an orbit that leaves the presentation, or one where no repeat shows within
+    DEFAULT_HORIZON steps: that is the closing bound, for every presentation."""
+    m, n = _closed_orbit(f, f.space.check_point(x))[1]
+    return m, n - m
+
+
+def periodic_points(f) -> tuple[int, ...]:
+    """Per(f) of a finite table, in order: its eventual image.  With N the least multiple of the lcm of the
+    periods that is at least the longest tail, f^N is idempotent onto Per(f), so μ ∈ Rec(f̂) (f̂^n μ = μ for
+    some n >= 1) iff supp μ ⊂ Per(f), and no vector escapes.  Other presentations reach it by ``restrict_map``."""
+    if not isinstance(f, FiniteMap):
+        raise DomainError("periodic points are read off a finite table; restrict the map first")
+    image = set(f.table)
+    while (smaller := {f.table[p] for p in image}) != image:
+        image = smaller
+    return tuple(sorted(image))
+
+
+def restrict_map(f, points) -> FiniteMap:
+    """f on the closure of ``points`` and the basepoint under f, as a table on ``restrict_to_points`` of
+    that set: its labels are the original points, and its free space sits in F(f.space) isometrically
+    (McShane extension).  An orbit that does not close raises as in ``orbit_structure``."""
+    succ = {f.space.basepoint: f.space.basepoint}
+    for p in _rows([points], "the points must be a list of points")[0]:
+        states, (m, _) = _closed_orbit(f, f.space.check_point(p))
+        succ.update(zip(states, states[1:] + states[m:m + 1]))
+    space = restrict_to_points(f.space, list(succ))
+    index = {p: i for i, p in enumerate(space.labels)}
+    return FiniteMap(space, [index[succ[p]] for p in space.labels])
+
+
+# ---------------------------------------------------------------------------
 # rigidity
 
 
@@ -400,11 +447,10 @@ def _drift_components(f: PiecewiseLinearMap) -> list[tuple[float, float]]:
     # every finite piece end is a breakpoint, and a finite b > 0 is the last one;
     # b = inf ends the grid, so its last cell is the unbounded one
     cuts = {0.0, f.space.b, *(x for x in f.xs if x > 0.0)}
-    for plo, phi, yend, s in f.pieces():
+    for plo, phi, ax, ay, s in f.pieces():
         if s != 1.0:
             # root of f(x) = x on this piece, from the anchored point-slope form
-            anchor = plo if math.isfinite(plo) else phi
-            r = (yend - s * anchor) / (1.0 - s)
+            r = (ay - s * ax) / (1.0 - s)
             if plo <= r <= phi and r > 0.0:
                 cuts.add(r)
     grid = sorted(cuts)

@@ -4,8 +4,8 @@ Every experiment returns an :class:`ExperimentReport` whose checks encode the
 closed-form facts the construction is supposed to exhibit; a report with a
 failed check is a loud deviation, not a soft warning.  The checks walk orbits
 through the library's own ``recurrence_gap``, ``iterate_point`` and
-``push_forward``, and the maps are built on the JSON loader's rules, so the
-gallery holds no orbit loop or index rule of its own.  The forward shift's
+``push_forward``, so it holds no orbit loop of its own.  Its maps are the JSON
+loader's rules, but the block cycle indexes its own table.  The forward shift's
 payload rule lives here alone: ``lam[i]`` is the coefficient at point
 ``i + 1``, divided by ``alpha_{i+1}``, as ``shift_vector``,
 ``shift_profile_closed_form`` and ``forward_shift_experiment`` all read it.
@@ -592,7 +592,7 @@ def circle_rotation_experiment(q: int = 7, times: tuple[int, ...] | None = None)
 
 
 # ---------------------------------------------------------------------------
-# the interval map suite used by the analyzer and the power check
+# the interval map suite: four piecewise-linear maps of the half-line and [0, 1]
 
 
 def identity_map(space: IntervalSpace | None = None) -> PiecewiseLinearMap:

@@ -34,6 +34,7 @@ from .spaces import (
     _coerce_number,
     _count,
     _endpoint,
+    _numbers,
     _reals,
     _Record,
     _rows,
@@ -44,6 +45,7 @@ from .norms import norm_flow
 from .vectors import FreeVector, make_free_vector, push_forward
 
 BREAKPOINT_BUDGET = 100_000
+_TABLE = "map table must be a list of points"
 
 
 class LipEstimate(_Record):
@@ -66,7 +68,7 @@ class FiniteMap(_Record):
     def __post_init__(self):
         if not isinstance(self.space, FiniteSpace):
             raise DomainError("finite-table maps need a finite space")
-        table = tuple(map(self.space.check_point, self.table))
+        table = tuple(map(self.space.check_point, _rows([self.table], _TABLE)[0]))
         if len(table) != self.space.size:
             raise DomainError("map table must cover every point of the space")
         object.__setattr__(self, "table", table)
@@ -129,6 +131,7 @@ class PiecewiseLinearMap:
     """
 
     kind = "piecewise-linear"
+    __setattr__ = __delattr__ = _Record.__setattr__  # frozen, as a record is
 
     def __init__(self, space: IntervalSpace, breakpoints: Sequence[tuple[float, float]],
                  left_slope: float | None = None, right_slope: float | None = None):
@@ -154,19 +157,15 @@ class PiecewiseLinearMap:
 
         left_slope = end_slope("left", "first", xs[0], space.a, left_slope)
         right_slope = end_slope("right", "last", xs[-1], space.b, right_slope)
-        self.space = space
-        self.xs = xs
-        self.ys = ys
-        self.left_slope = left_slope
-        self.right_slope = right_slope
-        self._seg_slopes = tuple((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+        seg_slopes = tuple((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
         # eval passes every value, NaN through float; apply's image can round
         # 1 ulp outside [a, b] or overflow to +-inf on an unbounded tail, so it
         # must be a finite float of [a, b], and check_point only words the error
-        pieces = (self.xs, self.ys, self._seg_slopes, self.left_slope, self.right_slope)
+        pieces = (xs, ys, seg_slopes, left_slope, right_slope)
         top = sys.float_info.max
-        self.eval = _pl_function(*pieces, -math.inf, math.inf, float)
-        self.apply = _pl_function(*pieces, max(space.a, -top), min(space.b, top), space.check_point)
+        vars(self).update(space=space, xs=xs, ys=ys, left_slope=left_slope, right_slope=right_slope,
+                          _seg_slopes=seg_slopes, eval=_pl_function(*pieces, -math.inf, math.inf, float),
+                          apply=_pl_function(*pieces, max(space.a, -top), min(space.b, top), space.check_point))
 
         for y in ys:
             if not (space.a <= y <= space.b):
@@ -184,15 +183,15 @@ class PiecewiseLinearMap:
     # -- exact root machinery -------------------------------------------------
 
     def pieces(self):
-        """Yield (lo, hi, y, slope) covering the whole domain, where y is the
-        value at the piece's finite end: lo, or hi on the left ray.  The end
+        """Yield (lo, hi, x, y, slope) covering the whole domain, where (x, y) is the
+        piece's anchor, its finite end: lo, or hi on the left ray.  The end
         rays use +-inf for the missing bound."""
         if not math.isfinite(self.space.a):
-            yield (-math.inf, self.xs[0], self.ys[0], self.left_slope)
+            yield (-math.inf, self.xs[0], self.xs[0], self.ys[0], self.left_slope)
         for i in range(len(self.xs) - 1):
-            yield (self.xs[i], self.xs[i + 1], self.ys[i], self._seg_slopes[i])
+            yield (self.xs[i], self.xs[i + 1], self.xs[i], self.ys[i], self._seg_slopes[i])
         if not math.isfinite(self.space.b):
-            yield (self.xs[-1], math.inf, self.ys[-1], self.right_slope)
+            yield (self.xs[-1], math.inf, self.xs[-1], self.ys[-1], self.right_slope)
 
     def preimages(self, target: float, lo: float = -math.inf, hi: float = math.inf) -> list[float]:
         """Isolated solutions of f(x) = target, a finite real, within [lo, hi] (either may be
@@ -200,15 +199,14 @@ class PiecewiseLinearMap:
         target = _coerce_number(target, integral=False, what="target")
         lo, hi = _endpoint(lo), _endpoint(hi)
         roots: list[float] = []
-        for plo, phi, yend, s in self.pieces():
-            anchor = plo if math.isfinite(plo) else phi
+        for plo, phi, ax, ay, s in self.pieces():
             if s == 0.0:
-                if yend == target:
+                if ay == target:
                     cand = max(plo, lo)
                     if cand <= min(phi, hi) and math.isfinite(cand):
                         roots.append(cand)
                 continue
-            x = anchor + (target - yend) / s
+            x = ax + (target - ay) / s
             if plo <= x <= phi and lo <= x <= hi:
                 roots.append(x)
         return sorted(set(roots))
@@ -444,7 +442,7 @@ def map_from_json(obj: dict, space):
     kind = obj["kind"]
     try:
         if kind == "finite-table":
-            return FiniteMap(space, tuple(_coerce_number(i, integral=True, what="table entry") for i in obj["table"]))
+            return FiniteMap(space, _numbers(obj["table"], "table entry", _TABLE, integral=True))
         if kind == "piecewise-linear":
             return PiecewiseLinearMap(space, obj["breakpoints"], obj.get("left_slope"), obj.get("right_slope"))
         if kind == "alpha-rule":
@@ -465,7 +463,7 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
     if rule == "forward-shift":
         return AlphaMap(space, lambda n: 0 if n == 0 else n + 1, rule_json={"rule": "forward-shift"})
     if rule == "table":
-        table = [_coerce_number(v, integral=True, what="table entry") for v in obj["table"]]
+        table = list(_numbers(obj["table"], "table entry", _TABLE, integral=True))
         if not table or table[0] != 0:
             raise DomainError("alpha table must start with 0 -> 0")
 
@@ -479,11 +477,12 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
 
 
 def _lattice_rule_from_json(obj: dict, space: LatticeBox) -> LatticeMap:
-    mat = [[_coerce_number(v, integral=True, what="matrix entry") for v in row] for row in obj["matrix"]]
+    square = "lattice rules are given by a square integer matrix"
+    mat = [_numbers(row, "matrix entry", square, integral=True) for row in _rows(obj["matrix"], square)]
     if any(len(r) != len(mat) for r in mat):
-        raise DomainError("lattice rules are given by a square integer matrix")
+        raise DomainError(square)
 
-    def apply_mat(p, mat=tuple(tuple(r) for r in mat)):
+    def apply_mat(p, mat=tuple(mat)):
         return tuple(sum(m * c for m, c in zip(row, p)) for row in mat)
 
     # LatticeMap refuses any space but a lattice box, and a matrix of another dimension moves the origin

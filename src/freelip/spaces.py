@@ -226,6 +226,7 @@ class AlphaSpace:
 
     kind = "alpha"
     basepoint = 0
+    __setattr__ = __delattr__ = _Record.__setattr__  # frozen, as a record is
 
     def __init__(self, alpha: Iterable[float]):
         def weight(v):  # array('d') would read a bool as a number
@@ -268,7 +269,7 @@ class AlphaSpace:
             bad = next((n for n in range(1, len(w)) if not 0.0 < w[n] < math.inf), None)
             if bad is not None:
                 raise DomainError(f"alpha_{bad} = {w[bad]!r} is not a positive real")
-        self._weights = w
+        object.__setattr__(self, "_weights", w)
 
     @property
     def prefix_length(self) -> int:
@@ -348,10 +349,6 @@ class IntervalSpace(_Record):
         if self.a >= self.b:
             raise DomainError("interval must have positive length")
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.a) and math.isfinite(self.b)
-
     def check_point(self, p) -> float:
         # any real but bool and Fraction; the builtin types first, ahead of the ABC checks
         try:
@@ -422,12 +419,6 @@ class LatticeBox(_Record):
         """Enumerate the whole box (row-major); intended for small boxes."""
         ranges = [range(lo, hi + 1) for lo, hi in self.bounds]
         return itertools.product(*ranges)
-
-    def size(self) -> int:
-        n = 1
-        for lo, hi in self.bounds:
-            n *= hi - lo + 1
-        return n
 
 
 def same_space(s, t) -> bool:

@@ -23,7 +23,10 @@ import sys
 import pytest
 
 from freelip import (
+    GALLERY,
     AlphaSpace,
+    ExperimentCheck,
+    ExperimentReport,
     FiniteMap,
     FiniteSpace,
     IntervalSpace,
@@ -682,6 +685,16 @@ def test_gallery_single_family(tmp_path, capsys):
     report = json.loads((tmp_path / "gallery-doubling.json").read_text())
     assert report["name"] == "doubling"
     assert all(c["ok"] for c in report["checks"])
+
+
+def test_a_failing_experiment_prints_each_failed_check_and_exits_one(tmp_path, capsys, monkeypatch):
+    checks = (ExperimentCheck("holds", True), ExperimentCheck("first", False, "case 3"), ExperimentCheck("second", False))
+    monkeypatch.setitem(GALLERY, "broken", lambda fast: ExperimentReport("broken", {}, checks, {}))
+    res = run_main(capsys, "gallery", "broken", "--outdir", str(tmp_path))
+    assert res.returncode == 1 and res.stderr == ""
+    assert res.stdout == "FAIL broken\n     failed check first: case 3\n     failed check second: \n"
+    report = json.loads((tmp_path / "gallery-broken.json").read_text())
+    assert report["ok"] is False and [c["ok"] for c in report["checks"]] == [True, False, False]
 
 
 def test_gallery_unknown_name_is_input_error(tmp_path, capsys):

@@ -27,6 +27,7 @@ from freelip import (
     ClassificationParams,
     DomainError,
     FiniteMap,
+    FiniteSpace,
     IntervalSpace,
     LatticeBox,
     PiecewiseLinearMap,
@@ -61,11 +62,14 @@ from freelip import (
     norm_flow,
     operator_norm_estimate,
     orbit_norm_profile,
+    orbit_structure,
     pair,
+    periodic_points,
     power_equivalence_check,
     push_forward,
     ramp_map,
     recurrence_gap,
+    restrict_map,
     restrict_to_points,
     rigidity_check,
     shift_profile_closed_form,
@@ -1277,3 +1281,150 @@ def test_power_verdicts_never_flip_escape_for_doubling(x, k):
     params = ClassificationParams(horizon=200)
     rep = power_equivalence_check(doubling_map(), k, [x], params)
     assert rep.agree
+
+
+# ---------------------------------------------------------------------------
+# orbit structure, Per(f), and the restriction of a closed orbit to a table
+
+
+def _structure_by_search(f, x):
+    """(tail, period) of the orbit of x, by a search of the orbit so far."""
+    orbit = [x]
+    while (y := f.apply(orbit[-1])) not in orbit:
+        orbit.append(y)
+    return orbit.index(y), len(orbit) - orbit.index(y)
+
+
+def test_periodic_points_are_the_image_of_the_idempotent_power_on_random_tables():
+    rng = random.Random(3601)
+    spaces = {n: random_finite_space(rng, n) for n in range(1, 41)}
+    vectors = 0
+    for _ in range(2000):
+        sp = spaces[rng.randint(1, 40)]
+        f = FiniteMap(sp, [0] + [rng.randrange(sp.size) for _ in range(sp.size - 1)])
+        per = periodic_points(f)
+        structure = [orbit_structure(f, x) for x in sp.points()]
+        assert structure == [_structure_by_search(f, x) for x in sp.points()]
+        assert per == tuple(x for x, (tail, _) in enumerate(structure) if tail == 0)
+        # N: the least multiple of the lcm of the periods that is at least the longest tail
+        lcm, longest = math.lcm(*(p for _, p in structure)), max(t for t, _ in structure)
+        power = iterate_map(f, lcm * max(1, -(-longest // lcm)))
+        assert sorted(set(power.table)) == list(per)
+        assert tuple(power.table[j] for j in power.table) == power.table
+        for pool in (per, range(sp.size)):
+            mu = make_free_vector(sp, [(p, rng.choice((-2.0, -1.0, 1.0, 3.0))) for p in pool if rng.random() < 0.5])
+            assert (push_forward(power, mu) == mu) == set(mu.support()).issubset(per), (f.table, mu)
+            vectors += not mu.is_zero()
+    assert vectors > 3000
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1), st.integers(0, n - 1),
+    st.integers(1, 16), st.sampled_from((None, 0.5, 0.999)), st.randoms(use_true_random=False))))
+def test_a_finite_orbit_is_recurrent_evidence_iff_it_is_a_cycle_within_the_horizon(case):
+    rest, x, horizon, eps, rnd = case
+    n = len(rest) + 1
+    upper = {(i, j): rnd.uniform(1.0, 2.0) for i in range(n) for j in range(i + 1, n)}  # every distance above eps
+    sp = FiniteSpace([[0.0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    f = FiniteMap(sp, [0] + rest)
+    tail, period = orbit_structure(f, x)
+    rep = classify_orbit(f, x, ClassificationParams(horizon=horizon, eps_recurrent=eps))
+    assert (rep.verdict == RECURRENT) == (tail == 0 and period <= horizon)
+
+
+def closing_orbits():
+    """(kind, map, starts) on the four space kinds: seeded tables and matrix rules, the block cycle and
+    seeded alpha tables, and integer-slope maps of [0, 1] with breakpoints in Z/4 from starts in Z/64,
+    whose orbits stay on Z/64; some starts leave their presentation or never repeat."""
+    rng = random.Random(3602)
+    cases = [("finite", f, points) for _, f, points in table_orbits()]
+    cases.append(("alpha", block_cycle_map(block_cycle_space(10), 10), (1, 7, 30, 65)))
+    cases.append(("alpha", forward_shift_map(AlphaSpace([1.0] * 40)), (0, 3)))
+    for _ in range(6):
+        sp = AlphaSpace([rng.uniform(0.5, 4.0) for _ in range(rng.randrange(2, 15))])
+        table = [0] + [rng.randrange(sp.prefix_length + 1) for _ in range(sp.prefix_length)]
+        cases.append(("alpha", map_from_json({"kind": "alpha-rule", "rule": "table", "table": table}, sp),
+                      tuple(sp.points())))
+    box = LatticeBox(((-6, 6), (-6, 6)))
+    for mat in ([[0, -1], [1, 0]], [[1, 0], [0, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 0]], [[-1, 0], [1, -1]]):
+        f = map_from_json({"kind": "lattice-rule", "matrix": mat}, box)
+        cases.append(("lattice", f, ((1, 0), (1, 1), (3, 2), (-4, 5), (0, 0))))
+    for _ in range(8):
+        ys = [0.0] + [rng.randrange(5) / 4 for _ in range(4)]
+        f = PiecewiseLinearMap(IntervalSpace(0.0, 1.0), list(zip((0.0, 0.25, 0.5, 0.75, 1.0), ys)))
+        cases.append(("interval", f, tuple(rng.randrange(65) / 64 for _ in range(5))))
+    cases.append(("interval", doubling_map(), (0.0, 3 / 64, 0.5, 1.0)))
+    cases.append(("interval", ramp_map(), (0.0, 0.5)))
+    return cases
+
+
+def _report_fields(rep):
+    return _hexed({k: getattr(rep, k) for k in rep._fields if k != "point"})
+
+
+def test_a_closed_orbit_is_classified_alike_on_its_restriction():
+    closed = {"finite": 0, "alpha": 0, "lattice": 0, "interval": 0}
+    refused = 0
+    for kind, f, starts in closing_orbits():
+        for x in starts:
+            try:
+                g = restrict_map(f, [x])
+            except DomainError as exc:
+                with pytest.raises(DomainError) as err:
+                    orbit_structure(f, x)
+                assert str(err.value) == str(exc)
+                refused += 1
+                continue
+            closed[kind] += 1
+            labels = g.space.labels
+            assert [labels[j] for j in g.table] == [f.apply(p) for p in labels]
+            assert all(g.space.distance(i, j).hex() == f.space.distance(p, q).hex()
+                       for i, p in enumerate(labels) for j, q in enumerate(labels))
+            i = labels.index(f.space.check_point(x))
+            assert orbit_structure(g, i) == orbit_structure(f, x) == _structure_by_search(f, f.space.check_point(x))
+            for params in (ClassificationParams(horizon=300, eps_recurrent=1e-9),
+                           ClassificationParams(horizon=300, eps_recurrent=1e-6, radii=SMALL_LADDER)):
+                for power in (1, 2, 3):
+                    want = classify_orbit(f, x, params, power=power)
+                    assert _report_fields(classify_orbit(g, i, params, power=power)) == _report_fields(want), (kind, x)
+    assert min(closed.values()) >= 10 and refused >= 5, (closed, refused)
+
+
+def test_known_orbit_structures():
+    blocks = BlockScheme.triangular(11).ss
+    cycle = block_cycle_map(block_cycle_space(10), 10)
+    assert periodic_points(restrict_map(cycle, list(cycle.space.points()))) == tuple(range(blocks[-1]))
+    assert all(orbit_structure(cycle, m) == (0, n + 1) for n in range(1, 11) for m in range(blocks[n], blocks[n + 1]))
+    shift = backward_shift_map(backward_shift_space(12))
+    assert periodic_points(shift) == (0,)
+    assert [orbit_structure(shift, i) for i in shift.space.points()] == [(i, 1) for i in range(13)]
+    turn = map_from_json({"kind": "lattice-rule", "matrix": [[0, -1], [1, 0]]}, LatticeBox(((-2, 2), (-2, 2))))
+    g = restrict_map(turn, [(1, 0)])
+    assert g.space.labels == ((0, 0), (-1, 0), (0, -1), (0, 1), (1, 0))
+    assert periodic_points(g) == (0, 1, 2, 3, 4)
+    twice = map_from_json({"kind": "lattice-rule", "matrix": [[2]]}, LatticeBox(((-1000, 1000),)))
+    with pytest.raises(DomainError) as err:
+        orbit_structure(twice, (1,))
+    assert str(err.value) == "point (1024,) not in lattice box ((-1000, 1000),)"
+
+
+def test_an_orbit_that_shows_no_repeat_is_refused_by_name():
+    shift = forward_shift_map(AlphaSpace([1.0] * (dynamics.DEFAULT_HORIZON + 2)))
+    for call, start in ((lambda: orbit_structure(shift, 1), 1), (lambda: restrict_map(shift, [2, 1]), 2)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"the orbit of {start} shows no repeat within {dynamics.DEFAULT_HORIZON} steps"
+    with pytest.raises(PrefixExhausted):
+        orbit_structure(forward_shift_map(AlphaSpace([1.0] * 5)), 1)
+
+
+def test_restriction_refuses_what_it_cannot_read():
+    with pytest.raises(DomainError, match="^periodic points are read off a finite table"):
+        periodic_points(doubling_map())
+    with pytest.raises(DomainError, match="^the points must be a list of points$"):
+        restrict_map(doubling_map(), 0.5)
+    with pytest.raises(DomainError, match="^point 2.0 not in interval"):
+        restrict_map(doubling_map(), [0.5, 2.0])
+    only_base = restrict_map(doubling_map(), [])
+    assert only_base.space.labels == (0.0,) and only_base.table == (0,)

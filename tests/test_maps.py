@@ -248,7 +248,9 @@ def test_pl_pieces_cover_domain_with_rays():
     ps = list(f.pieces())
     assert ps[0][:2] == (0.0, 1.0)
     assert ps[-1][1] == math.inf
-    assert ps[-1][3] == 0.5
+    assert ps[-1][2:] == (1.0, 1.0, 0.5)  # the anchor (1, 1), the ray's finite end, and its slope
+    line = PiecewiseLinearMap(LINE, [(-1.0, 2.0), (0.0, 0.0)], left_slope=-3.0, right_slope=0.5)
+    assert list(line.pieces())[0] == (-math.inf, -1.0, -1.0, 2.0, -3.0)  # a left ray's anchor is its hi end
 
 
 def test_pl_preimages_exact_roots():
@@ -683,6 +685,13 @@ def test_map_from_json_rejects_unknown_kind():
         map_from_json({"kind": "quantum"}, UNIT)
 
 
+@pytest.mark.parametrize("thing", [UNIT, None, {"kind": "finite-table", "table": [0]}])
+def test_map_to_json_refuses_what_is_not_a_map(thing):
+    with pytest.raises(TypeError) as err:
+        map_to_json(thing)
+    assert str(err.value) == f"not a map: {thing!r}"
+
+
 # ---------------------------------------------------------------------------
 # each number is read once, by the constructor of the map that holds it
 
@@ -721,6 +730,17 @@ BAD_MAP_INPUTS = {
     "json-alpha-table-moves-zero": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": [1, 0]},
                                                           AlphaSpace([1.0, 2.0])),
                                     "alpha table must start with 0 -> 0"),
+    "table-not-a-list": (lambda: FiniteMap(PAIR, 5), "map table must be a list of points"),
+    "json-table-not-a-list": (lambda: map_from_json({"kind": "finite-table", "table": 5}, PAIR),
+                              "map table must be a list of points"),
+    "json-alpha-table-not-a-list": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": 5},
+                                                          AlphaSpace([1.0, 2.0])),
+                                    "map table must be a list of points"),
+    "json-matrix-not-a-list": (lambda: map_from_json({"kind": "lattice-rule", "matrix": 5}, LatticeBox(((-1, 1),))),
+                               "lattice rules are given by a square integer matrix"),
+    "json-matrix-row-not-a-list": (lambda: map_from_json({"kind": "lattice-rule", "matrix": [5]},
+                                                         LatticeBox(((-1, 1),))),
+                                   "lattice rules are given by a square integer matrix"),
     "lip-of-a-non-map": (lambda: lip_constant(NOT_A_MAP), f"not a recognized map presentation: {NOT_A_MAP!r}"),
 }
 
@@ -764,6 +784,7 @@ MAP_TWINS = {
                                     lambda: LatticeMap(UNIT, lambda p: p)),
     "breakpoint-not-a-pair": (UNIT, {"kind": "piecewise-linear", "breakpoints": [[0, 0, 1], [1, 1]]},
                               lambda: PiecewiseLinearMap(UNIT, [(0, 0, 1), (1, 1)])),
+    "table-not-a-list": (PAIR, {"kind": "finite-table", "table": 5}, lambda: FiniteMap(PAIR, 5)),
     "breakpoints-not-a-list": (UNIT, {"kind": "piecewise-linear", "breakpoints": 5},
                                lambda: PiecewiseLinearMap(UNIT, 5)),
 }

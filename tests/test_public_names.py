@@ -7,9 +7,14 @@ name means editing this list too.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import types
+from pathlib import Path
 
 import freelip
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 PUBLIC_NAMES = [
     "AlphaMap", "AlphaSpace", "BOUNDED", "BlockScheme", "CASE_NO_DRIFT", "CASE_TRAPPED_DRIFT_IN",
@@ -28,9 +33,9 @@ PUBLIC_NAMES = [
     "interval_analysis_to_json", "interval_analyze", "interval_map_suite", "iterate_map",
     "iterate_point", "iterate_vector", "kronecker_return_times", "linear_combine", "lip_constant",
     "make_free_vector", "map_from_json", "map_to_json", "norm_alpha", "norm_flow", "norm_line",
-    "norm_result", "norm_result_to_json", "operator_norm_estimate", "orbit_norm_profile", "pair",
-    "point_to_json", "power_equivalence_check", "push_forward", "ramp_map", "recurrence_gap",
-    "restrict_to_points", "rigidity_check", "rigidity_to_json", "same_space",
+    "norm_result", "norm_result_to_json", "operator_norm_estimate", "orbit_norm_profile", "orbit_structure",
+    "pair", "periodic_points", "point_to_json", "power_equivalence_check", "push_forward", "ramp_map", "recurrence_gap",
+    "restrict_map", "restrict_to_points", "rigidity_check", "rigidity_to_json", "same_space",
     "shift_profile_closed_form", "shift_vector", "space_from_json", "space_to_json",
     "tempered_alpha_space", "validate_finite_metric", "vector_from_json", "vector_to_json",
     "witness_functional",
@@ -40,6 +45,40 @@ PUBLIC_NAMES = [
 def test_the_package_exports_exactly_the_listed_names():
     names = sorted(n for n, v in vars(freelip).items() if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def _bench_reads() -> set[str]:
+    """Every dotted freelip name a ``bench/*.py`` file imports or reads, from its syntax alone."""
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "freelip":
+                reads.update(f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                reads.update(alias.name for alias in node.names if alias.name.split(".")[0] == "freelip")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node).startswith("freelip."):
+                reads.add(ast.unparse(node))
+    return reads
+
+
+def _exists(dotted: str) -> bool:
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, name in enumerate(parts[1:], 2):
+        if not hasattr(obj, name):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_every_freelip_name_the_benchmark_reads_exists():
+    reads = _bench_reads()
+    # each form is seen: a name imported from freelip and from freelip.cli, and an attribute read
+    assert {"freelip.classify_orbit", "freelip.cli.main", "freelip.cli.run_selftest", "freelip.gallery.GALLERY"} <= reads
+    assert [name for name in sorted(reads) if not _exists(name)] == []
 
 
 def test_no_module_keeps_a_second_list_of_public_names():

@@ -20,6 +20,7 @@ from freelip import (
     IntervalSpace,
     LatticeBox,
     NormResult,
+    doubling_map,
     make_free_vector,
 )
 from freelip.dynamics import (
@@ -154,6 +155,21 @@ def test_rule_json_is_left_out_of_equality_and_hash(cls):
     other = record.replace(rule_json={"rule": "another"})
     assert record == other and hash(record) == hash(other)
     assert repr(record) != repr(other)
+
+
+@pytest.mark.parametrize("build, field, value, use", [
+    (lambda: AlphaSpace([1.0, 2.0]), "basepoint", 2, lambda space: space.distance(1, 2)),
+    (lambda: AlphaSpace([1.0, 2.0]), "_weights", None, lambda space: space.distance(1, 2)),
+    (doubling_map, "xs", (9.0,), lambda f: f.apply(0.25)),
+    (doubling_map, "apply", abs, lambda f: f.apply(0.25)),
+], ids=["alpha-basepoint", "alpha-weights", "pl-xs", "pl-apply"])
+def test_a_sequence_space_and_a_piecewise_linear_map_refuse_assignment_as_records_do(build, field, value, use):
+    obj = build()
+    before = (getattr(obj, field), use(obj))
+    for change in (lambda: setattr(obj, field, value), lambda: delattr(obj, field)):
+        with pytest.raises(AttributeError, match=f"^cannot assign to or delete field '{field}'"):
+            change()
+    assert (getattr(obj, field), use(obj)) == before
 
 
 def test_a_record_equals_no_record_of_another_class_with_the_same_field_values():

@@ -387,13 +387,19 @@ def test_alpha_space_equality_and_hash():
 
 def test_interval_space_membership():
     sp = IntervalSpace(0.0, 1.0)
-    assert sp.bounded
     assert sp.check_point(0.5) == 0.5
     with pytest.raises(DomainError):
         sp.check_point(1.5)
     assert sp.distance(0.25, 1.0) == 0.75
     with pytest.raises(DomainError):
         sp.check_point(-0.1)
+
+
+@pytest.mark.parametrize("thing", [None, "interval", {"kind": "interval"}])
+def test_space_to_json_refuses_what_is_not_a_space(thing):
+    with pytest.raises(TypeError) as err:
+        space_to_json(thing)
+    assert str(err.value) == f"not a space: {thing!r}"
 
 
 def test_interval_space_must_contain_basepoint():
@@ -405,7 +411,6 @@ def test_interval_space_must_contain_basepoint():
 
 def test_interval_space_unbounded_sides():
     ray = IntervalSpace(0.0, math.inf)
-    assert not ray.bounded
     assert ray.check_point(1e12) == 1e12
     line = IntervalSpace(-math.inf, math.inf)
     assert line.check_point(-1e9) == -1e9
@@ -416,7 +421,7 @@ def test_lattice_box_taxicab():
     assert box.dim == 2
     assert box.basepoint == (0, 0)
     assert box.distance((1, 2), (-1, 0)) == 4.0
-    assert box.size() == 5 * 4
+    assert sum(1 for _ in box.points()) == 5 * 4
     assert (2, 3) in set(box.points())
     with pytest.raises(DomainError):
         box.check_point((3, 0))
