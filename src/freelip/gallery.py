@@ -5,10 +5,10 @@ closed-form facts the construction is supposed to exhibit; a report with a
 failed check is a loud deviation, not a soft warning.  The checks walk orbits
 through the library's own ``recurrence_gap``, ``iterate_point`` and
 ``push_forward``, so it holds no orbit loop of its own.  Its maps are the JSON
-loader's rules, but the block cycle indexes its own table.  The forward shift's
-payload rule lives here alone: ``lam[i]`` is the coefficient at point
-``i + 1``, divided by ``alpha_{i+1}``, as ``shift_vector``,
-``shift_profile_closed_form`` and ``forward_shift_experiment`` all read it.
+loader's rules.  The forward shift's payload rule lives here alone: ``lam[i]``
+is the coefficient at point ``i + 1``, divided by ``alpha_{i+1}``, as
+``shift_vector``, ``shift_profile_closed_form`` and ``forward_shift_experiment``
+all read it.
 """
 
 from __future__ import annotations
@@ -80,10 +80,11 @@ class BlockScheme(_Record):
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.ks or self.ks[0] != 0:
+        ks = tuple(_count(k, f"block length k_{m}", least=1 if m else 0)
+                   for m, k in enumerate(_rows([self.ks], "block lengths must be a list of integers")[0]))
+        if not ks or ks[0] != 0:
             raise DomainError("block scheme starts with k_0 = 0")
-        for m, k in enumerate(self.ks[1:], 1):
-            _count(k, f"block length k_{m}")
+        object.__setattr__(self, "ks", ks)
 
     @property
     def ss(self) -> tuple[int, ...]:
@@ -246,6 +247,7 @@ def forward_shift_experiment(
     _count(horizon, "horizon", least=0)
     _count(cross_check_steps, "cross_check_steps", least=0)
     lam = _shift_payload(space, lam)
+    radii = None if radii is None else _numbers(radii, "radius", "radii must be a list of numbers")
     l1 = sum(abs(c) for c in lam)
     profile = [_shifted_norm(lam, space, k) for k in range(horizon + 1)]
 
@@ -308,7 +310,7 @@ def block_cycle_map(space: AlphaSpace, blocks: int) -> AlphaMap:
         table.append(ss[n])
     if len(table) != space.prefix_length + 1:
         raise DomainError(f"{blocks} blocks need {len(table) - 1} weights, the space has {space.prefix_length}")
-    return AlphaMap(space=space, rule=tuple(table).__getitem__, rule_json={"rule": "table", "table": table})
+    return map_from_json({"kind": "alpha-rule", "rule": "table", "table": table}, space)
 
 
 def block_cycle_experiment(blocks: int = 10, horizon: int = 1000) -> ExperimentReport:
@@ -658,9 +660,7 @@ def gallery_experiments(fast: bool = False, names=None) -> list[tuple[str, Exper
     Returns (registry key, report) pairs, in the order of ``names`` if given;
     unknown names, or a bare string in place of a list, raise before anything runs.
     """
-    if isinstance(names, str):
-        raise DomainError("names must be a list of experiment names")
-    keys = list(GALLERY) if names is None else list(names)
+    keys = list(GALLERY) if names is None else _rows([names], "names must be a list of experiment names")[0]
     bad = [k for k in keys if k not in GALLERY]
     if bad:
         raise DomainError(f"unknown gallery experiments: {', '.join(bad)}")

@@ -96,10 +96,11 @@ class _Record:
 
 
 def _plain(v):
-    """``v`` with each record in it, through tuples and lists, a dict of its fields."""
+    """``v`` as JSON reads it back: each record in it, through tuples and lists, a dict of its
+    fields, and each tuple a list."""
     if isinstance(v, _Record):
         return {f: _plain(getattr(v, f)) for f in v._fields}
-    return type(v)(map(_plain, v)) if isinstance(v, (tuple, list)) else v
+    return list(map(_plain, v)) if isinstance(v, (tuple, list)) else v
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ class AlphaSpace:
         # distance reads plain floats from it without a check (0.0 + alpha_n
         # is alpha_n bit for bit).  The weights are copied, so no caller's
         # buffer aliases a space, and checked without numpy
-        if not isinstance(alpha, Iterable):
+        if not isinstance(alpha, Iterable) or isinstance(alpha, str):
             raise DomainError("alpha weights must be a list")
         w = array("d", [0.0])
         try:
@@ -464,10 +465,13 @@ def _coerce_number(v, integral: bool, what: str = "point"):
 
 
 def _rows(rows, message: str, width: int | None = None) -> tuple[tuple, ...]:
-    """``rows`` read once, as tuples (each ``width`` long if given), else DomainError(message)."""
+    """``rows`` read once, as tuples (each ``width`` long if given), else DomainError(message); a str is no list."""
     try:
+        rows = (rows,) if isinstance(rows, str) else tuple(rows)  # a str row is refused below
+        if any(isinstance(row, str) for row in rows):
+            raise TypeError
         rows = tuple(map(tuple, rows))
-    except TypeError:  # rows, or a row, that is not iterable
+    except TypeError:  # rows, or a row, that is not iterable, or a str
         raise DomainError(message) from None
     if width is not None and any(len(row) != width for row in rows):
         raise DomainError(message)
@@ -475,10 +479,7 @@ def _rows(rows, message: str, width: int | None = None) -> tuple[tuple, ...]:
 
 
 def _numbers(values, what: str, message: str, integral: bool = False) -> tuple:
-    """``values`` read once as numbers called ``what``; a str, or a value that cannot be
-    iterated, is refused as a whole with DomainError(message), as ``_rows`` refuses a row."""
-    if isinstance(values, str):
-        raise DomainError(message)
+    """``values`` read once as numbers called ``what``; a str or a non-iterable is refused whole, by ``_rows``."""
     return tuple(_coerce_number(v, integral, what) for v in _rows([values], message)[0])
 
 

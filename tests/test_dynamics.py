@@ -48,6 +48,7 @@ from freelip import (
     forward_shift_experiment,
     forward_shift_map,
     free_norm,
+    gallery_experiments,
     identity_map,
     interval_analysis_to_json,
     interval_analyze,
@@ -72,6 +73,7 @@ from freelip import (
     restrict_map,
     restrict_to_points,
     rigidity_check,
+    rigidity_to_json,
     shift_profile_closed_form,
     shift_vector,
 )
@@ -947,6 +949,12 @@ SEQUENCES = {
     "radii-str": ("radii", lambda: ClassificationParams(radii="248")),
     "times-int": ("times", lambda: rigidity_check(doubling_map(), [0.0], 5, bound=2.0)),
     "sample-int": ("the sample", lambda: rigidity_check(doubling_map(), 5, [1], bound=2.0)),
+    "sample-str": ("the sample", lambda: rigidity_check(doubling_map(), "0", [1], bound=2.0)),
+    "kronecker-angles-str": ("angles", lambda: kronecker_return_times("12", 0.1, 3)),
+    "power-sample-str": ("the sample", lambda: power_equivalence_check(doubling_map(), 2, "0")),
+    "operator-norm-points-str": ("the points", lambda: operator_norm_estimate(doubling_map(), points="01")),
+    "restrict-points-str": ("the points", lambda: restrict_to_points(IntervalSpace(0.0, 1.0), "01")),
+    "restrict-map-points-str": ("the points", lambda: restrict_map(doubling_map(), "0")),
     "kronecker-angles-int": ("angles", lambda: kronecker_return_times(5, 0.1, 3)),
     "power-sample-int": ("the sample", lambda: power_equivalence_check(doubling_map(), 2, 5)),
     "vector-pairs-int": ("pairs", lambda: make_free_vector(IntervalSpace(0.0, 1.0), 5)),
@@ -959,6 +967,9 @@ SEQUENCES = {
     "shift-experiment-lam-str": ("lam", lambda: forward_shift_experiment(AlphaSpace([1.0, 2.0, 3.0]), "12", 1)),
     "shift-closed-form-lam-int": ("lam", lambda: shift_profile_closed_form(5, AlphaSpace([1.0, 2.0, 3.0]), 1)),
     "shift-closed-form-lam-str": ("lam", lambda: shift_profile_closed_form("1", AlphaSpace([1.0, 2.0, 3.0]), 1)),
+    "shift-experiment-radii-int": ("radii", lambda: forward_shift_experiment(AlphaSpace([1.0]), [1.0], 1, radii=5)),
+    "shift-experiment-radii-str": ("radii", lambda: forward_shift_experiment(AlphaSpace([1.0]), [1.0], 1, radii="1")),
+    "gallery-names-int": ("names", lambda: gallery_experiments(names=5)),
 }
 
 
@@ -1223,6 +1234,45 @@ def test_certificate_sequences_are_decreasing_prefixes_on_random_maps():
                 assert len(short.sequence) == min(d, len(long.sequence)), (seed, name, d)
 
 
+def written_reports():
+    """classify and interval-analysis reports as dicts: the oracle orbits at powers 1-3 on the
+    default and an explicit ladder, a lattice start on the box's edge that leaves it at step 1 (its
+    gap is null), and the suite maps and seeded piecewise-linear maps at every depth 1..40."""
+    edge = map_from_json({"kind": "lattice-rule", "matrix": [[1, 1], [0, 1]]}, LatticeBox(((-6, 6), (-6, 6))))
+    for _, f, points in oracle_orbits() + [("lattice-shear-edge", edge, ((6, 1),))]:
+        for x in points:
+            for params in (ClassificationParams(horizon=400), ClassificationParams(horizon=400, radii=SMALL_LADDER)):
+                for power in (1, 2, 3):
+                    yield classification_to_json(classify_orbit(f, x, params, power=power))
+    rng = random.Random(3707)
+    for f in [*interval_map_suite().values(), *(_random_pl_map(rng) for _ in range(24))]:
+        for depth in range(1, 41):
+            yield interval_analysis_to_json(interval_analyze(f, depth=depth))
+
+
+# SHA-256 over the bytes the classify and interval-analyze verbs would write for
+# each of the written reports: a change to either serializer must not move one byte
+PINNED_WRITTEN_REPORTS_SHA256 = "bf4be8bd17618f124f0caae39f90f57c645de7b2df56f6d7db2243ccf217d8c5"
+
+
+def test_written_reports_are_pinned_byte_for_byte():
+    digest, null_gaps = hashlib.sha256(), 0
+    for obj in written_reports():
+        digest.update((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+        null_gaps += obj.get("gap", 0.0) is None
+    assert null_gaps >= 1
+    assert digest.hexdigest() == PINNED_WRITTEN_REPORTS_SHA256
+
+
+def test_a_report_equals_what_json_reads_back_from_it():
+    # a rigidity certificate once kept its tuples, which JSON reads back as lists
+    _, rotation = circle_rotation_space(5)
+    certs = (rigidity_check(rotation, list(rotation.space.points()), [5, 10], bound=1.0),
+             rigidity_check(doubling_map(), [0.25, 0.5], [1, 2], bound=4.0))
+    for obj in [*written_reports(), *map(rigidity_to_json, certs)]:
+        assert obj == json.loads(json.dumps(obj))
+
+
 def test_interval_analyze_requires_pl_presentation():
     sp = random_finite_space(random.Random(1), 3)
     f = FiniteMap(space=sp, table=(0, 1, 2))
@@ -1428,3 +1478,15 @@ def test_restriction_refuses_what_it_cannot_read():
         restrict_map(doubling_map(), [0.5, 2.0])
     only_base = restrict_map(doubling_map(), [])
     assert only_base.space.labels == (0.0,) and only_base.table == (0,)
+
+
+def test_a_closure_past_the_table_bound_is_refused_before_its_table_is_built(monkeypatch):
+    # a 1,001-state cycle once built its 1,002-point table and checked it in O(n³), for seconds
+    cycle = map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, *range(2, 1002), 1]},
+                          AlphaSpace([1.0] * 1001))
+    monkeypatch.setattr(dynamics, "restrict_to_points", None)  # a table build would call it
+    with pytest.raises(DomainError) as err:
+        restrict_map(cycle, [1])
+    assert str(err.value) == ("the closure has 1002 points, over the 1000 a restricted table may hold; "
+                              "orbit_structure reads one orbit without a table (tail 0 means periodic)")
+    assert orbit_structure(cycle, 1) == (0, 1001)

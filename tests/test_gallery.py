@@ -10,6 +10,7 @@ from slope products.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import mmap
 import tracemalloc
@@ -38,6 +39,7 @@ from freelip import (
     doubling_experiment,
     doubling_map,
     dyadic_tail_vector,
+    experiment_to_json,
     fill_map,
     forward_shift_experiment,
     forward_shift_map,
@@ -75,6 +77,17 @@ def test_block_scheme_rejects_bad_lengths():
         BlockScheme(ks=(1, 2))
     for ks, m in (((0, 0), 1), ((0, 1, 1.5), 2), ((0, True), 1), ((0, 1, 2.0), 2)):
         with pytest.raises(DomainError, match=f"block length k_{m} must be an integer of at least 1"):
+            BlockScheme(ks=ks)
+
+
+def test_block_lengths_are_read_once_as_a_tuple_of_ints():
+    # once kept as given: a list could not be hashed and a float k_0 stayed a float
+    assert BlockScheme(ks=[0, 1, 2]) == BlockScheme(ks=iter((0, 1, 2))) == BlockScheme.triangular(2)
+    assert hash(BlockScheme(ks=[0, 1])) == hash(BlockScheme(ks=(0, 1)))
+    not_a_list = "block lengths must be a list of integers"
+    for ks, message in ((5, not_a_list), ("01", not_a_list),
+                        ((0.0, 1), "block length k_0 must be a nonnegative integer")):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             BlockScheme(ks=ks)
 
 
@@ -448,6 +461,13 @@ def test_gallery_runs_every_family_fast():
     assert [k for k, _ in results] == list(GALLERY)
     for key, rep in results:
         assert rep.ok, (key, rep.failures())
+
+
+def test_an_experiment_report_equals_what_json_reads_back_from_it():
+    # a report once kept its checks as a tuple, which JSON reads back as a list
+    for _, rep in gallery_experiments(fast=True):
+        obj = experiment_to_json(rep)
+        assert obj == json.loads(json.dumps(obj))
 
 
 def test_gallery_select_by_name():

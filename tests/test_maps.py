@@ -731,6 +731,13 @@ BAD_MAP_INPUTS = {
                                                           AlphaSpace([1.0, 2.0])),
                                     "alpha table must start with 0 -> 0"),
     "table-not-a-list": (lambda: FiniteMap(PAIR, 5), "map table must be a list of points"),
+    # a str is no list: once read a letter at a time, as "point '0' not in finite space of size 2"
+    "table-a-string": (lambda: FiniteMap(PAIR, "01"), "map table must be a list of points"),
+    "breakpoint-a-string": (lambda: PiecewiseLinearMap(UNIT, [(0, 0), "11"]),
+                            "breakpoints must be a list of (x, y) pairs"),
+    "json-matrix-row-a-string": (lambda: map_from_json({"kind": "lattice-rule", "matrix": ["00", "00"]},
+                                                       LatticeBox(((-1, 1), (-1, 1)))),
+                                 "lattice rules are given by a square integer matrix"),
     "json-table-not-a-list": (lambda: map_from_json({"kind": "finite-table", "table": 5}, PAIR),
                               "map table must be a list of points"),
     "json-alpha-table-not-a-list": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": 5},
@@ -785,6 +792,7 @@ MAP_TWINS = {
     "breakpoint-not-a-pair": (UNIT, {"kind": "piecewise-linear", "breakpoints": [[0, 0, 1], [1, 1]]},
                               lambda: PiecewiseLinearMap(UNIT, [(0, 0, 1), (1, 1)])),
     "table-not-a-list": (PAIR, {"kind": "finite-table", "table": 5}, lambda: FiniteMap(PAIR, 5)),
+    "table-a-string": (PAIR, {"kind": "finite-table", "table": "01"}, lambda: FiniteMap(PAIR, "01")),
     "breakpoints-not-a-list": (UNIT, {"kind": "piecewise-linear", "breakpoints": 5},
                                lambda: PiecewiseLinearMap(UNIT, 5)),
 }

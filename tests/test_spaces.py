@@ -708,6 +708,16 @@ BAD_SHAPES = {
     "lattice-no-axis": ({"kind": "lattice", "bounds": []}, lambda: LatticeBox(()), "lattice box needs at least one axis"),
     "interval-of-length-zero": ({"kind": "interval", "a": 0.0, "b": 0.0}, lambda: IntervalSpace(0.0, 0.0),
                                 "interval must have positive length"),
+    # a str is no list, whole or as a row: once read a letter at a time
+    "finite-matrix-a-string": ({"kind": "finite", "matrix": "01"}, lambda: FiniteSpace("01"),
+                               "distance matrix must be a list of rows"),
+    "finite-row-a-string": ({"kind": "finite", "matrix": ["01", "10"]}, lambda: FiniteSpace(("01", "10")),
+                            "distance matrix must be a list of rows"),
+    "finite-labels-a-string": ({"kind": "finite", "matrix": TWO_JSON, "labels": "ab"},
+                               lambda: FiniteSpace(TWO, labels="ab"), "labels must be a list, one per point"),
+    "lattice-axis-a-string": ({"kind": "lattice", "bounds": ["00"]}, lambda: LatticeBox(("00",)),
+                              "lattice bounds must be a list of [lo, hi] pairs"),
+    "alpha-a-string": ({"kind": "alpha", "alpha": "12"}, lambda: AlphaSpace("12"), "alpha weights must be a list"),
 }
 
 
