@@ -14,7 +14,7 @@ import numbers
 from .maps import FiniteMap, PiecewiseLinearMap, iterate_map, lip_constant
 from .norms import free_norm
 from .spaces import DomainError, IntervalSpace, _coerce_number, _count, _numbers, _plain, _Record, _rows, _show, restrict_to_points
-from .vectors import FreeVector, Functional, make_free_vector, point_to_json, push_forward, vector_to_json
+from .vectors import FreeVector, Functional, make_free_vector, push_forward, vector_to_json
 
 BOUNDED = "Bounded"
 RECURRENT = "RecurrentEvidence"
@@ -622,19 +622,11 @@ def power_equivalence_check(f, k: int, sample, params: ClassificationParams | No
 # report serialization
 
 
-def _json_num(v):
-    if v is None or not math.isfinite(v):
-        return None
-    return float(v)
-
-
 def classification_to_json(report: ClassificationReport) -> dict:
-    """The report's fields, its distances given as the last one and the last PROFILE_TAIL; an infinite gap is null."""
+    """The report's fields, its distances given as the last one and the last PROFILE_TAIL."""
     out = _plain(report.replace(distances=()))
     del out["distances"]
-    return {**out, "point": point_to_json(report.point), "gap": _json_num(report.gap),
-            "max_distance": _json_num(report.max_distance), "final_distance": _json_num(report.distances[-1]),
-            "profile_tail": list(report.distances[-PROFILE_TAIL:])}
+    return {**out, "final_distance": _plain(report.distances[-1]), "profile_tail": _plain(report.distances[-PROFILE_TAIL:])}
 
 
 def rigidity_to_json(cert: RigidityCertificate) -> dict:
@@ -642,11 +634,8 @@ def rigidity_to_json(cert: RigidityCertificate) -> dict:
 
 
 def interval_analysis_to_json(analysis: IntervalAnalysis) -> dict:
-    """The analysis's fields; an infinite end is null, and a certificate vector is written with its space."""
-    return {**_plain(analysis.replace(sides=())), "sides": [{
-        **_plain(s.replace(vector=None)),
-        "components": [[_json_num(a), _json_num(b)] for a, b in s.components],
-        "component": None if s.component is None else [_json_num(e) for e in s.component],
-        "vector": None if s.vector is None else vector_to_json(s.vector),
-    } for s in analysis.sides]}
+    """The analysis's fields, each certificate vector written with its space."""
+    return {**_plain(analysis.replace(sides=())), "sides": [
+        {**_plain(s.replace(vector=None)), "vector": None if s.vector is None else vector_to_json(s.vector)}
+        for s in analysis.sides]}
 

@@ -661,7 +661,7 @@ def gallery_experiments(fast: bool = False, names=None) -> list[tuple[str, Exper
     unknown names, or a bare string in place of a list, raise before anything runs.
     """
     keys = list(GALLERY) if names is None else _rows([names], "names must be a list of experiment names")[0]
-    bad = [k for k in keys if k not in GALLERY]
+    bad = [k for k in keys if not isinstance(k, str) or k not in GALLERY]
     if bad:
-        raise DomainError(f"unknown gallery experiments: {', '.join(bad)}")
+        raise DomainError(f"unknown gallery experiments: {', '.join(map(str, bad))}")
     return [(k, GALLERY[k](fast)) for k in keys]

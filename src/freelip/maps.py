@@ -11,9 +11,11 @@ sampled.  On a finite space, a lattice box or a sequence space, the Lipschitz
 constant and the norm of the linearized operator are both attained on an edge
 of the space (``_edges``).
 ``apply`` takes a checked point and checks only its image, where the
-presentation can leave the space.  A piecewise-linear map builds ``eval`` and
-``apply`` once, at construction, from one piece formula (``_pl_function``);
-``apply`` also holds its image to the finite floats of the interval.
+presentation can leave the space.  The two rule presentations share that
+contract, with the space check and the basepoint check, in ``_RuleMap``.  A
+piecewise-linear map builds ``eval`` and ``apply`` once, at construction, from
+one piece formula (``_pl_function``); ``apply`` also holds its image to the
+finite floats of the interval.
 """
 
 from __future__ import annotations
@@ -79,26 +81,32 @@ class FiniteMap(_Record):
         return self.table[p]
 
 
-class AlphaMap(_Record):
-    """Index rule on a sequence space.  The rule must fix 0; an image is
-    checked as a point, so one past the materialized prefix raises
-    ``PrefixExhausted`` and any other non-point ``DomainError``."""
+class _RuleMap:
+    """The space check, basepoint check and ``apply`` of both rule maps; a lattice rule may return any int sequence."""
+
+    _uncompared = ("rule_json",)
+
+    def __post_init__(self):
+        if not isinstance(space := self.space, self._space):
+            raise DomainError(self._needs)
+        image = (lambda p, r=self.rule: tuple(r(p))) if self._space is LatticeBox else self.rule
+        if (moved := image(space.basepoint)) != space.basepoint:
+            raise DomainError(f"map must fix the basepoint {_show(space.basepoint)}, got {_show(moved)}")
+        object.__setattr__(self, "_image", image)
+
+    def apply(self, p):
+        return self.space.check_point(self._image(p))
+
+
+class AlphaMap(_RuleMap, _Record):
+    """Index rule on a sequence space: an image past the materialized prefix
+    raises ``PrefixExhausted``, and any other image that is not a point ``DomainError``."""
 
     space: AlphaSpace
     rule: Callable[[int], int]
     rule_json: dict | None = None
 
-    kind = "alpha-rule"
-    _uncompared = ("rule_json",)
-
-    def __post_init__(self):
-        if not isinstance(self.space, AlphaSpace):
-            raise DomainError("alpha rules need a sequence space")
-        if self.rule(0) != 0:
-            raise DomainError("map must fix the basepoint 0")
-
-    def apply(self, p) -> int:
-        return self.space.check_point(self.rule(p))
+    kind, _space, _needs = "alpha-rule", AlphaSpace, "alpha rules need a sequence space"
 
 
 def _pl_function(xs, ys, slopes, left_slope, right_slope, lo, hi, outside):
@@ -212,23 +220,12 @@ class PiecewiseLinearMap:
         return sorted(set(roots))
 
 
-class LatticeMap(_Record):
+class LatticeMap(_RuleMap, _Record):
     space: LatticeBox
     rule: Callable[[tuple[int, ...]], tuple[int, ...]]
     rule_json: dict | None = None
 
-    kind = "lattice-rule"
-    _uncompared = ("rule_json",)
-
-    def __post_init__(self):
-        if not isinstance(self.space, LatticeBox):
-            raise DomainError("lattice rules need a lattice box")
-        o = self.space.basepoint
-        if (image := tuple(self.rule(o))) != o:
-            raise DomainError(f"map must fix the origin {o}, got {_show(image)}")
-
-    def apply(self, p):
-        return self.space.check_point(tuple(self.rule(p)))
+    kind, _space, _needs = "lattice-rule", LatticeBox, "lattice rules need a lattice box"
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +240,7 @@ def compose(f, g):
         return FiniteMap(f.space, tuple(f.table[j] for j in g.table))
     if isinstance(f, PiecewiseLinearMap) and isinstance(g, PiecewiseLinearMap):
         return _compose_pl(f, g)
-    if isinstance(f, (AlphaMap, LatticeMap)) and type(g) is type(f):
+    if isinstance(f, _RuleMap) and type(g) is type(f):
         return type(f)(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)))
     raise DomainError("mixed map presentations cannot be composed")
 
@@ -270,7 +267,7 @@ def iterate_map(f, n: int):
     """The n-th iterate as a map object (n >= 1); finite tables and
     piecewise-linear presentations are flattened, rules stay lazy."""
     _count(n, "iterate count n")
-    if isinstance(f, (AlphaMap, LatticeMap)):
+    if isinstance(f, _RuleMap):
         return type(f)(f.space, lambda x, f=f, n=n: _step(f.rule, x, n))
     if isinstance(f, FiniteMap):
         return FiniteMap(f.space, _table_power(f.table, n))
@@ -363,7 +360,7 @@ def lip_constant(f, window: int | None = None) -> LipEstimate:
     """
     if window is not None and not isinstance(f, AlphaMap):
         raise DomainError("window applies to sequence rules only")
-    if isinstance(f, (FiniteMap, LatticeMap, AlphaMap)):
+    if isinstance(f, (FiniteMap, _RuleMap)):
         sp = f.space
         edges, points = _edges(sp), sp.points()
         if isinstance(f, AlphaMap):
@@ -427,11 +424,9 @@ def map_to_json(f) -> dict:
         if not math.isfinite(f.space.b):
             out["right_slope"] = f.right_slope
         return out
-    if isinstance(f, (AlphaMap, LatticeMap)):
+    if isinstance(f, _RuleMap):
         if f.rule_json is None:
-            raise DomainError(
-                "this rule-backed map carries no serializable description"
-            )
+            raise DomainError("this rule-backed map carries no serializable description")
         return {"kind": f.kind, **f.rule_json}
     raise TypeError(f"not a map: {f!r}")
 

@@ -97,10 +97,12 @@ class _Record:
 
 def _plain(v):
     """``v`` as JSON reads it back: each record in it, through tuples and lists, a dict of its
-    fields, and each tuple a list."""
+    fields, each tuple a list, and each float that is not finite null."""
     if isinstance(v, _Record):
         return {f: _plain(getattr(v, f)) for f in v._fields}
-    return list(map(_plain, v)) if isinstance(v, (tuple, list)) else v
+    if isinstance(v, (tuple, list)):
+        return list(map(_plain, v))
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 # ---------------------------------------------------------------------------

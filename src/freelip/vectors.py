@@ -12,11 +12,12 @@ return new vectors; nothing here mutates.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .spaces import DomainError, _coerce_number, _Record, same_space, space_from_json, space_to_json
+from .spaces import DomainError, _coerce_number, _Record, _rows, _show, same_space, space_from_json, space_to_json
 
 DROP_TOL = 1e-15
+_PAIRS = "pairs must be a list of (point, coefficient) pairs"
 
 
 class FreeVector(_Record):
@@ -53,15 +54,18 @@ def make_free_vector(space, pairs: Iterable[tuple[object, float]]) -> FreeVector
     """
     acc: dict = {}
     try:
-        for p, c in pairs:
+        for pair in pairs:
+            p, c = pair
             q = space.check_point(p)
             acc[q] = acc.get(q, 0.0) + (c if type(c) is float else _coerce_number(c, integral=False, what="coefficient"))
             if not math.isfinite(acc[q]):  # a NaN or infinite float, or a sum past the float range
                 raise DomainError(f"coefficient at point {q!r} is not finite: {acc[q]!r}")
     except DomainError:
-        raise
+        if type(pair) is not str:  # a str of two characters unpacks, and no space takes a character as a point
+            raise
+        raise DomainError(_PAIRS) from None
     except (TypeError, ValueError):  # pairs, or a pair, that is not an iterable of two
-        raise DomainError("pairs must be a list of (point, coefficient) pairs") from None
+        raise DomainError(_PAIRS) from None
     acc.pop(space.basepoint, None)
     floor = DROP_TOL * max(map(abs, acc.values()), default=0.0)
     terms = tuple((q, c) for q, c in sorted(acc.items()) if c != 0.0 and abs(c) >= floor)
@@ -73,18 +77,19 @@ def delta(space, p) -> FreeVector:
     return make_free_vector(space, [(p, 1.0)])
 
 
-def linear_combine(parts: Sequence[tuple[float, FreeVector]]) -> FreeVector:
+def linear_combine(parts: Iterable[tuple[float, FreeVector]]) -> FreeVector:
     """``sum_j a_j * mu_j`` for vectors over one common space."""
-    if not parts:
+    if not (parts := _rows(parts, "linear_combine needs a list of (scalar, vector) pairs", 2)):
         raise DomainError("linear_combine needs at least one term")
-    space = parts[0][1].space
     pairs = []
     for a, mu in parts:
         a = _coerce_number(a, integral=False, what="scalar")
-        if not same_space(mu.space, space):
+        if not isinstance(mu, FreeVector):
+            raise DomainError(f"linear_combine part {_show(mu)} is not a FreeVector")
+        if not same_space(mu.space, parts[0][1].space):
             raise DomainError("cannot combine vectors over different spaces")
         pairs.extend((p, a * c) for p, c in mu.terms)
-    return make_free_vector(space, pairs)
+    return make_free_vector(parts[0][1].space, pairs)
 
 
 def push_forward(f, mu: FreeVector) -> FreeVector:

@@ -483,6 +483,13 @@ def test_gallery_names_given_as_a_bare_string_are_refused():
         gallery_experiments(names="doubling")
 
 
+def test_a_gallery_name_that_is_not_a_string_is_refused_before_any_experiment_runs(monkeypatch):
+    # [1] once raised a bare "TypeError: unhashable type: 'list'" from the registry lookup
+    monkeypatch.setitem(gallery.GALLERY, "doubling", None)  # an experiment that ran would fail
+    with pytest.raises(DomainError, match=r"^unknown gallery experiments: \[1\], 2$"):
+        gallery_experiments(names=["doubling", [1], 2])
+
+
 # ---------------------------------------------------------------------------
 # a broken map fails the checks, and each failure names its case
 

@@ -333,11 +333,21 @@ def test_compose_alpha_rules_and_lattice_rules():
     swap = map_from_json({"kind": "lattice-rule", "matrix": [[0, 1], [1, 0]]}, box)
     flip = map_from_json({"kind": "lattice-rule", "matrix": [[-1, 0], [0, 1]]}, box)
     for outer, inner in ((f, g), (g, f), (swap, flip), (flip, swap)):
-        h = compose(outer, inner)
-        assert type(h) is type(outer)
+        h, cube = compose(outer, inner), iterate_map(outer, 3)
+        assert type(h) is type(outer) and type(cube) is type(outer)
         for p in outer.space.points():
             assert h.apply(p) == outer.apply(inner.apply(p))
+            assert cube.apply(p) == outer.apply(outer.apply(outer.apply(p)))
     assert compose(swap, flip).apply((1, 2)) == (2, -1)
+
+
+def test_a_lattice_rule_may_return_any_sequence_of_ints():
+    box = LatticeBox(((-2, 2), (-2, 2)))
+    f = LatticeMap(box, lambda p: [-p[0], p[1]])
+    assert f.apply((1, 2)) == (-1, 2) and type(f.apply((1, 2))) is tuple
+    assert iterate_map(f, 2).apply((1, 2)) == (1, 2)
+    with pytest.raises(DomainError, match=r"^map must fix the basepoint \(0, 0\), got \(1, 0\)$"):
+        LatticeMap(box, lambda p: [p[0] + 1, p[1]])
 
 
 def test_compose_rejects_foreign_spaces():
@@ -718,6 +728,18 @@ BAD_MAP_INPUTS = {
     "table-on-an-interval": (lambda: FiniteMap(IntervalSpace(), (0,)), "finite-table maps need a finite space"),
     "alpha-rule-on-a-finite-space": (lambda: AlphaMap(PAIR, lambda n: n), "alpha rules need a sequence space"),
     "lattice-rule-on-an-interval": (lambda: LatticeMap(UNIT, lambda p: p), "lattice rules need a lattice box"),
+    "alpha-rule-on-a-lattice-box": (lambda: AlphaMap(LatticeBox(((-1, 1),)), lambda n: n),
+                                    "alpha rules need a sequence space"),
+    "lattice-rule-on-a-sequence-space": (lambda: LatticeMap(AlphaSpace([1.0]), lambda p: p),
+                                         "lattice rules need a lattice box"),
+    # both rule maps name the basepoint and its image alike (once "must fix the basepoint 0" and "the origin")
+    "alpha-rule-moves-the-basepoint": (lambda: AlphaMap(AlphaSpace([1.0, 2.0]), lambda n: n + 1),
+                                       "map must fix the basepoint 0, got 1"),
+    "lattice-rule-moves-the-basepoint": (lambda: LatticeMap(LatticeBox(((-2, 2),)), lambda p: (p[0] + 1,)),
+                                         "map must fix the basepoint (0,), got (1,)"),
+    "json-matrix-of-another-dimension": (lambda: map_from_json({"kind": "lattice-rule", "matrix": [[1]]},
+                                                               LatticeBox(((-1, 1), (-1, 1)))),
+                                         "map must fix the basepoint (0, 0), got (0,)"),
     "left-slope-on-a-finite-end": (lambda: PiecewiseLinearMap(UNIT, [(0.0, 0.0), (1.0, 1.0)], left_slope=1.0),
                                    "left slope is only for an unbounded left end"),
     "left-tail-escapes-upward": (lambda: PiecewiseLinearMap(IntervalSpace(-math.inf, 0.0), [(0.0, 0.0)],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import mmap
 import random
@@ -24,7 +25,7 @@ from freelip import (
     space_to_json,
     validate_finite_metric,
 )
-from freelip.spaces import cost_matrix
+from freelip.spaces import _plain, _Record, cost_matrix
 from conftest import random_finite_space, random_grid_points
 
 
@@ -733,3 +734,17 @@ def test_a_space_of_the_wrong_shape_is_refused_alike_from_python_and_json(case):
 def test_labels_are_stored_as_a_tuple():
     assert FiniteSpace(TWO, labels=["a", "b"]).labels == ("a", "b")
     assert space_from_json({"kind": "finite", "matrix": TWO_JSON, "labels": [[0, 1], [2, 3]]}).labels == ((0, 1), (2, 3))
+
+
+class _Ends(_Record):
+    low: float
+    ends: tuple
+    inner: object = None
+
+
+def test_plain_writes_every_float_that_is_not_finite_as_null():
+    # JSON has no inf or nan: json.dumps wrote them as Infinity and NaN, and nan reads back unequal
+    record = _Ends(math.inf, (-math.inf, 1.5, (math.nan, 2, True)), _Ends(math.nan, (), np.float64(-math.inf)))
+    obj = _plain(record)
+    assert obj == {"low": None, "ends": [None, 1.5, [None, 2, True]], "inner": {"low": None, "ends": [], "inner": None}}
+    assert obj == json.loads(json.dumps(obj))

@@ -66,6 +66,12 @@ def test_linear_combine_cancellation_yields_zero(rng):
     assert z.is_zero()
 
 
+def test_linear_combine_reads_an_iterator_of_parts_once():
+    # an iterator of parts was once indexed, a TypeError
+    parts = [(2.0, delta(LINE, 0.5)), (-1.0, delta(LINE, 0.25))]
+    assert linear_combine(iter(parts)) == linear_combine(parts)
+
+
 def test_linear_combine_refuses_mixed_spaces(rng):
     sp = random_finite_space(rng, 5)
     with pytest.raises(DomainError):
@@ -270,6 +276,13 @@ BAD_VECTOR_INPUTS = {
     "negative-lip-bound": (lambda: Functional(LINE, lambda p: 0.0, lip_bound=-1.0),
                            "Lipschitz bound must be a nonnegative real"),
     "no-term-to-combine": (lambda: linear_combine([]), "linear_combine needs at least one term"),
+    # a str of two characters once unpacked as a pair: "point 'a' not in interval [0.0, 1.0]"
+    "string-pair": (lambda: make_free_vector(LINE, ["ab"]), "pairs must be a list of (point, coefficient) pairs"),
+    # linear_combine once indexed and unpacked its parts unread: IndexError, AttributeError, ValueError
+    "combine-a-string": (lambda: linear_combine("ab"), "linear_combine needs a list of (scalar, vector) pairs"),
+    "combine-a-non-vector": (lambda: linear_combine([(1.0, "x")]), "linear_combine part 'x' is not a FreeVector"),
+    "combine-a-triple": (lambda: linear_combine([(1.0, delta(LINE, 0.5), 2)]),
+                         "linear_combine needs a list of (scalar, vector) pairs"),
     "json-term-of-one": (lambda: vector_from_json({"terms": [[0.5]]}, LINE), "bad term [0.5]: expected [point, coefficient]"),
 }
 
