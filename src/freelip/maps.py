@@ -4,15 +4,15 @@ vectors and whole maps.
 
 A map presentation matches its space, and refuses any other: an index table
 on a finite space, an index rule on a sequence space, a continuous
-piecewise-linear function on an interval, a coordinate rule on a lattice box.
+piecewise-linear function on an interval, an integer matrix on a lattice box.
 Lipschitz constants are exact for finite tables, piecewise-linear slopes and
 lattice boxes; only sequence rules are window-limited, and nothing is
 sampled.  On a finite space, a lattice box or a sequence space, the Lipschitz
 constant and the norm of the linearized operator are both attained on an edge
 of the space (``_edges``).
 ``apply`` takes a checked point and checks only its image, where the
-presentation can leave the space.  The two rule presentations share that
-contract, with the space check and the basepoint check, in ``_RuleMap``.  A
+presentation can leave the space.  Only an index rule composes and iterates
+lazily; every other composite or iterate is a table, a matrix or pieces.  A
 piecewise-linear map builds ``eval`` and ``apply`` once, at construction, from
 one piece formula (``_pl_function``); ``apply`` also holds its image to the
 finite floats of the interval.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from bisect import bisect_right
 from typing import Callable, Sequence
@@ -61,6 +62,11 @@ class LipEstimate(_Record):
 # presentations
 
 
+def _fixes_basepoint(base, image):
+    if image != base:
+        raise DomainError(f"map must fix the basepoint {_show(base)}, got {_show(image)}")
+
+
 class FiniteMap(_Record):
     space: FiniteSpace
     table: tuple[int, ...]
@@ -74,31 +80,13 @@ class FiniteMap(_Record):
         if len(table) != self.space.size:
             raise DomainError("map table must cover every point of the space")
         object.__setattr__(self, "table", table)
-        if table[self.space.basepoint] != self.space.basepoint:
-            raise DomainError("map must fix the basepoint")
+        _fixes_basepoint(self.space.basepoint, table[self.space.basepoint])
 
     def apply(self, p) -> int:
         return self.table[p]
 
 
-class _RuleMap:
-    """The space check, basepoint check and ``apply`` of both rule maps; a lattice rule may return any int sequence."""
-
-    _uncompared = ("rule_json",)
-
-    def __post_init__(self):
-        if not isinstance(space := self.space, self._space):
-            raise DomainError(self._needs)
-        image = (lambda p, r=self.rule: tuple(r(p))) if self._space is LatticeBox else self.rule
-        if (moved := image(space.basepoint)) != space.basepoint:
-            raise DomainError(f"map must fix the basepoint {_show(space.basepoint)}, got {_show(moved)}")
-        object.__setattr__(self, "_image", image)
-
-    def apply(self, p):
-        return self.space.check_point(self._image(p))
-
-
-class AlphaMap(_RuleMap, _Record):
+class AlphaMap(_Record):
     """Index rule on a sequence space: an image past the materialized prefix
     raises ``PrefixExhausted``, and any other image that is not a point ``DomainError``."""
 
@@ -106,7 +94,15 @@ class AlphaMap(_RuleMap, _Record):
     rule: Callable[[int], int]
     rule_json: dict | None = None
 
-    kind, _space, _needs = "alpha-rule", AlphaSpace, "alpha rules need a sequence space"
+    kind, _uncompared = "alpha-rule", ("rule_json",)
+
+    def __post_init__(self):
+        if not isinstance(self.space, AlphaSpace):
+            raise DomainError("alpha rules need a sequence space")
+        _fixes_basepoint(0, self.rule(0))
+
+    def apply(self, p) -> int:
+        return self.space.check_point(self.rule(p))
 
 
 def _pl_function(xs, ys, slopes, left_slope, right_slope, lo, hi, outside):
@@ -182,8 +178,7 @@ class PiecewiseLinearMap:
             raise DomainError("right tail escapes the interval downward")
         if math.isfinite(space.b) and not math.isfinite(space.a) and self.left_slope < 0:
             raise DomainError("left tail escapes the interval upward")
-        if self.eval(0.0) != 0.0:
-            raise DomainError(f"map must fix the basepoint 0, got f(0) = {self.eval(0.0)!r}")
+        _fixes_basepoint(0.0, self.eval(0.0))
 
     def slopes(self) -> tuple[float, ...]:
         return tuple(s for *_, s in self.pieces())
@@ -220,12 +215,23 @@ class PiecewiseLinearMap:
         return sorted(set(roots))
 
 
-class LatticeMap(_RuleMap, _Record):
+class LatticeMap(_Record):
     space: LatticeBox
-    rule: Callable[[tuple[int, ...]], tuple[int, ...]]
-    rule_json: dict | None = None
+    matrix: tuple[tuple[int, ...], ...]
 
-    kind, _space, _needs = "lattice-rule", LatticeBox, "lattice rules need a lattice box"
+    kind = "lattice-rule"
+
+    def __post_init__(self):
+        if not isinstance(self.space, LatticeBox):
+            raise DomainError("lattice rules need a lattice box")
+        square = "lattice rules are given by a square integer matrix"
+        matrix = tuple(_numbers(row, "matrix entry", square, integral=True) for row in _rows(self.matrix, square))
+        if len(matrix) != (d := self.space.dim) or any(len(row) != d for row in matrix):
+            raise DomainError(f"a lattice rule on a box of dimension {d} needs a {d} x {d} matrix")
+        object.__setattr__(self, "matrix", matrix)
+
+    def apply(self, p) -> tuple[int, ...]:
+        return self.space.check_point(tuple([sum(map(operator.mul, row, p)) for row in self.matrix]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +243,13 @@ def compose(f, g):
     if not same_space(f.space, g.space):
         raise DomainError("cannot compose maps over different spaces")
     if isinstance(f, FiniteMap) and isinstance(g, FiniteMap):
-        return FiniteMap(f.space, tuple(f.table[j] for j in g.table))
+        return FiniteMap(f.space, _after(f.table, g.table))
+    if isinstance(f, LatticeMap) and isinstance(g, LatticeMap):
+        return LatticeMap(f.space, _times(f.matrix, g.matrix))
     if isinstance(f, PiecewiseLinearMap) and isinstance(g, PiecewiseLinearMap):
         return _compose_pl(f, g)
-    if isinstance(f, _RuleMap) and type(g) is type(f):
-        return type(f)(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)))
+    if isinstance(f, AlphaMap) and isinstance(g, AlphaMap):
+        return AlphaMap(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)))
     raise DomainError("mixed map presentations cannot be composed")
 
 
@@ -264,27 +272,32 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap) -> PiecewiseLinear
 
 
 def iterate_map(f, n: int):
-    """The n-th iterate as a map object (n >= 1); finite tables and
-    piecewise-linear presentations are flattened, rules stay lazy."""
+    """The n-th iterate as a map object (n >= 1); an index rule stays lazy, and a table
+    or matrix power, like n applications of the map, has only its last image checked."""
     _count(n, "iterate count n")
-    if isinstance(f, _RuleMap):
-        return type(f)(f.space, lambda x, f=f, n=n: _step(f.rule, x, n))
+    if isinstance(f, AlphaMap):
+        return AlphaMap(f.space, lambda x, f=f, n=n: _step(f.rule, x, n))
     if isinstance(f, FiniteMap):
-        return FiniteMap(f.space, _table_power(f.table, n))
+        return FiniteMap(f.space, _power(_after, f.table, n))
+    if isinstance(f, LatticeMap):
+        return LatticeMap(f.space, _power(_times, f.matrix, n))
     return _step(lambda g: _compose_pl(f, g), f, n - 1)
 
 
-def _table_power(table, n):
-    # repeated squaring: log2(n) compositions of plain tuples, which the
-    # powers of one map share, and a single FiniteMap check at the end
-    out = tuple(range(len(table)))
-    while n:
-        if n & 1:
-            out = tuple(table[j] for j in out)
-        n >>= 1
-        if n:
-            table = tuple(table[j] for j in table)
-    return out
+def _after(table, other):  # the table of table o other
+    return tuple(table[j] for j in other)
+
+
+def _times(a, b):  # the product of square int matrices, as tuples of rows
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
+
+
+def _power(product, x, n):
+    """x^n, n >= 1, by repeated squaring: about 2 log2(n) products, and no map check between."""
+    if n == 1:
+        return x
+    half = _power(product, product(x, x), n // 2)
+    return product(x, half) if n % 2 else half
 
 
 def _step(g, x, n):
@@ -360,7 +373,7 @@ def lip_constant(f, window: int | None = None) -> LipEstimate:
     """
     if window is not None and not isinstance(f, AlphaMap):
         raise DomainError("window applies to sequence rules only")
-    if isinstance(f, (FiniteMap, _RuleMap)):
+    if isinstance(f, (FiniteMap, AlphaMap, LatticeMap)):
         sp = f.space
         edges, points = _edges(sp), sp.points()
         if isinstance(f, AlphaMap):
@@ -424,7 +437,9 @@ def map_to_json(f) -> dict:
         if not math.isfinite(f.space.b):
             out["right_slope"] = f.right_slope
         return out
-    if isinstance(f, _RuleMap):
+    if isinstance(f, LatticeMap):
+        return {"kind": f.kind, "rule": "matrix", "matrix": [list(row) for row in f.matrix]}
+    if isinstance(f, AlphaMap):
         if f.rule_json is None:
             raise DomainError("this rule-backed map carries no serializable description")
         return {"kind": f.kind, **f.rule_json}
@@ -443,7 +458,7 @@ def map_from_json(obj: dict, space):
         if kind == "alpha-rule":
             return _alpha_rule_from_json(obj, space)
         if kind == "lattice-rule":
-            return _lattice_rule_from_json(obj, space)
+            return LatticeMap(space, obj["matrix"])
     except DomainError:
         raise
     except KeyError as exc:
@@ -470,15 +485,3 @@ def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
         return AlphaMap(space, apply_table, rule_json={"rule": "table", "table": table})
     raise DomainError(f"unknown alpha rule {rule!r}")
 
-
-def _lattice_rule_from_json(obj: dict, space: LatticeBox) -> LatticeMap:
-    square = "lattice rules are given by a square integer matrix"
-    mat = [_numbers(row, "matrix entry", square, integral=True) for row in _rows(obj["matrix"], square)]
-    if any(len(r) != len(mat) for r in mat):
-        raise DomainError(square)
-
-    def apply_mat(p, mat=tuple(mat)):
-        return tuple(sum(m * c for m, c in zip(row, p)) for row in mat)
-
-    # LatticeMap refuses any space but a lattice box, and a matrix of another dimension moves the origin
-    return LatticeMap(space, apply_mat, rule_json={"rule": "matrix", "matrix": [list(r) for r in mat]})

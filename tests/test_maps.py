@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 from bisect import bisect_right
 
@@ -121,12 +122,6 @@ def test_pl_map_values_stay_inside():
         PiecewiseLinearMap(UNIT, [(0.0, 0.0), (0.5, 1.5), (1.0, 1.0)])
 
 
-def test_lattice_map_must_fix_origin():
-    box = LatticeBox(bounds=((-2, 2),))
-    with pytest.raises(DomainError):
-        LatticeMap(space=box, rule=lambda p: (p[0] + 1,))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -221,7 +216,7 @@ def _map_with_point_outside(kind):
         return AlphaMap(AlphaSpace([1.0, 2.0]), lambda n: 0 if n == 0 else 3 - n), 3
     if kind == "interval":
         return tent_map(), 1.5
-    return LatticeMap(LatticeBox(((-2, 2), (-2, 2))), lambda p: (-p[0], p[1])), (3, 0)
+    return LatticeMap(LatticeBox(((-2, 2), (-2, 2))), [[-1, 0], [0, 1]]), (3, 0)
 
 
 @pytest.mark.parametrize("kind", ["finite", "alpha", "interval", "lattice"])
@@ -342,12 +337,42 @@ def test_compose_alpha_rules_and_lattice_rules():
 
 
 def test_a_lattice_rule_may_return_any_sequence_of_ints():
+    # rows may be lists, tuples or ranges of ints; the map keeps tuples, and its images are tuples
     box = LatticeBox(((-2, 2), (-2, 2)))
-    f = LatticeMap(box, lambda p: [-p[0], p[1]])
+    f = LatticeMap(box, [[-1, 0], (0, 1)])
+    assert f.matrix == ((-1, 0), (0, 1)) and LatticeMap(box, (range(1, -1, -1), range(2))).matrix == ((1, 0), (0, 1))
     assert f.apply((1, 2)) == (-1, 2) and type(f.apply((1, 2))) is tuple
     assert iterate_map(f, 2).apply((1, 2)) == (1, 2)
-    with pytest.raises(DomainError, match=r"^map must fix the basepoint \(0, 0\), got \(1, 0\)$"):
-        LatticeMap(box, lambda p: [p[0] + 1, p[1]])
+
+
+def test_a_lattice_map_is_its_matrix():
+    # two loads of one JSON map are one map, and a composite or an iterate is written out as its factors are
+    box = LatticeBox(((-2, 2), (-2, 2)))
+    wire = {"kind": "lattice-rule", "rule": "matrix", "matrix": [[0, -1], [1, 0]]}
+    f, g = map_from_json(wire, box), map_from_json(wire, box)
+    assert f == g and hash(f) == hash(g) and f.matrix == ((0, -1), (1, 0))
+    shear = map_from_json({"kind": "lattice-rule", "matrix": [[1, 1], [0, 1]]}, LatticeBox(((-9, 9), (-9, 9))))
+    for h in (compose(f, f), iterate_map(f, 5), compose(shear, shear), iterate_map(shear, 3)):
+        back = map_from_json(map_to_json(h), h.space)
+        assert back == h and hash(back) == hash(h) and map_to_json(back) == map_to_json(h)
+    assert compose(f, f).matrix == ((-1, 0), (0, -1)) and iterate_map(shear, 3).matrix == ((1, 3), (0, 1))
+
+
+def test_a_lattice_power_is_taken_by_squaring():
+    turn = LatticeMap(LatticeBox(((-2, 2), (-2, 2))), [[0, -1], [1, 0]])
+    start = time.perf_counter()
+    far = iterate_map(turn, 10**6)
+    assert far.matrix == ((1, 0), (0, 1)) and far.apply((1, 2)) == (1, 2)
+    assert time.perf_counter() - start < 0.5  # a walk of 10**6 steps takes seconds
+
+
+def test_a_lattice_power_checks_only_its_last_image():
+    # as n applications of the rule would: the quarter turn of [-1, 1] x [-2, 2]
+    # sends (0, 2) out of the box, and its square sends it to (0, -2)
+    turn = LatticeMap(LatticeBox(((-1, 1), (-2, 2))), [[0, -1], [1, 0]])
+    with pytest.raises(DomainError, match=r"^point \(-2, 0\) not in lattice box"):
+        turn.apply((0, 2))
+    assert iterate_map(turn, 2).apply((0, 2)) == compose(turn, turn).apply((0, 2)) == (0, -2)
 
 
 def test_compose_rejects_foreign_spaces():
@@ -447,7 +472,7 @@ def test_lip_alpha_is_window_limited():
 
 @pytest.mark.parametrize("make", [
     lambda: FiniteMap(FiniteSpace(((0.0, 1.0), (1.0, 0.0))), (0, 1)),
-    lambda: LatticeMap(space=LatticeBox(bounds=((-3, 3),)), rule=lambda p: (-p[0],)),
+    lambda: LatticeMap(space=LatticeBox(bounds=((-3, 3),)), matrix=[[-1]]),
     lambda: PiecewiseLinearMap(IntervalSpace(0.0, 1.0), [(0.0, 0.0), (1.0, 1.0)]),
 ], ids=["finite-table", "lattice-rule", "piecewise-linear"])
 def test_a_window_on_a_map_that_is_not_a_sequence_rule_is_refused(make):
@@ -461,28 +486,38 @@ def test_a_window_on_a_map_that_is_not_a_sequence_rule_is_refused(make):
 
 def test_lip_lattice_enumerates_small_boxes():
     box = LatticeBox(bounds=((-3, 3),))
-    f = LatticeMap(space=box, rule=lambda p: (-p[0],))
+    f = LatticeMap(space=box, matrix=[[-1]])
     est = lip_constant(f)
     assert est.exact and est.value == 1.0
 
 
 def _random_lattice_map(rng, dim):
+    """A random matrix with entries in -1..1 on a random box, and the image of each box point,
+    computed apart from ``apply``, or None when some point leaves the box.  Most entries
+    are 0, so that some 3-d maps keep their box (with uniform entries few do)."""
     box = LatticeBox(tuple((-rng.randrange(0, 3), rng.randrange(1, 3)) for _ in range(dim)))
-    pts = list(box.points())
-    table = {p: p if p == box.basepoint else rng.choice(pts) for p in pts}
-    return LatticeMap(box, lambda p, table=table: table[p])
+    matrix = [[rng.choice((-1, 0, 0, 0, 0, 1)) for _ in range(dim)] for _ in range(dim)]
+    image = {p: tuple(int(c) for c in np.array(matrix) @ p) for p in box.points()}
+    inside = all(lo <= c <= hi for q in image.values() for c, (lo, hi) in zip(q, box.bounds))
+    return LatticeMap(box, matrix), image if inside else None
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_lip_lattice_unit_steps_match_all_pairs(rng, dim):
     # l1 on a box is the path metric of its grid, so the largest ratio over
-    # unit steps is the largest over all pairs
-    for _ in range(8):
-        f = _random_lattice_map(rng, dim)
+    # unit steps is the largest over all pairs; a map that sends a point out is refused
+    kept = 0
+    for _ in range(40):
+        f, image = _random_lattice_map(rng, dim)
+        if image is None:
+            with pytest.raises(DomainError, match=r"^point .* not in lattice box"):
+                lip_constant(f)
+            continue
+        kept += 1
         sp = f.space
         pts = list(sp.points())
         brute = max(
-            sp.distance(f.apply(p), f.apply(q)) / sp.distance(p, q)
+            sp.distance(image[p], image[q]) / sp.distance(p, q)
             for i, p in enumerate(pts) for q in pts[i + 1:]
         )
         est = lip_constant(f)
@@ -490,7 +525,8 @@ def test_lip_lattice_unit_steps_match_all_pairs(rng, dim):
         if brute > 0.0:  # a map onto the origin has no witness
             p, q = est.witness
             assert sp.distance(p, q) == 1.0
-            assert sp.distance(f.apply(p), f.apply(q)) == est.value
+            assert sp.distance(image[p], image[q]) == est.value
+    assert 0 < kept < 40
 
 
 def test_lip_lattice_large_box_is_exact():
@@ -516,11 +552,19 @@ def test_operator_norm_equals_lip_on_finite_spaces(rng):
 
 
 def test_operator_norm_equals_lip_on_lattice_boxes(rng):
+    kept = 0
     for dim in (1, 2, 3):
-        for _ in range(3):
-            f = _random_lattice_map(rng, dim)
+        for _ in range(10):
+            f, image = _random_lattice_map(rng, dim)
+            if image is None:
+                for norm in (operator_norm_estimate, lip_constant):
+                    with pytest.raises(DomainError, match=r"^point .* not in lattice box"):
+                        norm(f)
+                continue
+            kept += dim == 3
             est = operator_norm_estimate(f)
             assert est.exact and est.value == lip_constant(f).value
+    assert kept  # a 3-d map that keeps its box was met
 
 
 def test_operator_norm_equals_lip_on_alpha_prefixes(rng):
@@ -582,7 +626,7 @@ def test_operator_norm_counts_a_repeated_point_once(points, value, witness):
 TIED = {
     "finite-table": (lambda: FiniteMap(FiniteSpace(((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0))), (0, 2, 1)),
                      (0, 1)),
-    "lattice-rule": (lambda: LatticeMap(LatticeBox(((-1, 1), (-1, 1))), lambda p: (-p[0], p[1])),
+    "lattice-rule": (lambda: LatticeMap(LatticeBox(((-1, 1), (-1, 1))), [[-1, 0], [0, 1]]),
                      ((-1, -1), (0, -1))),
     "alpha-rule": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, 2, 1, 4, 3]},
                                          AlphaSpace([1.0, 2.0, 1.0, 2.0])),
@@ -727,19 +771,25 @@ BAD_MAP_INPUTS = {
                              "piecewise-linear maps need an interval space"),
     "table-on-an-interval": (lambda: FiniteMap(IntervalSpace(), (0,)), "finite-table maps need a finite space"),
     "alpha-rule-on-a-finite-space": (lambda: AlphaMap(PAIR, lambda n: n), "alpha rules need a sequence space"),
-    "lattice-rule-on-an-interval": (lambda: LatticeMap(UNIT, lambda p: p), "lattice rules need a lattice box"),
+    "lattice-rule-on-an-interval": (lambda: LatticeMap(UNIT, [[1]]), "lattice rules need a lattice box"),
     "alpha-rule-on-a-lattice-box": (lambda: AlphaMap(LatticeBox(((-1, 1),)), lambda n: n),
                                     "alpha rules need a sequence space"),
-    "lattice-rule-on-a-sequence-space": (lambda: LatticeMap(AlphaSpace([1.0]), lambda p: p),
+    "lattice-rule-on-a-sequence-space": (lambda: LatticeMap(AlphaSpace([1.0]), [[1]]),
                                          "lattice rules need a lattice box"),
-    # both rule maps name the basepoint and its image alike (once "must fix the basepoint 0" and "the origin")
+    # every presentation names the basepoint and its image alike
     "alpha-rule-moves-the-basepoint": (lambda: AlphaMap(AlphaSpace([1.0, 2.0]), lambda n: n + 1),
                                        "map must fix the basepoint 0, got 1"),
-    "lattice-rule-moves-the-basepoint": (lambda: LatticeMap(LatticeBox(((-2, 2),)), lambda p: (p[0] + 1,)),
-                                         "map must fix the basepoint (0,), got (1,)"),
+    "table-moves-the-basepoint": (lambda: FiniteMap(PAIR, (1, 1)), "map must fix the basepoint 0, got 1"),
+    "json-table-moves-the-basepoint": (lambda: map_from_json({"kind": "finite-table", "table": [1, 1]}, PAIR),
+                                       "map must fix the basepoint 0, got 1"),
+    "pl-moves-the-basepoint": (lambda: PiecewiseLinearMap(UNIT, [(0.0, 0.5), (1.0, 1.0)]),
+                               "map must fix the basepoint 0.0, got 0.5"),
+    # a matrix fixes the origin; one of another shape is refused by the box's dimension
+    "lattice-matrix-of-another-dimension": (lambda: LatticeMap(LatticeBox(((-2, 2),)), [[1, 0], [0, 1]]),
+                                            "a lattice rule on a box of dimension 1 needs a 1 x 1 matrix"),
     "json-matrix-of-another-dimension": (lambda: map_from_json({"kind": "lattice-rule", "matrix": [[1]]},
                                                                LatticeBox(((-1, 1), (-1, 1)))),
-                                         "map must fix the basepoint (0, 0), got (0,)"),
+                                         "a lattice rule on a box of dimension 2 needs a 2 x 2 matrix"),
     "left-slope-on-a-finite-end": (lambda: PiecewiseLinearMap(UNIT, [(0.0, 0.0), (1.0, 1.0)], left_slope=1.0),
                                    "left slope is only for an unbounded left end"),
     "left-tail-escapes-upward": (lambda: PiecewiseLinearMap(IntervalSpace(-math.inf, 0.0), [(0.0, 0.0)],
@@ -810,7 +860,10 @@ MAP_TWINS = {
     "alpha-rule-on-a-finite-space": (PAIR, {"kind": "alpha-rule", "rule": "forward-shift"},
                                      lambda: AlphaMap(PAIR, lambda n: n)),
     "lattice-rule-on-an-interval": (UNIT, {"kind": "lattice-rule", "matrix": [[1]]},
-                                    lambda: LatticeMap(UNIT, lambda p: p)),
+                                    lambda: LatticeMap(UNIT, [[1]])),
+    "table-moves-the-basepoint": (PAIR, {"kind": "finite-table", "table": [1, 0]}, lambda: FiniteMap(PAIR, (1, 0))),
+    "pl-moves-the-basepoint": (UNIT, {"kind": "piecewise-linear", "breakpoints": [[0, 0.5], [1, 1]]},
+                               lambda: PiecewiseLinearMap(UNIT, [(0, 0.5), (1, 1)])),
     "breakpoint-not-a-pair": (UNIT, {"kind": "piecewise-linear", "breakpoints": [[0, 0, 1], [1, 1]]},
                               lambda: PiecewiseLinearMap(UNIT, [(0, 0, 1), (1, 1)])),
     "table-not-a-list": (PAIR, {"kind": "finite-table", "table": 5}, lambda: FiniteMap(PAIR, 5)),
@@ -841,11 +894,15 @@ def test_breakpoints_are_read_once_from_any_iterable():
     assert str(err.value) == "need at least one breakpoint"
 
 
-@pytest.mark.parametrize("matrix", [[[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]]],
-                         ids=["not-square", "three-by-three", "one-by-one"])
+@pytest.mark.parametrize("matrix", [[[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], []],
+                         ids=["not-square", "three-by-three", "one-by-one", "empty"])
 def test_a_lattice_matrix_of_another_shape_is_refused(matrix):
-    with pytest.raises(DomainError):
-        map_from_json({"kind": "lattice-rule", "matrix": matrix}, LatticeBox(((-2, 2), (-2, 2))))
+    # from JSON and from Python alike, the empty matrix too
+    box = LatticeBox(((-2, 2), (-2, 2)))
+    for build in (lambda: map_from_json({"kind": "lattice-rule", "matrix": matrix}, box), lambda: LatticeMap(box, matrix)):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == "a lattice rule on a box of dimension 2 needs a 2 x 2 matrix"
 
 
 # ---------------------------------------------------------------------------
