@@ -11,8 +11,8 @@ sampled.  On a finite space, a lattice box or a sequence space, the Lipschitz
 constant and the norm of the linearized operator are both attained on an edge
 of the space (``_edges``).
 ``apply`` takes a checked point and checks only its image, where the
-presentation can leave the space.  Only an index rule composes and iterates
-lazily; every other composite or iterate is a table, a matrix or pieces.  A
+presentation can leave the space.  A composite or an iterate is a table, a
+table and a shift, a matrix or pieces, in the presentation of its factors.  A
 piecewise-linear map builds ``eval`` and ``apply`` once, at construction, from
 one piece formula (``_pl_function``); ``apply`` also holds its image to the
 finite floats of the interval.
@@ -25,7 +25,7 @@ import math
 import operator
 import sys
 from bisect import bisect_right
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .spaces import (
     AlphaSpace,
@@ -87,22 +87,33 @@ class FiniteMap(_Record):
 
 
 class AlphaMap(_Record):
-    """Index rule on a sequence space: an image past the materialized prefix
-    raises ``PrefixExhausted``, and any other image that is not a point ``DomainError``."""
+    """Index rule on a sequence space: n -> table[n] on the table, and n -> n + shift past
+    it, where a shift of 0 leaves no image.  An image past the materialized prefix raises
+    ``PrefixExhausted``; no sequence space has a negative point, so no entry is negative."""
 
     space: AlphaSpace
-    rule: Callable[[int], int]
-    rule_json: dict | None = None
+    table: tuple[int, ...]
+    shift: int = 0
 
-    kind, _uncompared = "alpha-rule", ("rule_json",)
+    kind = "alpha-rule"
 
     def __post_init__(self):
         if not isinstance(self.space, AlphaSpace):
             raise DomainError("alpha rules need a sequence space")
-        _fixes_basepoint(0, self.rule(0))
+        if not (table := _numbers(self.table, "table entry", _TABLE, integral=True)):
+            raise DomainError("alpha table is empty: it needs the entry 0 -> 0")
+        _fixes_basepoint(0, table[0])
+        if min(table) < 0:
+            raise DomainError(f"alpha table entry {_show(min(table))} is negative: no sequence space has it")
+        object.__setattr__(self, "table", table)
+        _count(self.shift, "alpha shift", least=0)
 
     def apply(self, p) -> int:
-        return self.space.check_point(self.rule(p))
+        if p < len(self.table):
+            return self.space.check_point(self.table[p])
+        if self.shift:
+            return self.space.check_point(p + self.shift)
+        raise PrefixExhausted(f"table rule covers indices up to {len(self.table) - 1}")
 
 
 def _pl_function(xs, ys, slopes, left_slope, right_slope, lo, hi, outside):
@@ -243,14 +254,26 @@ def compose(f, g):
     if not same_space(f.space, g.space):
         raise DomainError("cannot compose maps over different spaces")
     if isinstance(f, FiniteMap) and isinstance(g, FiniteMap):
-        return FiniteMap(f.space, _after(f.table, g.table))
+        return FiniteMap(f.space, tuple(f.table[j] for j in g.table))
     if isinstance(f, LatticeMap) and isinstance(g, LatticeMap):
-        return LatticeMap(f.space, _times(f.matrix, g.matrix))
+        return LatticeMap(f.space, tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*g.matrix))
+                                         for row in f.matrix))
     if isinstance(f, PiecewiseLinearMap) and isinstance(g, PiecewiseLinearMap):
         return _compose_pl(f, g)
     if isinstance(f, AlphaMap) and isinstance(g, AlphaMap):
-        return AlphaMap(f.space, lambda x, f=f, g=g: f.rule(g.rule(x)))
+        # the table runs over both tables, or to the prefix end: past it the composite
+        # shifts by both shifts, or has no image when either has none
+        past = len(f.space.points())
+        table = [_image(f, g, x, past) for x in range(min(past, max(len(g.table), len(f.table))))]
+        return AlphaMap(f.space, table, f.shift and g.shift and f.shift + g.shift)
     raise DomainError("mixed map presentations cannot be composed")
+
+
+def _image(f, g, x, past):  # f(g(x)), each step checked, or the index ``past`` where a step leaves the prefix
+    try:
+        return f.apply(g.apply(x))
+    except PrefixExhausted:
+        return past
 
 
 def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap) -> PiecewiseLinearMap:
@@ -272,28 +295,17 @@ def _compose_pl(f: PiecewiseLinearMap, g: PiecewiseLinearMap) -> PiecewiseLinear
 
 
 def iterate_map(f, n: int):
-    """The n-th iterate as a map object (n >= 1); an index rule stays lazy, and a table
-    or matrix power, like n applications of the map, has only its last image checked."""
+    """The n-th iterate as a map object (n >= 1), composed by repeated squaring; a matrix power,
+    unlike n applications, has only its last image checked.  Pieces are composed one step at
+    a time, as squaring would regroup the float breakpoints."""
     _count(n, "iterate count n")
-    if isinstance(f, AlphaMap):
-        return AlphaMap(f.space, lambda x, f=f, n=n: _step(f.rule, x, n))
-    if isinstance(f, FiniteMap):
-        return FiniteMap(f.space, _power(_after, f.table, n))
-    if isinstance(f, LatticeMap):
-        return LatticeMap(f.space, _power(_times, f.matrix, n))
-    return _step(lambda g: _compose_pl(f, g), f, n - 1)
-
-
-def _after(table, other):  # the table of table o other
-    return tuple(table[j] for j in other)
-
-
-def _times(a, b):  # the product of square int matrices, as tuples of rows
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
+    if isinstance(f, PiecewiseLinearMap):
+        return _step(lambda g: _compose_pl(f, g), f, n - 1)
+    return _power(compose, f, n)
 
 
 def _power(product, x, n):
-    """x^n, n >= 1, by repeated squaring: about 2 log2(n) products, and no map check between."""
+    """x^n, n >= 1, by repeated squaring: about 2 log2(n) products."""
     if n == 1:
         return x
     half = _power(product, product(x, x), n // 2)
@@ -440,9 +452,10 @@ def map_to_json(f) -> dict:
     if isinstance(f, LatticeMap):
         return {"kind": f.kind, "rule": "matrix", "matrix": [list(row) for row in f.matrix]}
     if isinstance(f, AlphaMap):
-        if f.rule_json is None:
-            raise DomainError("this rule-backed map carries no serializable description")
-        return {"kind": f.kind, **f.rule_json}
+        if f.table == (0,) and f.shift == 1:
+            return {"kind": f.kind, "rule": "forward-shift"}
+        tail = range(len(f.table), len(f.space.points())) if f.shift else ()
+        return {"kind": f.kind, "rule": "table", "table": [*f.table, *(n + f.shift for n in tail)]}
     raise TypeError(f"not a map: {f!r}")
 
 
@@ -456,7 +469,9 @@ def map_from_json(obj: dict, space):
         if kind == "piecewise-linear":
             return PiecewiseLinearMap(space, obj["breakpoints"], obj.get("left_slope"), obj.get("right_slope"))
         if kind == "alpha-rule":
-            return _alpha_rule_from_json(obj, space)
+            if (rule := obj.get("rule")) not in ("forward-shift", "table"):
+                raise DomainError(f"unknown alpha rule {rule!r}")
+            return AlphaMap(space, (0,), 1) if rule == "forward-shift" else AlphaMap(space, obj["table"])
         if kind == "lattice-rule":
             return LatticeMap(space, obj["matrix"])
     except DomainError:
@@ -466,22 +481,4 @@ def map_from_json(obj: dict, space):
     except (TypeError, ValueError) as exc:
         raise DomainError(f"map object has a malformed field: {exc}") from exc
     raise DomainError(f"unknown map kind {kind!r}")
-
-
-def _alpha_rule_from_json(obj: dict, space: AlphaSpace) -> AlphaMap:
-    rule = obj.get("rule")
-    if rule == "forward-shift":
-        return AlphaMap(space, lambda n: 0 if n == 0 else n + 1, rule_json={"rule": "forward-shift"})
-    if rule == "table":
-        table = list(_numbers(obj["table"], "table entry", _TABLE, integral=True))
-        if not table or table[0] != 0:
-            raise DomainError("alpha table must start with 0 -> 0")
-
-        def apply_table(n, table=tuple(table)):
-            if n >= len(table):
-                raise PrefixExhausted(f"table rule covers indices up to {len(table) - 1}")
-            return table[n]
-
-        return AlphaMap(space, apply_table, rule_json={"rule": "table", "table": table})
-    raise DomainError(f"unknown alpha rule {rule!r}")
 

@@ -49,13 +49,11 @@ class PrefixExhausted(DomainError):
 class _Record:
     """An immutable record of the fields annotated in its class body; see the module docstring."""
 
-    _uncompared = ()  # fields that equality and the hash ignore
-
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._names = frozenset(cls._fields)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        cls._key = property(operator.attrgetter(*(f for f in cls._fields if f not in cls._uncompared)))
+        cls._key = property(operator.attrgetter(*cls._fields))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -88,7 +86,7 @@ class _Record:
         return hash(self._key)
 
     def __repr__(self):
-        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+        return f"{type(self).__qualname__}({', '.join(f'{f}={_show(getattr(self, f))}' for f in self._fields)})"
 
     def replace(self, **changes):
         """This record with ``changes`` to some fields, built and checked afresh."""

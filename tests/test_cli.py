@@ -576,6 +576,12 @@ MALFORMED = {
         _write(d / "map.json", {"space": {"kind": "alpha", "alpha": [1.0, 2.0]},
                                 "map": {"kind": "alpha-rule", "rule": "table", "table": [0, 2.7, 1]}}),
     ],
+    # a negative entry once read table[-1] in a composite; no sequence space has a negative point
+    "alpha-table-negative": lambda d: [
+        "classify", "--point", "1", "--map",
+        _write(d / "map.json", {"space": {"kind": "alpha", "alpha": [1.0, 2.0, 4.0]},
+                                "map": {"kind": "alpha-rule", "rule": "table", "table": [0, -1, 1, 2]}}),
+    ],
     "alpha-table-bool": lambda d: [
         "classify", "--point", "1", "--map",
         _write(d / "map.json", {"space": {"kind": "alpha", "alpha": [1.0, 2.0]},

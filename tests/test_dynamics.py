@@ -216,7 +216,7 @@ def test_two_cycle_is_recurrent(rng):
 
 def test_prefix_truncation_reports_undecided():
     sp = AlphaSpace([1.0] * 10)
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else n + 1)
+    f = AlphaMap(space=sp, table=(0,), shift=1)
     rep = classify_orbit(f, 1, ClassificationParams(horizon=100))
     assert rep.verdict == UNDECIDED
     assert "left the computable presentation" in rep.note
@@ -225,7 +225,7 @@ def test_prefix_truncation_reports_undecided():
 
 def test_escape_allowed_on_observed_window_despite_truncation():
     sp = AlphaSpace([2.0**n for n in range(1, 11)])
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else n + 1)
+    f = AlphaMap(space=sp, table=(0,), shift=1)
     rep = classify_orbit(
         f, 1, ClassificationParams(horizon=1000, radii=(4.0, 16.0, 64.0))
     )
@@ -237,7 +237,7 @@ def test_conflicting_signals_stay_undecided():
     # a 2-cycle living entirely above the first radius crosses the whole
     # ladder AND returns exactly; the conflict is reported, not resolved
     sp = AlphaSpace([4.0, 16.0])
-    f = AlphaMap(space=sp, rule=lambda n: {0: 0, 1: 2, 2: 1}[n])
+    f = AlphaMap(space=sp, table=(0, 2, 1))
     rep = classify_orbit(
         f, 1, ClassificationParams(horizon=10, radii=(2.0, 8.0), eps_recurrent=1e-9)
     )
@@ -845,7 +845,7 @@ def test_shift_profile_closed_form_matches_pushforward():
     alpha = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     sp = AlphaSpace(alpha)
     lam = [0.5, -0.25, 1.0]
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else n + 1)
+    f = AlphaMap(space=sp, table=(0,), shift=1)
     mu = make_free_vector(sp, [(n, c / sp.alpha(n)) for n, c in enumerate(lam, start=1)])
     for k in range(0, 4):
         closed = shift_profile_closed_form(lam, sp, k)

@@ -503,7 +503,7 @@ def _block_cycle_wrapping_to(offset):
         for n in range(1, blocks + 1):
             table.extend(range(ss[n] + 1, ss[n + 1]))
             table.append(ss[n] + offset)
-        return AlphaMap(space=space, rule=tuple(table).__getitem__)
+        return AlphaMap(space=space, table=table)
 
     return build
 
@@ -527,7 +527,7 @@ def test_block_cycle_checks_fail_on_a_wrong_wrap(monkeypatch):
 
 def test_block_cycle_checks_fail_on_the_identity(monkeypatch):
     monkeypatch.setattr(gallery, "block_cycle_map",
-                        lambda space, blocks: AlphaMap(space=space, rule=lambda m: m))
+                        lambda space, blocks: AlphaMap(space=space, table=space.points()))
     failed = _failed_details(block_cycle_experiment(blocks=6, horizon=60))
     assert failed["minimal-period-equals-block-size"] == (
         "index 1 in block 1: recurrence gap (0.0, 1), expected an exact return at step 2"

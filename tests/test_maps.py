@@ -25,11 +25,16 @@ from freelip import (
     PrefixExhausted,
     backward_shift_map,
     backward_shift_space,
+    block_cycle_map,
+    block_cycle_space,
     circle_rotation_space,
     classify_orbit,
     compose,
     delta,
     doubling_map,
+    fill_map,
+    forward_shift_map,
+    identity_map,
     interval_map_suite,
     iterate_map,
     iterate_point,
@@ -41,6 +46,7 @@ from freelip import (
     norm_flow,
     operator_norm_estimate,
     push_forward,
+    ramp_map,
     recurrence_gap,
     restrict_to_points,
     space_from_json,
@@ -71,12 +77,12 @@ def test_finite_map_must_fix_basepoint(rng):
 def test_alpha_map_must_fix_zero():
     sp = AlphaSpace([1.0, 2.0])
     with pytest.raises(DomainError):
-        AlphaMap(space=sp, rule=lambda n: n + 1)
+        AlphaMap(space=sp, table=(1,), shift=1)
 
 
 def test_alpha_map_prefix_escape_is_loud():
     sp = AlphaSpace([1.0, 2.0])
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else n + 1)
+    f = AlphaMap(space=sp, table=(0,), shift=1)
     assert f.apply(1) == 2
     with pytest.raises(PrefixExhausted):
         f.apply(2)
@@ -84,11 +90,10 @@ def test_alpha_map_prefix_escape_is_loud():
 
 @pytest.mark.parametrize("image", [1.7, True, "1", -1])
 def test_alpha_map_image_must_be_a_point(image):
-    # the image is checked as a point of the space: 1.7 does not land on 1
+    # each table entry is read as a point index, at construction: 1.7 does not land on 1
     sp = AlphaSpace([1.0, 2.0])
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else image)
     with pytest.raises(DomainError):
-        f.apply(1)
+        AlphaMap(space=sp, table=(0, image))
 
 
 def test_pl_map_breakpoints_must_anchor_endpoints():
@@ -213,7 +218,7 @@ def _map_with_point_outside(kind):
     if kind == "finite":
         return FiniteMap(FiniteSpace(((0.0, 1.0), (1.0, 0.0))), (0, 1)), -1
     if kind == "alpha":
-        return AlphaMap(AlphaSpace([1.0, 2.0]), lambda n: 0 if n == 0 else 3 - n), 3
+        return AlphaMap(AlphaSpace([1.0, 2.0]), (0, 2, 1)), 3
     if kind == "interval":
         return tent_map(), 1.5
     return LatticeMap(LatticeBox(((-2, 2), (-2, 2))), [[-1, 0], [0, 1]]), (3, 0)
@@ -375,6 +380,106 @@ def test_a_lattice_power_checks_only_its_last_image():
     assert iterate_map(turn, 2).apply((0, 2)) == compose(turn, turn).apply((0, 2)) == (0, -2)
 
 
+def _random_alpha_map(rng, space, shifted_tables):
+    """A table of 1..N+3 entries in 0..N+2, led by 0 -> 0, or (30% of draws) the forward
+    shift, or with ``shifted_tables`` such a table of at most 3 entries shifted by 1..3."""
+    n = space.prefix_length
+    table = [0] + [rng.randint(0, n + 2) for _ in range(rng.randint(0, n + 2))]
+    if rng.random() >= 0.3:
+        return AlphaMap(space, table)
+    return AlphaMap(space, table[:3], rng.randint(1, 3)) if shifted_tables else AlphaMap(space, (0,), 1)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class of the DomainError it raises."""
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("shifted_tables", [False, True], ids=["forward-shift", "shifted-tables"])
+def test_a_composite_is_its_steps(shifted_tables):
+    # every step is checked: a composite or an iterate leaves the prefix where a
+    # step does, and never comes back (a lazy composite once read table[-1])
+    rng = random.Random(11)
+    for _ in range(3000):
+        space = AlphaSpace([1.0] * rng.randint(1, 9))
+        f, g = _random_alpha_map(rng, space, shifted_tables), _random_alpha_map(rng, space, shifted_tables)
+        k = rng.randint(1, 4)
+        fg, fk = compose(f, g), iterate_map(f, k)
+        for x in space.points():
+            assert _outcome(lambda: fg.apply(x)) == _outcome(lambda: f.apply(g.apply(x))), (f, g, x)
+            assert _outcome(lambda: fk.apply(x)) == _outcome(lambda: iterate_point(f, x, k)), (f, k, x)
+
+
+def test_an_alpha_map_is_its_table_and_shift():
+    # two loads of one JSON map are one map, and a composite or an iterate is written out
+    space = AlphaSpace([1.0, 2.0, 4.0, 8.0, 16.0])
+    cycle = {"kind": "alpha-rule", "rule": "table", "table": [0, 2, 1, 4, 3]}
+    shift = {"kind": "alpha-rule", "rule": "forward-shift"}
+    for wire in (cycle, shift):
+        f, g = map_from_json(wire, space), map_from_json(wire, space)
+        assert f == g and hash(f) == hash(g) and map_to_json(f) == wire
+    f, s = map_from_json(cycle, space), map_from_json(shift, space)
+    assert (f.table, f.shift, s.table, s.shift) == ((0, 2, 1, 4, 3), 0, (0,), 1)
+    assert iterate_map(s, 3) == AlphaMap(space, (0,), 3)
+    assert map_to_json(iterate_map(s, 3)) == {"kind": "alpha-rule", "rule": "table", "table": [0, 4, 5, 6, 7, 8]}
+    for h in (compose(f, f), iterate_map(f, 3), compose(s, f), compose(f, s), iterate_map(s, 3)):
+        back = map_from_json(map_to_json(h), space)
+        assert [_outcome(lambda: back.apply(x)) for x in space.points()] == \
+            [_outcome(lambda: h.apply(x)) for x in space.points()]
+
+
+def test_a_shift_power_is_a_shift():
+    space = AlphaSpace([1.0] * 5)
+    start = time.perf_counter()
+    far = iterate_map(map_from_json({"kind": "alpha-rule", "rule": "forward-shift"}, space), 10**6)
+    assert far == AlphaMap(space, (0,), 10**6) and far.apply(0) == 0
+    with pytest.raises(PrefixExhausted, match=r"^point 1000001 lies past the materialized prefix of length 5$"):
+        far.apply(1)
+    assert time.perf_counter() - start < 0.5  # a walk of 10**6 steps takes seconds
+
+
+def test_a_composite_names_the_first_index_past_the_prefix():
+    # an entry whose orbit leaves the prefix is N + 1, so apply raises there as the steps do
+    space = AlphaSpace([1.0] * 3)
+    f = AlphaMap(space, (0, 2, 4, 1))
+    assert compose(f, f).table == (0, 4, 4, 2)
+    for x in (1, 2):
+        with pytest.raises(PrefixExhausted, match=r"^point 4 lies past the materialized prefix of length 3$"):
+            compose(f, f).apply(x)
+    short = AlphaMap(space, (0, 1))
+    with pytest.raises(PrefixExhausted, match=r"^table rule covers indices up to 1$"):
+        compose(short, short).apply(2)
+
+
+def _wire_cases():
+    """Every gallery and suite map, a lattice map, and a composite and an iterate of each."""
+    cycle_space = block_cycle_space(3)
+    box = LatticeBox(((-3, 3), (-3, 3)))
+    maps_ = {"forward-shift": forward_shift_map(AlphaSpace([1.0] * 6)),
+             "block-cycle": block_cycle_map(cycle_space, 3),
+             "doubling": doubling_map(), "identity": identity_map(), "ramp": ramp_map(), "fill": fill_map(),
+             "backward-shift": backward_shift_map(backward_shift_space(6)),
+             "rotation-7": circle_rotation_space(7)[1],
+             "lattice-turn": LatticeMap(box, [[0, -1], [1, 0]]), "lattice-shear": LatticeMap(box, [[1, 1], [0, 1]]),
+             **{f"suite-{name}": f for name, f in interval_map_suite().items()}}
+    for name, f in maps_.items():
+        yield name, f
+        yield f"{name}-composite", compose(f, f)
+        yield f"{name}-iterate", iterate_map(f, 3)
+
+
+def test_the_wire_is_a_fixed_point_for_every_presentation():
+    kinds = set()
+    for name, f in _wire_cases():
+        wire = map_to_json(f)
+        assert map_to_json(map_from_json(wire, f.space)) == wire, name
+        kinds.add(f.kind)
+    assert kinds == {"finite-table", "alpha-rule", "piecewise-linear", "lattice-rule"}
+
+
 def test_compose_rejects_foreign_spaces():
     with pytest.raises(DomainError):
         compose(tent_map(), PiecewiseLinearMap(HALF_LINE, [(0.0, 0.0), (1.0, 1.0)], right_slope=1.0))
@@ -461,7 +566,7 @@ def test_lip_pl_is_max_slope():
 
 def test_lip_alpha_is_window_limited():
     sp = AlphaSpace([1.0, 4.0, 1.0])
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else min(n + 1, 3))
+    f = AlphaMap(space=sp, table=(0, 2, 3, 3))
     est = lip_constant(f)
     assert not est.exact
     assert est.value == 4.0  # alpha_2 / alpha_1
@@ -703,12 +808,9 @@ def test_pl_map_json_round_trip_with_an_unbounded_left_end():
 
 def test_alpha_map_json_named_rule():
     sp = AlphaSpace([1.0, 2.0, 3.0])
-    f = AlphaMap(
-        space=sp,
-        rule=lambda n: 0 if n == 0 else n + 1,
-        rule_json={"rule": "forward-shift"},
-    )
+    f = AlphaMap(space=sp, table=(0,), shift=1)
     wire = map_to_json(f)
+    assert wire == {"kind": "alpha-rule", "rule": "forward-shift"}
     back = map_from_json(wire, sp)
     assert back.apply(1) == 2
 
@@ -717,13 +819,6 @@ def test_alpha_map_json_table_rule():
     sp = AlphaSpace([1.0, 2.0])
     f = map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, 2, 1]}, sp)
     assert f.apply(1) == 2 and f.apply(2) == 1
-
-
-def test_alpha_map_opaque_rule_refuses_serialization():
-    sp = AlphaSpace([1.0, 2.0])
-    f = AlphaMap(space=sp, rule=lambda n: 0 if n == 0 else 1)
-    with pytest.raises(DomainError):
-        map_to_json(f)
 
 
 def test_lattice_map_json_matrix_rule():
@@ -777,7 +872,7 @@ BAD_MAP_INPUTS = {
     "lattice-rule-on-a-sequence-space": (lambda: LatticeMap(AlphaSpace([1.0]), [[1]]),
                                          "lattice rules need a lattice box"),
     # every presentation names the basepoint and its image alike
-    "alpha-rule-moves-the-basepoint": (lambda: AlphaMap(AlphaSpace([1.0, 2.0]), lambda n: n + 1),
+    "alpha-rule-moves-the-basepoint": (lambda: AlphaMap(AlphaSpace([1.0, 2.0]), (1,), 1),
                                        "map must fix the basepoint 0, got 1"),
     "table-moves-the-basepoint": (lambda: FiniteMap(PAIR, (1, 1)), "map must fix the basepoint 0, got 1"),
     "json-table-moves-the-basepoint": (lambda: map_from_json({"kind": "finite-table", "table": [1, 1]}, PAIR),
@@ -801,7 +896,7 @@ BAD_MAP_INPUTS = {
                                 "unknown alpha rule 'backward-shift'"),
     "json-alpha-table-moves-zero": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": [1, 0]},
                                                           AlphaSpace([1.0, 2.0])),
-                                    "alpha table must start with 0 -> 0"),
+                                    "map must fix the basepoint 0, got 1"),
     "table-not-a-list": (lambda: FiniteMap(PAIR, 5), "map table must be a list of points"),
     # a str is no list: once read a letter at a time, as "point '0' not in finite space of size 2"
     "table-a-string": (lambda: FiniteMap(PAIR, "01"), "map table must be a list of points"),
@@ -812,6 +907,14 @@ BAD_MAP_INPUTS = {
                                  "lattice rules are given by a square integer matrix"),
     "json-table-not-a-list": (lambda: map_from_json({"kind": "finite-table", "table": 5}, PAIR),
                               "map table must be a list of points"),
+    "alpha-table-negative": (lambda: AlphaMap(AlphaSpace([1.0] * 3), [0, -1, 1, 2]),
+                             "alpha table entry -1 is negative: no sequence space has it"),
+    "json-alpha-table-negative": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": [0, -1, 1, 2]},
+                                                        AlphaSpace([1.0] * 3)),
+                                  "alpha table entry -1 is negative: no sequence space has it"),
+    "alpha-table-empty": (lambda: AlphaMap(AlphaSpace([1.0]), []), "alpha table is empty: it needs the entry 0 -> 0"),
+    "alpha-shift-negative": (lambda: AlphaMap(AlphaSpace([1.0]), (0,), -1), "alpha shift must be a nonnegative integer"),
+    "alpha-shift-a-float": (lambda: AlphaMap(AlphaSpace([1.0]), (0,), 1.0), "alpha shift must be a nonnegative integer"),
     "json-alpha-table-not-a-list": (lambda: map_from_json({"kind": "alpha-rule", "rule": "table", "table": 5},
                                                           AlphaSpace([1.0, 2.0])),
                                     "map table must be a list of points"),
@@ -868,6 +971,10 @@ MAP_TWINS = {
                               lambda: PiecewiseLinearMap(UNIT, [(0, 0, 1), (1, 1)])),
     "table-not-a-list": (PAIR, {"kind": "finite-table", "table": 5}, lambda: FiniteMap(PAIR, 5)),
     "table-a-string": (PAIR, {"kind": "finite-table", "table": "01"}, lambda: FiniteMap(PAIR, "01")),
+    "alpha-table-negative": (AlphaSpace([1.0] * 3), {"kind": "alpha-rule", "rule": "table", "table": [0, -1, 1, 2]},
+                             lambda: AlphaMap(AlphaSpace([1.0] * 3), [0, -1, 1, 2])),
+    "alpha-table-empty": (AlphaSpace([1.0]), {"kind": "alpha-rule", "rule": "table", "table": []},
+                          lambda: AlphaMap(AlphaSpace([1.0]), [])),
     "breakpoints-not-a-list": (UNIT, {"kind": "piecewise-linear", "breakpoints": 5},
                                lambda: PiecewiseLinearMap(UNIT, 5)),
 }
